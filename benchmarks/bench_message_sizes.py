@@ -30,7 +30,7 @@ def _trace(net, runner):
     original_run = net.run
 
     def run_traced(*args, **kwargs):
-        kwargs.setdefault("trace", trace)
+        kwargs.setdefault("telemetry", trace)
         return original_run(*args, **kwargs)
 
     net.run = run_traced

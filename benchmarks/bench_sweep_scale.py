@@ -1,35 +1,28 @@
-"""S6 (infrastructure) — staged sweep engine: shared GraphStore vs.
-rebuild-per-trial, and overlapped vs. sequential shared-graph builds.
+"""S6 (infrastructure) — staged sweep engine: shared GraphStore accounting
+and the socket executor on loopback.
 
 The workload is the execution shape the paper's pipeline calls for and the
 staged engine exists for: an **ablation sweep** that varies only algorithm
 parameters (the forests-decomposition ε knob) over the *same* graph
 instances.  The family is ``erdos_renyi`` — its generator samples all
 O(n²) vertex pairs and then certifies the arboricity bound by measuring
-degeneracy, so instance construction dominates each trial and rebuilding
-it per trial (the pre-staged engine's behaviour) wastes most of the wall
-clock.
+degeneracy, so instance construction dominates each trial and every build
+the GraphStore saves is wall clock saved.
 
-Three scenarios:
+Two scenarios:
 
-* ``test_shared_graphstore_speedup`` — few shared graphs, many cells.
-  Both paths run serially in one process so the measured ratio isolates
-  the graph-sharing win (no pool noise); a parallel shared-memory run is
-  also timed for context.  Acceptance: identical records, and the shared
-  GraphStore path is ≥2× faster end to end (observed locally: ~2.5-2.7×).
-* ``test_overlapped_builds_dominate`` — **many distinct shared graphs**,
-  the shape where the old engine's sequential parent-side prebuild
-  serialised most of the wall clock (and could even lose to
-  ``share_graphs=False``).  Overlapping builds with pool execution must
-  beat both the sequential-prebuild schedule and rebuild-per-trial.
+* ``test_shared_graphstore_accounting`` — few shared graphs, many cells,
+  run serially and on a two-worker shared-memory pool.  Acceptance:
+  identical records, and on both executors exactly one build per graph
+  with every other trial a reuse (tighter than any timing ratio: a single
+  lost reuse fails it).
 * ``test_socket_loopback_speedup`` — the ablation sweep again, through a
   :class:`~repro.experiments.SocketExecutor` coordinator with two
   loopback ``repro worker`` processes: the wire protocol's overhead must
   not eat the parallelism (floor gated as ``parallelism_dependent``).
 
 ``REPRO_PERF_HANDICAP`` (a fraction, e.g. ``0.25``) synthetically inflates
-the shared/overlapped path's time so the regression gate can be watched
-tripping.
+the socket path's time so the regression gate can be watched tripping.
 """
 
 from __future__ import annotations
@@ -64,46 +57,38 @@ def _spec() -> SweepSpec:
     )
 
 
-def _timed_sweep(make_spec=None, **kwargs):
+def _timed_sweep(**kwargs):
     t0 = time.perf_counter()
-    result = run_sweep((make_spec or _spec)(), **kwargs)
+    result = run_sweep(_spec(), **kwargs)
     return result, time.perf_counter() - t0
 
 
-def test_shared_graphstore_speedup(benchmark):
-    rebuild, rebuild_s = _timed_sweep(share_graphs=False)
+def test_shared_graphstore_accounting(benchmark):
     shared, shared_s = _timed_sweep()
     parallel, parallel_s = _timed_sweep(workers=2)
-    shared_s *= 1.0 + _HANDICAP
 
-    # identical records: same content keys, same metrics, every path
-    fingerprints = [
-        [(t.key, t.metrics) for t in res]
-        for res in (rebuild, shared, parallel)
+    # identical records, and the same exact accounting on both executors
+    assert [(t.key, t.metrics) for t in shared] == [
+        (t.key, t.metrics) for t in parallel
     ]
-    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-    assert shared.graph_builds == len(SEEDS)
-    assert shared.graph_reuses == shared.num_trials - len(SEEDS)
+    for res in (shared, parallel):
+        assert res.graph_builds == len(SEEDS)
+        assert res.graph_reuses == res.num_trials - len(SEEDS)
 
-    speedup = rebuild_s / shared_s
-    trials = rebuild.num_trials
-    build_s = sum(t.stages["build_graph"] for t in rebuild)
+    trials = shared.num_trials
     rows = [
-        ["rebuild-per-trial", trials, trials, f"{rebuild_s:.2f}",
-         f"{build_s:.2f}", "1.0x"],
         ["shared GraphStore (serial)", trials, shared.graph_builds,
-         f"{shared_s:.2f}",
-         f"{sum(t.stages['build_graph'] for t in shared):.2f}",
-         f"{speedup:.1f}x"],
+         shared.graph_reuses, f"{shared_s:.2f}",
+         f"{shared.graph_build_s:.2f}"],
         ["shared GraphStore (2 workers, shm)", trials,
-         parallel.graph_builds, f"{parallel_s:.2f}", "-",
-         f"{rebuild_s / parallel_s:.1f}x"],
+         parallel.graph_builds, parallel.graph_reuses, f"{parallel_s:.2f}",
+         f"{parallel.graph_build_s:.2f}"],
     ]
     emit(
         render_table(
             "S6 — staged sweep engine: build once, share everywhere",
-            ["execution path", "trials", "graph builds", "wall s",
-             "build_graph s", "speedup"],
+            ["execution path", "trials", "graph builds", "graph reuses",
+             "wall s", "build s"],
             rows,
             note=f"erdos_renyi(n={N}) x {len(EPSILONS)} forests-ε cells x "
             f"{len(SEEDS)} seeds; records byte-identical by assertion",
@@ -112,127 +97,16 @@ def test_shared_graphstore_speedup(benchmark):
     )
     perf_record.add_metrics(
         "sweep_scale",
-        shared_graphstore_speedup=round(speedup, 3),
-        rebuild_wall_s=round(rebuild_s, 4),
         shared_wall_s=round(shared_s, 4),
         parallel_shm_wall_s=round(parallel_s, 4),
         graph_builds=shared.graph_builds,
         graph_reuses=shared.graph_reuses,
         handicap=_HANDICAP,
     )
-    # Acceptance: sharing the graph builds wins ≥2× on the ablation shape.
-    if _HANDICAP == 0.0:
-        assert speedup >= 2.0, (
-            f"shared GraphStore speedup {speedup:.2f}x < 2x on the "
-            "graph-build-dominated ablation sweep"
-        )
 
     benchmark.pedantic(
         lambda: run_sweep(_spec()), iterations=1, rounds=1
     )
-
-
-# -- many distinct shared graphs: overlapped vs. sequential builds ---------
-
-#: distinct graph instances (seeds), each shared by the ε cells below
-OVERLAP_GRAPHS = 6
-OVERLAP_EPSILONS = (0.35, 0.5, 1.2)
-OVERLAP_N = 2400
-
-
-def _overlap_spec() -> SweepSpec:
-    # explicit seeds so every ε cell lands on the same graph instances
-    return SweepSpec(
-        "sweep-scale-overlap",
-        grid_scenarios(
-            families=[{"name": "erdos_renyi",
-                       "n": OVERLAP_N, "p": 4.0 / OVERLAP_N}],
-            algorithms=[
-                {"name": "forests", "epsilon": e} for e in OVERLAP_EPSILONS
-            ],
-            seeds=list(range(OVERLAP_GRAPHS)),
-        ),
-    )
-
-
-def test_overlapped_builds_dominate(benchmark):
-    """Acceptance: with many distinct shared graphs and a pool, dispatching
-    the builds *into* the pool beats (a) the old sequential parent-side
-    prebuild and (b) ``share_graphs=False`` — the tradeoff the prebuild
-    schedule used to lose on this shape is gone."""
-    cores = os.cpu_count() or 1
-    workers = max(2, min(4, cores))
-
-    t0 = time.perf_counter()
-    overlapped = benchmark.pedantic(
-        lambda: run_sweep(_overlap_spec(), workers=workers),
-        iterations=1, rounds=1,
-    )
-    overlapped_s = (time.perf_counter() - t0) * (1.0 + _HANDICAP)
-    prebuilt, prebuilt_s = _timed_sweep(
-        _overlap_spec, workers=workers, overlap_builds=False
-    )
-    unshared, unshared_s = _timed_sweep(
-        _overlap_spec, workers=workers, share_graphs=False
-    )
-
-    # identical records across schedules and sharing modes
-    fingerprints = [
-        [(t.key, t.metrics) for t in res]
-        for res in (overlapped, prebuilt, unshared)
-    ]
-    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-    assert overlapped.build_overlap and not prebuilt.build_overlap
-    assert overlapped.graph_builds == OVERLAP_GRAPHS == prebuilt.graph_builds
-    assert overlapped.graph_reuses == prebuilt.graph_reuses
-    assert unshared.graph_builds == 0
-
-    vs_prebuilt = prebuilt_s / overlapped_s
-    vs_unshared = unshared_s / overlapped_s
-    trials = overlapped.num_trials
-    rows = [
-        ["prebuild-then-dispatch", trials, prebuilt.graph_builds,
-         f"{prebuilt_s:.2f}", "1.0x"],
-        ["rebuild-per-trial (share_graphs=False)", trials, 0,
-         f"{unshared_s:.2f}", f"{prebuilt_s / unshared_s:.1f}x"],
-        ["overlapped builds (this engine)", trials,
-         overlapped.graph_builds, f"{overlapped_s:.2f}",
-         f"{vs_prebuilt:.1f}x"],
-    ]
-    emit(
-        render_table(
-            "S6b — overlapped shared-graph builds: no more prebuild stall",
-            ["execution schedule", "trials", "parent-owned builds",
-             "wall s", "speedup"],
-            rows,
-            note=f"erdos_renyi(n={OVERLAP_N}) x {OVERLAP_GRAPHS} distinct "
-            f"graphs x {len(OVERLAP_EPSILONS)} forests-ε cells, "
-            f"{workers} workers; records byte-identical by assertion",
-        ),
-        "s6b_sweep_overlap.txt",
-    )
-    perf_record.add_metrics(
-        "sweep_scale",
-        overlap_vs_prebuilt_speedup=round(vs_prebuilt, 3),
-        overlap_vs_unshared_speedup=round(vs_unshared, 3),
-        overlap_wall_s=round(overlapped_s, 4),
-        prebuilt_wall_s=round(prebuilt_s, 4),
-        unshared_wall_s=round(unshared_s, 4),
-        overlap_workers=workers,
-        overlap_graph_build_s=round(overlapped.graph_build_s, 4),
-    )
-    # Acceptance needs real cores: on a single-CPU box the pool time-slices
-    # and overlapping cannot beat a serial prebuild (the metrics are still
-    # recorded for the CI gate, which runs on multi-core runners).
-    if _HANDICAP == 0.0 and cores >= 2:
-        assert vs_prebuilt >= 1.15, (
-            f"overlapped builds only {vs_prebuilt:.2f}x vs sequential "
-            f"prebuild on {OVERLAP_GRAPHS} distinct shared graphs"
-        )
-        assert vs_unshared >= 1.1, (
-            f"overlapped share_graphs=True only {vs_unshared:.2f}x vs "
-            "share_graphs=False — sharing must dominate on this shape"
-        )
 
 
 # -- the socket executor on loopback: wire overhead must not eat the win ---
@@ -245,8 +119,8 @@ def test_socket_loopback_speedup(benchmark):
     serial run on the graph-build-dominated ablation shape — i.e. the
     wire protocol's pickle+base64 overhead and the coordinator's
     dispatch threads do not eat the parallelism they exist to buy.
-    Records must be byte-identical, through the pickle transport (remote
-    workers can never attach the coordinator's shm)."""
+    Records must be byte-identical, with the shared graphs pickled onto
+    the wire (remote workers can never attach the coordinator's shm)."""
     from repro.experiments import SocketExecutor, spawn_local_workers
 
     cores = os.cpu_count() or 1
@@ -274,8 +148,9 @@ def test_socket_loopback_speedup(benchmark):
     assert [(t.key, t.metrics) for t in remote] == [
         (t.key, t.metrics) for t in serial
     ]
-    assert {t.graph_source for t in remote} == {"pickled"}
+    assert {t.graph_source for t in remote} == {"store"}
     assert remote.graph_builds == len(SEEDS)
+    assert remote.graph_reuses == remote.num_trials - len(SEEDS)
 
     speedup = serial_s / socket_s
     trials = serial.num_trials

@@ -19,8 +19,8 @@ Topology-aware skipping: a baseline may declare some of its gated metrics
 ``topology.min_cores`` requirement.  When the current record was measured
 on a box with fewer cores, those floors are *skipped* — visibly, with a
 GitHub Actions warning annotation when running in CI — instead of tripping
-on machine shape rather than regression (the ``overlap_vs_*`` speedups
-are meaningless on a 2-worker box when the floor was calibrated on 4
+on machine shape rather than regression (the ``socket_loopback_*`` speedup
+is meaningless on a 2-worker box when the floor was calibrated on 4
 cores).  Likewise ``memory_dependent`` metrics paired with
 ``topology.min_mem_gb`` skip on boxes without the RAM the floor was
 calibrated against (the column-engine scale leg holds a million-node

@@ -62,7 +62,7 @@ def git_sha() -> str:
 def topology() -> Dict[str, Any]:
     """The host-shape block embedded in every record.
 
-    Parallelism-dependent ratio metrics (``overlap_vs_*``) only mean
+    Parallelism-dependent ratio metrics (``socket_loopback_*``) only mean
     something relative to a machine shape; recording it lets
     ``check_perf_regression.py`` skip those floors on smaller boxes
     instead of tripping on topology rather than regression.

@@ -1,6 +1,6 @@
 """Experiments-layer rules: fork/thread discipline and cache-key stability.
 
-The sweep engine mixes threads (socket executor, overlap dispatcher),
+The sweep engine mixes threads (socket executor, payload dispatcher),
 ``fork``-started pools, and named shared-memory segments; the cache is
 keyed by canonical JSON of the trial spec.  Both carry contracts that a
 review cannot reliably eyeball:
@@ -102,8 +102,10 @@ class ForkThreadSafety(Rule):
                         node,
                         "SharedMemory(create=True) outside the GraphStore "
                         "layer — segments created here are not registered "
-                        "for teardown and leak on interrupt; go through "
-                        "GraphStore.publish()/mint()",
+                        "for teardown and leak on interrupt; promise the "
+                        "name with GraphStore.expect_segment(), write it "
+                        "with Graph.to_shm(name=...) and hand it over with "
+                        "GraphStore.adopt_segment()",
                     )
 
     def _check_function(self, mod, fn) -> Iterator[Finding]:

@@ -310,7 +310,6 @@ def _cmd_sweep(args) -> int:
             workers=workers,
             progress=print,
             use_shm=False if args.no_shm else None,
-            overlap_builds=not args.no_overlap,
             trace=args.trace,
             executor=executor,
         )
@@ -358,14 +357,10 @@ def _cmd_sweep(args) -> int:
         )
     print(summary)
     if result.graph_builds:
-        mode = (
-            "overlapped with execution"
-            if result.build_overlap
-            else "built before dispatch"
-        )
         print(
-            f"sweep: graph store: {result.graph_builds} build(s) ({mode}, "
-            f"{result.graph_build_s:.2f}s build wall), "
+            f"sweep: graph store: {result.graph_builds} shared build(s) on "
+            f"the {result.executor} executor "
+            f"({result.graph_build_s:.2f}s build wall), "
             f"{result.graph_reuses} reuse(s)"
         )
     if args.trace:
@@ -510,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable shared-memory graph publishing for "
                          "parallel runs (pickle fallback; $REPRO_NO_SHM=1 "
                          "does the same)")
-    p_sweep.add_argument("--no-overlap", action="store_true",
-                         help="build shared graphs in the parent before "
-                         "dispatch instead of overlapping builds with pool "
-                         "execution (the pre-overlap engine's shape, kept "
-                         "for A/B timing; records are identical either way)")
     p_sweep.add_argument("--trace", default=None, metavar="PATH",
                          help="append structured JSONL trace spans (stages, "
                          "GraphStore lifecycle, cache hits/misses, pool "

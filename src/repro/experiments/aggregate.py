@@ -225,14 +225,9 @@ def stage_timing_table(
         "untimed rows)"
     )
     if sweep.graph_builds:
-        mode = (
-            "overlapped with pool execution"
-            if sweep.build_overlap
-            else "built before dispatch"
-        )
         note += (
-            f"; shared graphs: {sweep.graph_builds} build(s) {mode}, "
-            f"{sweep.graph_reuses} reuse(s), "
+            f"; shared graphs: {sweep.graph_builds} build(s) on the "
+            f"{sweep.executor} executor, {sweep.graph_reuses} reuse(s), "
             f"{sweep.graph_build_s:.2f}s build wall"
         )
     return render_table(

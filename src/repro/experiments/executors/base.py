@@ -18,19 +18,17 @@ an executor owns *where* it runs.  The contract is deliberately tiny:
     returns — executors never interpret them beyond routing.
 
 ``supports_shm``
-    True when this backend's workers share the parent's memory namespace,
-    i.e. they can attach shared-memory segments the parent's
-    :class:`~repro.experiments.graphstore.GraphStore` publishes.  Remote
-    backends set this False and the store falls back to the pickle
-    transport (built graphs ride inside payloads) automatically.
+    True when this backend's workers are other processes sharing the
+    parent's memory namespace, i.e. they can attach shared-memory segments
+    the parent's :class:`~repro.experiments.graphstore.GraphStore` owns.
+    Other backends set this False and the store hands out the graph
+    objects themselves (by reference in-process, pickled over a wire).
 
 ``locality``
-    ``"in-process"`` (payloads run on the calling thread — the runner
-    uses its serial scheduling: graphs handed over by reference, no build
-    payloads), ``"local"`` (other processes on this host), or
-    ``"remote"`` (other hosts).  Anything but ``"in-process"`` gets the
-    distributed scheduling: shared-graph builds dispatched as payloads,
-    backpressure-windowed streaming.
+    ``"in-process"`` (payloads run on the calling thread), ``"local"``
+    (other processes on this host), or ``"remote"`` (other hosts).
+    Descriptive only: every backend gets the same scheduling — shared-graph
+    builds dispatched as payloads, backpressure-windowed streaming.
 
 ``parallelism()``
     The backend's current concurrency — sizes the runner's build
@@ -65,7 +63,7 @@ class Executor:
     name: str = "base"
     #: workers can attach parent-published shared-memory segments
     supports_shm: bool = False
-    #: "in-process" | "local" | "remote" — selects the scheduling shape
+    #: "in-process" | "local" | "remote" — where payloads run
     locality: str = "in-process"
 
     def parallelism(self) -> int:

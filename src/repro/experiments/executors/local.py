@@ -26,14 +26,13 @@ __all__ = ["SerialExecutor", "LocalPoolExecutor"]
 class SerialExecutor(Executor):
     """Run payloads one at a time on the calling thread.
 
-    ``submit`` is a plain generator, so each payload is pulled — and its
-    graph handed over / evicted by the runner's stream — only when the
-    previous record has been absorbed: peak memory matches the old inline
-    serial loop exactly.
+    ``submit`` is a plain generator, so each payload is pulled only when
+    the previous record has been absorbed: a build payload runs inline and
+    its graph is adopted before the trials that use it are streamed.
     """
 
     name = "serial"
-    supports_shm = True  # same process: shm is moot but never wrong
+    supports_shm = False  # same process: graphs are handed over by reference
     locality = "in-process"
 
     def submit(

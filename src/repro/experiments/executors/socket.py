@@ -33,7 +33,7 @@ Scheduling and failure semantics:
   the same semantics a local pool gives.
 
 Workers never attach shared memory (``supports_shm = False``), so the
-GraphStore automatically serves shared graphs over the pickle transport:
+GraphStore hands out shared graphs as objects the wire pickles:
 build payloads are dispatched to workers like any other payload, the
 built graph rides back pickled, and the parent re-pickles it into each
 sharing trial's payload.
@@ -143,7 +143,7 @@ class SocketExecutor(Executor):
     """
 
     name = "socket"
-    supports_shm = False  # remote workers always take the pickle transport
+    supports_shm = False  # remote workers get pickled graph objects
     locality = "remote"
 
     def __init__(

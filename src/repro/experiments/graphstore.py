@@ -6,49 +6,46 @@ an ablation sweep varies algorithm parameters over the *same* graphs, so
 rebuilding each instance per trial wastes most of the wall clock.  The
 :class:`GraphStore` dedups graph construction by
 :meth:`repro.experiments.spec.TrialSpec.graph_key` — i.e. the
-``(family, family_params, seed)`` content the builder actually sees — and
-hands each unique instance to the trial executors three ways, fastest
-available first:
+``(family, family_params, seed)`` content the builder actually sees.
 
-* **shared memory** (``workers > 1``): the CSR arrays are published once
-  per unique graph via :meth:`repro.graphs.graph.Graph.to_shm` and every
-  worker attaches zero-copy with :meth:`~repro.graphs.graph.Graph.from_shm`
-  (a per-process attach cache keeps one attachment per segment);
-* **pickle fallback** (``REPRO_NO_SHM=1`` or platforms without
-  ``multiprocessing.shared_memory``): the built
-  :class:`~repro.graphs.generators.GeneratedGraph` rides inside the trial
-  payload — built once, but pickled into each sharing trial's payload by
-  the pool's dispatch (the fallback saves the builds, not the copies);
-* **in-process** (``workers == 1``): the object itself is passed through.
-
-Which transport a sweep gets is an *executor capability*, not a user
-choice: backends advertise ``supports_shm``, and the runner pins the
-store to the pickle transport for any backend whose workers cannot map
-this host's memory (``SocketExecutor`` — remote processes can never
-attach a coordinator-local segment, so shared graphs always ride the
-wire pickled, once per sharing trial).
-
-Construction itself can happen on *either* side of the process boundary.
-The parent builds in-process (:meth:`GraphStore.get`, or
-:meth:`GraphStore.publish` to move the bytes into a segment), but the
-overlapped pool scheduler instead dispatches build-only payloads into the
-worker pool: the worker builds, publishes the segment under a
-parent-chosen name (or returns the pickled instance), and the parent
+The store never builds a graph itself; it owns, hands out and counts the
+graphs the executor built.  The runner dispatches one build-only payload
+per shared graph: the executor builds it, publishes the segment under a
+parent-chosen name (or returns the graph object), and the parent
 **adopts** the result — :meth:`GraphStore.adopt_segment` /
 :meth:`GraphStore.adopt_graph` — so it owns segments it did not build.
 :meth:`GraphStore.expect_segment` records every name promised to a worker
 *before* the build is dispatched, so :meth:`close` can reclaim segments
-whose build result never came back (interrupt or pool crash mid-overlap).
+whose build result never came back (interrupt or pool crash mid-sweep).
+Each consumer then gets its payload ``graph`` from :meth:`GraphStore.mint`,
+one of two ways:
+
+* **shared memory** (local pool): the CSR arrays live once per unique
+  graph in a segment written by :meth:`repro.graphs.graph.Graph.to_shm`
+  and every worker attaches zero-copy with
+  :meth:`~repro.graphs.graph.Graph.from_shm` (a per-process attach cache
+  keeps one attachment per segment);
+* **graph object** (the serial backend, remote workers, ``REPRO_NO_SHM=1``
+  or platforms without ``multiprocessing.shared_memory``): the built
+  :class:`~repro.graphs.generators.GeneratedGraph` rides inside the trial
+  payload — by reference on the serial backend, pickled into each sharing
+  trial's payload by a pool or the socket wire (which saves the builds,
+  not the copies).
+
+Which transport a sweep gets is an *executor capability*, not a user
+choice: backends advertise ``supports_shm``, and the runner hands graph
+objects to any backend whose workers cannot map this host's memory
+(``SocketExecutor`` — remote processes can never attach a
+coordinator-local segment) or need no copy at all (``SerialExecutor``).
 
 All transports produce byte-identical CSR arrays (shm attach is a view of
 the same bytes, pickling round-trips them), so trial metrics never depend
 on the transport — the equivalence suite pins that down.  Build/reuse
 accounting is likewise transport-independent: a graph counts one *build*
-when it materialises (parent-built, worker-built, or published) and one
-*reuse* per consumer beyond the first, whichever path served it.
+when it is adopted and one *reuse* per consumer beyond the first.
 
 The store owns its segments: :meth:`close` (or use as a context manager)
-closes and unlinks everything it published or adopted, plus everything it
+closes and unlinks everything it adopted, plus everything it
 still expects, and evicts this process's attach-cache entries for those
 segments.  Worker processes never unlink; a worker that dies mid-trial
 costs nothing because the parent still holds (or reclaims) the segment.
@@ -57,15 +54,12 @@ costs nothing because the parent still holds (or reclaims) the segment.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
 from ..graphs import GeneratedGraph
 from ..graphs.graph import Graph
-from .registry import build_instance
-from .spec import TrialSpec
 
 __all__ = ["GraphStore", "ShmGraphRef", "shm_available"]
 
@@ -169,15 +163,16 @@ def resolve_graph(
     """Turn a trial payload's ``graph`` field into an instance + provenance.
 
     Returns ``(gen, source)`` where ``source`` is ``"shm"`` (attached),
-    ``"pickled"`` (rode in the payload), or ``"built"`` (``None`` — the
-    executor must run the family builder itself).
+    ``"store"`` (a graph object the store handed out, however it
+    travelled), or ``"built"`` (``None`` — the executor must run the family
+    builder itself).
     """
     if graph is None:
         return None, "built"
     if isinstance(graph, ShmGraphRef):
         return attach_graph(graph), "shm"
     if isinstance(graph, GeneratedGraph):
-        return graph, "pickled"
+        return graph, "store"
     raise TypeError(f"unsupported graph payload: {type(graph).__name__}")
 
 
@@ -197,7 +192,7 @@ def _unlink_segment(name: str) -> None:
 
 
 class GraphStore:
-    """Parent-side build-once store; see the module docstring.
+    """Parent-side store of adopted graphs; see the module docstring.
 
     Parameters
     ----------
@@ -206,20 +201,19 @@ class GraphStore:
         shared memory when it is available and ``REPRO_NO_SHM`` is unset.
     on_event:
         Optional callback ``(event, **fields)`` fired for every lifecycle
-        transition (``build``, ``publish``, ``expect``, ``adopt``,
-        ``mint``, ``evict``, ``close``).  The sweep runner wires this to
-        its JSONL trace writer; the store only ever calls it from the
-        parent process, so a single-writer trace stays single-writer.
+        transition (``expect``, ``adopt``, ``evict``, ``close``).  The
+        sweep runner wires this to its JSONL trace writer; the store only
+        ever calls it from the parent process, so a single-writer trace
+        stays single-writer.
 
     Accounting (identical across transports by construction):
 
-    * ``builds`` — graphs materialised through the store (built in-process
-      or adopted from a worker);
+    * ``builds`` — graphs adopted from build payloads;
     * ``reuses`` — consumers served beyond each graph's first;
-    * ``build_s`` — wall seconds spent inside the family builders,
-      wherever they ran;
-    * ``live_peak`` — the most in-process graph copies ever held at once
-      (the pickle fallback's memory watermark; published segments and the
+    * ``build_s`` — wall seconds the executors spent inside the family
+      builders;
+    * ``live_peak`` — the most in-process graph objects ever held at once
+      (the object transport's memory watermark; segments and the
       worker-side copies behind them are not in-process copies).
     """
 
@@ -230,8 +224,7 @@ class GraphStore:
         self._on_event = on_event
         self._graphs: Dict[str, GeneratedGraph] = {}
         self._segments: Dict[str, object] = {}  # graph_key -> SharedMemory
-        #: graph_key -> (name, arboricity_bound, params) of published graphs,
-        #: kept so refs can be minted after the heap copy is discarded
+        #: graph_key -> (name, arboricity_bound, params) of adopted segments
         self._meta: Dict[str, tuple] = {}
         #: graph_key -> segment name promised to a worker build that has not
         #: been adopted yet; close() reclaims these even if no result landed
@@ -261,50 +254,7 @@ class GraphStore:
         if len(self._graphs) > self.live_peak:
             self.live_peak = len(self._graphs)
 
-    # -- parent-side construction ----------------------------------------
-    def ensure_built(self, trial: TrialSpec) -> GeneratedGraph:
-        """Materialise ``trial``'s graph in-process (idempotent, no use
-        counted — callers hand copies out via :meth:`get` / :meth:`mint`)."""
-        gkey = trial.graph_key()
-        gen = self._graphs.get(gkey)
-        if gen is None:
-            t0 = time.perf_counter()
-            gen = build_instance(trial)
-            dt = time.perf_counter() - t0
-            self.build_s += dt
-            self._graphs[gkey] = gen
-            self.builds += 1
-            self._track_live()
-            self._note(
-                "build", graph=gkey[:12], build_s=round(dt, 6), where="parent"
-            )
-        return gen
-
-    def get(self, trial: TrialSpec) -> GeneratedGraph:
-        """The built instance for ``trial``, deduped by its graph key."""
-        gen = self.ensure_built(trial)
-        self._count_use(trial.graph_key())
-        return gen
-
-    def publish(self, trial: TrialSpec) -> str:
-        """Build (if needed) and move one graph into a shared segment.
-
-        The parent's heap copy is dropped once the segment exists — the
-        segment is the copy of record.  Returns the segment name.
-        Idempotent per graph key.
-        """
-        gkey = trial.graph_key()
-        seg = self._segments.get(gkey)
-        if seg is None:
-            gen = self.ensure_built(trial)
-            seg = gen.graph.to_shm()
-            self._segments[gkey] = seg
-            self._meta[gkey] = (gen.name, gen.arboricity_bound, dict(gen.params))
-            self.discard(gkey)
-            self._note("publish", graph=gkey[:12], segment=seg.name)
-        return seg.name
-
-    # -- worker-built graphs (the overlapped scheduler's hand-off) --------
+    # -- executor-built graphs (the build payloads' hand-off) -------------
     def expect_segment(self, gkey: str, shm_name: str) -> None:
         """Record a segment name promised to a worker build, pre-dispatch.
 
@@ -326,9 +276,8 @@ class GraphStore:
     ) -> None:
         """Take ownership of a segment a worker published.
 
-        The parent attaches (so the handle's lifetime is the store's) and
-        from here on the segment behaves exactly like one
-        :meth:`publish` created: :meth:`mint` serves refs to it and
+        The parent attaches (so the handle's lifetime is the store's);
+        from here on :meth:`mint` serves refs to the segment and
         :meth:`close` unlinks it.
         """
         from multiprocessing import shared_memory
@@ -353,7 +302,7 @@ class GraphStore:
     def adopt_graph(
         self, gkey: str, gen: GeneratedGraph, build_s: float = 0.0
     ) -> None:
-        """Take ownership of a worker-built graph (the pickle fallback)."""
+        """Take ownership of a built graph object (no shared memory)."""
         self._expected.pop(gkey, None)
         self._graphs[gkey] = gen
         self.builds += 1
@@ -362,7 +311,7 @@ class GraphStore:
         self._note(
             "adopt",
             graph=gkey[:12],
-            transport="pickle",
+            transport="object",
             build_s=round(build_s, 6),
         )
 
@@ -372,9 +321,9 @@ class GraphStore:
 
         A :class:`ShmGraphRef` when the graph lives in a segment, the
         in-process :class:`~repro.graphs.generators.GeneratedGraph`
-        otherwise (the pool pickles it into the payload).  Every mint
-        beyond a graph's first counts one reuse — the same accounting the
-        in-process :meth:`get` path applies.
+        otherwise (a pool or the socket wire pickles it into the payload;
+        the serial backend takes it by reference).  Every mint beyond a
+        graph's first counts one reuse.
         """
         seg = self._segments.get(gkey)
         if seg is not None:
@@ -391,28 +340,13 @@ class GraphStore:
         if gen is None:
             raise InvalidParameterError(
                 f"GraphStore.mint: graph {gkey[:12]}… is not held "
-                "(never built/adopted, or already discarded)"
+                "(never adopted, or already discarded)"
             )
         self._count_use(gkey)
         return gen
 
-    def payload_graph(self, trial: TrialSpec, for_pool: bool) -> object:
-        """What to put in a trial payload's ``graph`` field.
-
-        ``for_pool=False`` passes the in-process object straight through;
-        ``for_pool=True`` returns a :class:`ShmGraphRef` (publishing the
-        segment on first use) or, without shared memory, the instance
-        itself to be pickled into each sharing trial's payload.
-        """
-        if not for_pool or not self.use_shm:
-            return self.get(trial)
-        gkey = trial.graph_key()
-        if gkey not in self._segments:
-            self.publish(trial)
-        return self.mint(gkey)
-
     def discard(self, gkey: str) -> None:
-        """Drop the in-process copy of one graph (published segments stay).
+        """Drop the in-process copy of one graph (adopted segments stay).
 
         The runner calls this once a graph's last pending trial has its
         payload, so a long sweep holds only the shared graphs still ahead
@@ -439,7 +373,7 @@ class GraphStore:
                 pass
         for name in expected.values():
             # promised to a worker but never adopted: an interrupt or pool
-            # crash mid-overlap — the worker may still have written it
+            # crash mid-sweep — the worker may still have written it
             names.append(name)
             _unlink_segment(name)
         detach_segments(names)

@@ -12,8 +12,9 @@ A trial is executed as four explicit **stages**, mirroring the staged
 structure of the paper's own pipeline (decompose once, consume many times):
 
 ``build_graph``
-    materialise (or attach) the graph instance — skipped work when the
-    :class:`~repro.experiments.graphstore.GraphStore` already built it;
+    materialise (or attach) the graph instance — skipped work when a
+    build payload already built it for the
+    :class:`~repro.experiments.graphstore.GraphStore`;
 ``run_algorithm``
     the algorithm proper, on a fresh :class:`~repro.SynchronousNetwork`;
 ``verify``
@@ -24,7 +25,7 @@ structure of the paper's own pipeline (decompose once, consume many times):
 
 Each stage's wall time is recorded in the result record under ``stages``,
 and ``provenance`` says where the graph came from (``built`` / ``store`` /
-``shm`` / ``pickled``) and which process ran the trial.  Both live *outside*
+``shm``) and which process ran the trial.  Both live *outside*
 ``metrics``: metrics are deterministic functions of the trial spec and must
 be byte-identical across serial, parallel, shm, and no-shm execution.
 """
@@ -330,9 +331,9 @@ def payload_label(payload: Dict[str, Any]) -> str:
 def execute_build(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool entry point for a build-only payload.
 
-    The overlapped scheduler dispatches shared-graph construction into the
-    same pool that runs trials.  The worker builds the instance and hands
-    it back one of two ways:
+    The runner dispatches shared-graph construction to the same executor
+    that runs the trials.  The executor builds the instance and hands it
+    back one of two ways:
 
     * ``payload["shm_name"]`` set: publish the CSR arrays into a shared
       segment under that parent-chosen name (the parent adopts it with
@@ -340,8 +341,9 @@ def execute_build(payload: Dict[str, Any]) -> Dict[str, Any]:
       parent can reclaim the segment even if this result never arrives)
       and return only the metadata;
     * no ``shm_name``: return the built
-      :class:`~repro.graphs.generators.GeneratedGraph` in the result (the
-      pickle fallback — the pool's transport does the pickling).
+      :class:`~repro.graphs.generators.GeneratedGraph` in the result (a
+      pool or socket transport pickles it; the serial backend hands it
+      over by reference).
 
     Build results are *not* trial records: they carry no metrics and are
     never cached.
@@ -388,8 +390,8 @@ def execute_trial(
     dependent and must not affect aggregate reports.
 
     When ``gen`` is given the ``build_graph`` stage only accounts the
-    attach/hand-off (the :class:`~.graphstore.GraphStore` already built the
-    instance) and ``graph_source`` records where it came from.
+    attach/hand-off (a build payload already built the instance) and
+    ``graph_source`` records where it came from.
     """
     trial = TrialSpec.from_dict(trial_dict)
     spec = ALGORITHMS.get(trial.algorithm)
@@ -446,15 +448,12 @@ def execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``payload["kind"] == BUILD_KIND`` marks build-only work (see
     :func:`execute_build`).  Otherwise ``payload["graph"]`` is ``None``
     (build here), a :class:`~.graphstore.ShmGraphRef` (attach zero-copy),
-    or a pickled :class:`~repro.graphs.generators.GeneratedGraph` (the
-    no-shm fallback).
+    or the store's :class:`~repro.graphs.generators.GeneratedGraph` (by
+    reference on the serial backend, pickled by the others).
     """
     from .graphstore import resolve_graph
 
     if payload.get("kind") == BUILD_KIND:
         return execute_build(payload)
     gen, source = resolve_graph(payload.get("graph"))
-    # serial runs hand the object over in-process; the payload says so
-    # (resolve_graph alone cannot tell an unpickled copy from the original)
-    source = payload.get("graph_source", source)
     return execute_trial(payload["trial"], gen=gen, graph_source=source)

@@ -1,4 +1,4 @@
-"""The staged sweep runner: cache probe, overlapped shared-graph builds,
+"""The staged sweep runner: cache probe, shared-graph build payloads,
 streaming fan-out, streaming persistence.
 
 Execution plan for one sweep:
@@ -8,14 +8,14 @@ Execution plan for one sweep:
    trial key — hits are served instantly, and a trial the spec lists twice
    is probed (and computed) once;
 3. schedule every *shared* graph instance (trials of an ablation sweep that
-   vary only algorithm parameters share one build) through the
-   :class:`~repro.experiments.graphstore.GraphStore`.  In pool mode the
-   builds are **dispatched into the same pool as the trials**: a worker
-   builds the graph and publishes it back — a shared-memory segment under a
-   parent-chosen name, or the pickled instance — and the parent adopts the
-   result and releases that graph's trials the moment it lands.  Graphs
-   only one trial uses are built by the worker running that trial, so
-   unshared construction keeps the pool's parallelism;
+   vary only algorithm parameters share one build) as a **build payload**
+   on the same executor as the trials: the executor builds the graph and
+   hands it back — a shared-memory segment under a parent-chosen name, or
+   the graph object itself — and the parent's
+   :class:`~repro.experiments.graphstore.GraphStore` adopts the result and
+   releases that graph's trials the moment it lands.  Graphs only one
+   trial uses are built by whoever runs that trial, so unshared
+   construction keeps the executor's parallelism;
 4. fan the work out through an :class:`~.executors.base.Executor` — the
    transport seam this module schedules *onto*, never into.  The default
    is :class:`~.executors.local.LocalPoolExecutor` (one persistent
@@ -24,11 +24,14 @@ Execution plan for one sweep:
    :class:`~.executors.socket.SocketExecutor` fans the same payloads out
    to workers on other hosts.  Every backend is fed by the same **lazy
    generator**: build payloads first, then unshared trials, then each
-   sharing trial as its graph becomes ready.  Nothing materialises the
-   whole sweep up front, so at any moment the parent holds only the
-   graphs whose trials are still ahead of it.  Backends that cannot share
-   the parent's memory (``supports_shm`` False — remote workers) flip the
-   GraphStore onto the pickle transport automatically;
+   sharing trial as its graph becomes ready.  A pool or socket backend
+   runs the builds alongside the trials; the serial backend simply runs
+   each build inline, ahead of the trials that use it.  Nothing
+   materialises the whole sweep up front, so at any moment the parent
+   holds only the graphs whose trials are still ahead of it.  Backends
+   whose workers cannot map this host's shared memory (``supports_shm``
+   False — remote workers, and the serial backend, which needs no copy at
+   all) get the graph objects themselves;
 5. persist every fresh record **as it arrives** (single writer — the
    parent; the workers never touch the cache), so a crashed or interrupted
    sweep resumes from every trial that finished, and return everything in
@@ -39,8 +42,8 @@ derived from the trial key, the shared graph a worker attaches is
 byte-identical to the one a rebuild would produce, and results are
 reordered to spec order after the unordered parallel collection — so a
 sweep's aggregate output is byte-identical whether it ran serial, parallel,
-via shared memory, via the pickle fallback, over sockets to another host,
-with builds overlapped or prebuilt, or entirely from cache.
+via shared memory, via pickled graph objects, over sockets to another
+host, or entirely from cache.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class TrialResult:
     #: per-stage wall times (build_graph/run_algorithm/verify/metrics);
     #: empty for records written before the staged engine
     stages: Dict[str, float] = field(default_factory=dict)
-    #: where the graph came from: built (by the executor) / store (handed
-    #: over in-process) / shm / pickled / "" (pre-staged record)
+    #: where the graph came from: built (by the executor, for its own
+    #: trial) / store (a shared graph object) / shm (a shared segment) /
+    #: "" (pre-staged record)
     graph_source: str = ""
     #: serialized RoundLedger phase breakdown for composite algorithms
     #: (list of PhaseRecord dicts; empty when the algorithm reports none).
@@ -105,21 +109,16 @@ class SweepResult:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_s: float = 0.0
-    #: unique graphs built through the GraphStore for this run (in the
-    #: parent or adopted from a worker — the accounting is transport-
-    #: independent)
+    #: unique shared graphs the GraphStore adopted from build payloads
+    #: (the accounting is executor- and transport-independent)
     graph_builds: int = 0
     #: trials that reused a graph another consumer already materialised
     graph_reuses: int = 0
     #: name of the execution backend that ran the pending trials
     #: ("serial"/"pool"/"socket"; "" when everything came from cache)
     executor: str = ""
-    #: wall seconds spent inside the family builders for shared graphs,
-    #: wherever they ran (parent or workers)
+    #: wall seconds spent inside the family builders for shared graphs
     graph_build_s: float = 0.0
-    #: True when shared-graph builds were dispatched into the pool and
-    #: overlapped with trial execution (vs. prebuilt in the parent)
-    build_overlap: bool = False
 
     @property
     def num_trials(self) -> int:
@@ -203,99 +202,43 @@ def _resolve_executor(
     )
 
 
-def _run_in_process(
+def _schedule(
     pending: List[TrialSpec],
-    store: Optional[GraphStore],
-    executor: Executor,
-    absorb: Callable[[dict], None],
-) -> None:
-    """In-process scheduling: graphs handed over by reference, one payload
-    at a time, evicting each graph with its last pending trial.
-
-    The payload stream is lazy, so with the serial backend each graph is
-    materialised only when its trial is next — peak memory is one graph
-    plus whatever sharing trials still lie ahead, same as ever.
-    """
-    remaining = graph_multiplicity(pending) if store is not None else {}
-
-    def stream():
-        for t in pending:
-            payload = {"trial": t.to_dict(), "graph": None}
-            if store is not None:
-                gkey = t.graph_key()
-                payload["graph"] = store.get(t)
-                payload["graph_source"] = "store"
-                remaining[gkey] -= 1
-                if remaining[gkey] == 0:
-                    store.discard(gkey)
-            yield payload
-
-    for rec in executor.submit(stream()):
-        absorb(rec)
-
-
-def _run_distributed(
-    pending: List[TrialSpec],
-    store: Optional[GraphStore],
+    store: GraphStore,
     executor: Executor,
     absorb: Callable[[dict], None],
     say: Callable[[str], None],
     name: str,
-    overlap_builds: bool,
     tracer=None,
-) -> bool:
-    """Distributed scheduling: overlapped builds + lazily streamed trials,
-    fanned out through any non-in-process executor (local pool or socket).
-
-    Returns True when shared builds actually overlapped execution.
+) -> None:
+    """The one scheduler: shared-graph builds go out as payloads and the
+    trials stream lazily behind them, on whatever executor runs the sweep.
     """
-    multiplicity = graph_multiplicity(pending) if store is not None else {}
+    multiplicity = graph_multiplicity(pending)
     sharing: Dict[str, List[TrialSpec]] = {}
     solo: List[TrialSpec] = []
     for t in pending:
         gkey = t.graph_key()
-        if store is not None and multiplicity.get(gkey, 0) > 1:
+        if multiplicity[gkey] > 1:
             sharing.setdefault(gkey, []).append(t)
         else:
             solo.append(t)
     build_order = list(sharing)
-    overlap = overlap_builds and bool(build_order)
-
-    transport = ""
-    if store is not None and build_order:
-        transport = " via shared memory" if store.use_shm else " via pickled payloads"
-    if overlap:
-        target = (
-            "the pool" if executor.locality == "local"
-            else f"{executor.name} workers"
-        )
-        say(f"{name}: {len(build_order)} shared graph build(s) dispatched "
-            f"to {target}{transport}")
-    elif build_order:
-        # legacy shape (kept as the A/B baseline): every shared graph is
-        # built in the parent before the first trial is dispatched
-        for gkey in build_order:
-            rep = sharing[gkey][0]
-            if store.use_shm:
-                store.publish(rep)
-            else:
-                store.ensure_built(rep)
-        say(f"{name}: {len(build_order)} shared graph(s) prebuilt in the "
-            f"parent{transport}")
 
     seg_names: Dict[str, str] = {}
-    if overlap and store.use_shm:
-        nonce = uuid.uuid4().hex[:6]
-        for i, gkey in enumerate(build_order):
-            seg_names[gkey] = _segment_name(nonce, i)
-            store.expect_segment(gkey, seg_names[gkey])
+    if build_order:
+        transport = "shared memory" if store.use_shm else "payload objects"
+        say(f"{name}: {len(build_order)} shared graph build(s) dispatched to "
+            f"the {executor.name} executor, graphs handed out via {transport}")
+        if store.use_shm:
+            nonce = uuid.uuid4().hex[:6]
+            for i, gkey in enumerate(build_order):
+                seg_names[gkey] = _segment_name(nonce, i)
+                store.expect_segment(gkey, seg_names[gkey])
 
     #: graph keys whose graphs the parent holds, ready to mint payloads
     ready: "queue.Queue[str]" = queue.Queue()
     abort = threading.Event()
-    if not overlap:
-        for gkey in build_order:
-            ready.put(gkey)
 
     parallelism = executor.parallelism()
     if tracer is not None:
@@ -304,7 +247,6 @@ def _run_distributed(
             "start",
             size=min(parallelism, len(pending)),
             executor=executor.name,
-            overlap=overlap,
             shared_graphs=len(build_order),
             solo_trials=len(solo),
         )
@@ -324,7 +266,7 @@ def _run_distributed(
         }
 
     def stream():
-        """The lazy payload feed ``imap_unordered`` consumes.
+        """The lazy payload feed every executor consumes.
 
         A priming window of builds goes out first so the executor starts
         them immediately; unshared trials fill the remaining workers while
@@ -332,13 +274,14 @@ def _run_distributed(
         graph is ready — and its graph's in-process copy is dropped with
         its last payload, with one more build dispatched in its place.
         Runs on the executor's dispatcher thread (the pool's task-handler
-        thread, or the socket coordinator's dispatch loop).
+        thread, the socket coordinator's dispatch loop, or the caller's
+        own thread for the serial backend, which has absorbed every build
+        it ran before it asks for the next payload).
         """
         dispatched = 0
-        if overlap:
-            while dispatched < min(window, len(build_order)):
-                yield _build_payload(build_order[dispatched])
-                dispatched += 1
+        while dispatched < min(window, len(build_order)):
+            yield _build_payload(build_order[dispatched])
+            dispatched += 1
         for t in solo:
             yield {"trial": t.to_dict(), "graph": None}
         served = 0
@@ -356,7 +299,7 @@ def _run_distributed(
             for t in sharing[gkey]:
                 yield {"trial": t.to_dict(), "graph": store.mint(gkey)}
             store.discard(gkey)
-            if overlap and dispatched < len(build_order):
+            if dispatched < len(build_order):
                 yield _build_payload(build_order[dispatched])
                 dispatched += 1
 
@@ -386,7 +329,6 @@ def _run_distributed(
         # wait would deadlock the exception path
         abort.set()
         it.close()
-    return overlap
 
 
 def run_sweep(
@@ -395,8 +337,6 @@ def run_sweep(
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     use_shm: Optional[bool] = None,
-    share_graphs: bool = True,
-    overlap_builds: bool = True,
     trace=None,
     executor: Union[None, str, Executor] = None,
 ) -> SweepResult:
@@ -418,16 +358,6 @@ def run_sweep(
         (``False`` — the pickle fallback); default auto-detects and honours
         ``REPRO_NO_SHM``.  Irrelevant for serial runs, which hand the graph
         object straight to the executor.
-    share_graphs:
-        ``False`` disables the GraphStore entirely: every trial rebuilds
-        its graph from the family registry, like the pre-staged engine.
-        Kept as the comparison baseline for ``bench_sweep_scale``.
-    overlap_builds:
-        ``False`` restores the pre-overlap pool behaviour: shared graphs
-        are built sequentially in the parent before any trial is
-        dispatched.  Kept as the A/B baseline for ``bench_sweep_scale``
-        and the CLI's ``--no-overlap``; records are byte-identical either
-        way.  Irrelevant for serial runs.
     trace:
         Optional JSONL trace destination: a path (opened in append mode)
         or an open :class:`~repro.obs.trace.TraceWriter`.  The parent —
@@ -445,7 +375,8 @@ def run_sweep(
         backend; a live :class:`~.executors.base.Executor` instance is
         used as-is and left open, so one socket coordinator's worker
         fleet can serve many sweeps.  Backends without ``supports_shm``
-        (remote workers) force the GraphStore onto the pickle transport.
+        (remote workers, the serial backend) get graph objects instead of
+        shared-memory segments.
         Records are byte-identical whichever backend runs the trials.
     """
     if not isinstance(workers, int) or workers < 1:
@@ -464,8 +395,7 @@ def run_sweep(
             own_tracer = True
     try:
         return _run_sweep_traced(
-            spec, cache, workers, progress, use_shm, share_graphs,
-            overlap_builds, tracer, executor,
+            spec, cache, workers, progress, use_shm, tracer, executor,
         )
     finally:
         if own_tracer:
@@ -478,8 +408,6 @@ def _run_sweep_traced(
     workers: int,
     progress: Optional[Callable[[str], None]],
     use_shm: Optional[bool],
-    share_graphs: bool,
-    overlap_builds: bool,
     tracer,
     executor: Union[None, str, Executor] = None,
 ) -> SweepResult:
@@ -502,18 +430,17 @@ def _run_sweep_traced(
             trials=len(trials),
             workers=workers,
             executor=requested,
-            share_graphs=share_graphs,
-            overlap_builds=overlap_builds,
             topology=topology(),
         )
 
-    if share_graphs and len(trials) > 1 and spec.graph_multiplicity() <= 1:
+    if len(trials) > 1 and spec.graph_multiplicity() <= 1:
         # scenario-derived seeds fold the algorithm cell into the graph
-        # seed, so e.g. num_seeds ablations never share a graph: the
-        # GraphStore would add bookkeeping without any build reuse
-        say(f"{spec.name}: warning: share_graphs=True but no two trials "
-            f"share a graph (every trial derives a distinct graph seed) — "
-            f"graph sharing will not save any builds")
+        # seed, so e.g. num_seeds ablations never share a graph: a sweep
+        # meant to reuse its graphs across algorithm cells needs explicit
+        # seeds
+        say(f"{spec.name}: warning: no two trials share a graph (every "
+            f"trial derives a distinct graph seed) — graph sharing will "
+            f"not save any builds")
 
     records: Dict[str, dict] = {}
     cached_keys = set()
@@ -544,7 +471,6 @@ def _run_sweep_traced(
     graph_builds = 0
     graph_reuses = 0
     graph_build_s = 0.0
-    build_overlap = False
     executor_name = ""
     if pending:
         say(f"{spec.name}: computing {len(pending)} trial(s), "
@@ -558,13 +484,12 @@ def _run_sweep_traced(
             def on_event(event: str, **fields) -> None:
                 tracer.emit("graphstore", event, **fields)
 
-        # remote workers can never attach this host's shm segments: any
-        # backend without shm support pins the store to pickle transport
-        effective_use_shm = False if not backend.supports_shm else use_shm
-        store = (
-            GraphStore(use_shm=effective_use_shm, on_event=on_event)
-            if share_graphs
-            else None
+        # remote workers can never attach this host's shm segments, and
+        # the serial backend takes graph objects by reference: any backend
+        # without shm support gets the graph objects themselves
+        store = GraphStore(
+            use_shm=use_shm if backend.supports_shm else False,
+            on_event=on_event,
         )
 
         done = 0
@@ -607,20 +532,12 @@ def _run_sweep_traced(
                          f"({rec['elapsed_s']:.2f}s)")
 
         try:
-            if backend.locality == "in-process":
-                _run_in_process(pending, store, backend, absorb)
-            else:
-                build_overlap = _run_distributed(
-                    pending, store, backend, absorb, say, spec.name,
-                    overlap_builds, tracer,
-                )
-            if store is not None:
-                graph_builds = store.builds
-                graph_reuses = store.reuses
-                graph_build_s = store.build_s
+            _schedule(pending, store, backend, absorb, say, spec.name, tracer)
+            graph_builds = store.builds
+            graph_reuses = store.reuses
+            graph_build_s = store.build_s
         finally:
-            if store is not None:
-                store.close()
+            store.close()
             if owned:
                 backend.close()
     else:
@@ -654,7 +571,6 @@ def _run_sweep_traced(
         graph_builds=graph_builds,
         graph_reuses=graph_reuses,
         graph_build_s=round(graph_build_s, 6),
-        build_overlap=build_overlap,
         executor=executor_name,
     )
     if tracer is not None:
@@ -670,7 +586,6 @@ def _run_sweep_traced(
             graph_builds=sweep_result.graph_builds,
             graph_reuses=sweep_result.graph_reuses,
             graph_build_s=sweep_result.graph_build_s,
-            build_overlap=sweep_result.build_overlap,
             wall_s=round(sweep_result.wall_s, 6),
         )
     return sweep_result

@@ -216,7 +216,7 @@ class SweepSpec:
 
         ``1`` means no graph is shared — scenario-derived seeds fold the
         algorithm cell into the graph seed, so e.g. ``num_seeds``
-        ablations never share — and ``share_graphs`` can save nothing.
+        ablations never share — and graph sharing can save nothing.
         ``0`` for an empty sweep.
         """
         counts = graph_multiplicity(self.trials())
@@ -253,8 +253,7 @@ def graph_multiplicity(trials: Iterable["TrialSpec"]) -> Dict[str, int]:
 
     Maps :meth:`TrialSpec.graph_key` to its trial count, in first-seen
     order.  Keys with multiplicity > 1 are the *shared* graphs — the ones
-    the runner builds once (overlapped with pool execution) instead of once
-    per trial, and the ones ``--stage-timings`` reports build overlap for.
+    the runner builds once, as a build payload, instead of once per trial.
     """
     counts: Dict[str, int] = {}
     for t in trials:

@@ -28,15 +28,10 @@ import math
 from collections import deque
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..types import Orientation, Vertex, canonical_edge
 from .graph import Graph
-
-
-def _numpy():
-    """The numpy module used by the graph core, or None (same gate)."""
-    from . import graph as _graph_mod
-
-    return _graph_mod._np
 
 
 def degeneracy(graph: Graph) -> Tuple[int, List[Vertex]]:
@@ -123,8 +118,7 @@ def nash_williams_lower_bound(graph: Graph) -> int:
         return 0
     best = math.ceil(graph.m / (n - 1))
     _k, order = degeneracy(graph)
-    np = _numpy()
-    if np is not None and graph.ids_contiguous:
+    if graph.ids_contiguous:
         # Vectorized over the CSR arrays: one C pass over the batched
         # neighbour array instead of a Python loop per edge.
         off_mv, nbr_mv = graph.csr()

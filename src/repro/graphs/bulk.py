@@ -22,14 +22,11 @@ graph once and memory-map it into later runs.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from ..errors import InvalidParameterError
 from .generators import GeneratedGraph
 from .graph import Graph
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 def forest_union_bulk(
@@ -46,12 +43,7 @@ def forest_union_bulk(
     duplicate handling, which the bulk path has no need to re-test at scale.
 
     Deterministic given ``seed`` (via ``numpy.random.default_rng``).
-    Requires numpy; pure-Python installs should use ``forest_union``.
     """
-    if _np is None:
-        raise InvalidParameterError(
-            "forest_union_bulk requires numpy; use forest_union instead"
-        )
     if n < 2:
         raise InvalidParameterError("forest_union_bulk: n must be >= 2")
     if a < 1:

@@ -20,12 +20,10 @@ of unique identities.  Ids need not be contiguous (induced subgraphs keep the
 original ids), but :func:`repro.graphs.generators` always produce ``0..n-1``
 — in that common case index == id and the id→index map is never built.
 
-Two build paths produce bit-identical CSR arrays: a vectorised one (numpy,
-used when available) and a pure-Python fallback (stdlib only, used on
-installs without numpy or when ``REPRO_PURE_CSR`` is set).  Both encode each
-undirected edge as the two directed codes ``u*n + v`` and ``v*n + u``, sort,
-and drop adjacent duplicates — so duplicate input edges (in either
-orientation) collapse, and the count of dropped duplicates is exposed as
+The build is one vectorised numpy pass: encode each undirected edge as the
+two directed codes ``u*n + v`` and ``v*n + u``, sort, and drop adjacent
+duplicates — so duplicate input edges (in either orientation) collapse, and
+the count of dropped duplicates is exposed as
 :attr:`Graph.duplicate_edges_dropped`.
 
 The id-based accessors (``vertices`` / ``edges`` / ``neighbors`` /
@@ -36,54 +34,20 @@ allocation-free fast path for the simulator and the centralized helpers.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
+
+import numpy as _np
 
 from ..errors import InvalidParameterError
 from ..types import Edge, Vertex
-
-try:  # vectorised CSR build; the pure-Python path below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-if os.environ.get("REPRO_PURE_CSR"):
-    _np = None
-
-_EMPTY_Q = array("q")
 
 
 # ----------------------------------------------------------------------
 # CSR construction from directed edge codes (u*n + v, both directions)
 # ----------------------------------------------------------------------
-def _csr_from_codes_pure(codes: List[int], n: int) -> Tuple[array, array, int]:
-    """Sort + dedup directed codes into (offsets, neighbors, dups) — stdlib."""
-    codes.sort()
-    deg = [0] * n
-    nbr = array("q", bytes(8 * len(codes)))
-    fill = 0
-    prev = -1
-    for c in codes:
-        if c == prev:
-            continue
-        prev = c
-        nbr[fill] = c % n
-        fill += 1
-        deg[c // n] += 1
-    dropped = len(codes) - fill
-    del nbr[fill:]
-    offsets = array("q", bytes(8 * (n + 1)))
-    total = 0
-    for i, d in enumerate(deg):
-        offsets[i] = total
-        total += d
-    offsets[n] = total
-    return offsets, nbr, dropped // 2
-
-
 def _csr_from_sorted_unique_np(uniq, n: int) -> Tuple[array, array]:
     """Turn sorted unique directed codes (int64 ndarray) into CSR arrays."""
     rows = uniq // n
@@ -109,21 +73,19 @@ def _np_sort_unique(codes) -> Tuple["_np.ndarray", int]:
     return uniq, total - len(uniq)
 
 
-def _csr_from_codes(codes: List[int], n: int) -> Tuple[array, array, int]:
-    if _np is not None and codes:
-        arr = _np.array(codes, dtype=_np.int64)
-        uniq, dropped = _np_sort_unique(arr)
-        offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-        return offsets, nbr, dropped // 2
-    return _csr_from_codes_pure(codes, n)
+def _csr_from_codes(codes, n: int) -> Tuple[array, array, int]:
+    """Sort + dedup directed codes into (offsets, neighbors, dups)."""
+    codes = _np.asarray(codes, dtype=_np.int64)
+    if not len(codes):
+        return array("q", bytes(8 * (n + 1))), array("q"), 0
+    uniq, dropped = _np_sort_unique(codes)
+    offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
+    return offsets, nbr, dropped // 2
 
 
-def _encode_pairs_pure(edges, n: int) -> List[int]:
-    """Validate and encode index pairs as directed codes (stdlib path)."""
-    codes: List[int] = []
-    append = codes.append
-    for e in edges:
-        u, v = e
+def _reject_bad_pair(edges, n: int) -> NoReturn:
+    """Raise the precise error for the first malformed edge in ``edges``."""
+    for u, v in edges:
         if not (isinstance(u, int) and isinstance(v, int)):
             raise InvalidParameterError(
                 f"edge ({u!r}, {v!r}) endpoints must be ints"
@@ -134,9 +96,7 @@ def _encode_pairs_pure(edges, n: int) -> List[int]:
             raise InvalidParameterError(
                 f"edge ({u}, {v}) references a vertex not in the vertex set"
             )
-        append(u * n + v)
-        append(v * n + u)
-    return codes
+    raise InvalidParameterError("invalid edge list")
 
 
 def _looks_like_int_pairs(edges) -> bool:
@@ -146,7 +106,7 @@ def _looks_like_int_pairs(edges) -> bool:
     vectorised attempt entirely.  Full integrity is enforced after
     ingestion by an exact checksum comparison (see
     :func:`_csr_from_index_pairs`), so malformed edges *past* the sampled
-    head are still routed to the strict pure path.
+    head are still caught and reported by :func:`_reject_bad_pair`.
     """
     try:
         for e in edges[:8]:
@@ -161,44 +121,34 @@ def _looks_like_int_pairs(edges) -> bool:
 def _csr_from_index_pairs(edges, n: int) -> Tuple[array, array, int]:
     """CSR arrays from an iterable of ``(u, v)`` index pairs in ``0..n-1``.
 
-    The numpy path streams the whole edge list into a flat int64 array in C
-    and validates it vectorised; any structural surprise (ragged rows,
-    non-integer endpoints in the sampled head) falls back to the pure path,
-    which raises the precise error.
+    Streams the whole edge list into a flat int64 array in C and validates
+    it vectorised; any surprise (ragged rows, non-integer or out-of-range
+    endpoints, self-loops) re-walks the list to raise the precise error.
     """
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
-    if not edges:
-        return array("q", bytes(8 * (n + 1))), array("q"), 0
-    if _np is not None and _looks_like_int_pairs(edges):
-        m = len(edges)
+    flat = None
+    if _looks_like_int_pairs(edges):
         try:
             flat = _np.fromiter(
-                chain.from_iterable(edges), _np.int64, count=2 * m
+                chain.from_iterable(edges), _np.int64, count=2 * len(edges)
             )
             # np.fromiter silently truncates non-integral floats and stops
             # at `count` on ragged rows; comparing the exact Python-side
-            # sum of every element against the ingested array catches both
-            # and falls back to the strict per-edge path.
+            # sum of every element against the ingested array catches both.
             if sum(chain.from_iterable(edges)) != int(flat.sum()):
                 flat = None
         except (TypeError, ValueError, OverflowError):
             flat = None
-        if flat is not None:
-            u = flat[0::2]
-            v = flat[1::2]
-            if (
-                int(flat.min()) < 0
-                or int(flat.max()) >= n
-                or bool((u == v).any())
-            ):
-                _encode_pairs_pure(edges, n)  # raises the precise error
-                raise InvalidParameterError("invalid edge list")  # unreachable
-            codes = _np.concatenate((u * n + v, v * n + u))
-            uniq, dropped = _np_sort_unique(codes)
-            offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-            return offsets, nbr, dropped // 2
-    return _csr_from_codes_pure(_encode_pairs_pure(edges, n), n)
+    if flat is None:
+        _reject_bad_pair(edges, n)
+    u = flat[0::2]
+    v = flat[1::2]
+    if len(flat) and (
+        int(flat.min()) < 0 or int(flat.max()) >= n or bool((u == v).any())
+    ):
+        _reject_bad_pair(edges, n)
+    return _csr_from_codes(_np.concatenate((u * n + v, v * n + u)), n)
 
 
 class Graph:
@@ -291,11 +241,11 @@ class Graph:
         """Bulk constructor: the graph on vertices ``0..n-1`` with ``edges``.
 
         This is the fast path the generators use: the whole edge list is
-        turned into CSR arrays in one vectorised pass (two passes in the
-        pure-Python fallback) with no per-edge set mutation.  Duplicate
-        edges — in either orientation — are dropped and counted in
-        :attr:`duplicate_edges_dropped`; self-loops and out-of-range
-        endpoints raise :class:`~repro.errors.InvalidParameterError`.
+        turned into CSR arrays in one vectorised pass with no per-edge set
+        mutation.  Duplicate edges — in either orientation — are dropped
+        and counted in :attr:`duplicate_edges_dropped`; self-loops and
+        out-of-range endpoints raise
+        :class:`~repro.errors.InvalidParameterError`.
         """
         if n < 0:
             raise InvalidParameterError(f"from_edge_count: n must be >= 0, got {n}")
@@ -314,12 +264,7 @@ class Graph:
         ever materialising Python edge objects.  Semantics match
         :meth:`from_edge_count`: duplicates (either orientation) are
         dropped and counted, self-loops and out-of-range endpoints raise.
-        Requires numpy (the pure-Python installs use ``from_edge_count``).
         """
-        if _np is None:
-            raise InvalidParameterError(
-                "Graph.from_arrays requires numpy; use from_edge_count"
-            )
         if n < 0:
             raise InvalidParameterError(f"from_arrays: n must be >= 0, got {n}")
         u = _np.ascontiguousarray(u, dtype=_np.int64).ravel()
@@ -328,7 +273,6 @@ class Graph:
             raise InvalidParameterError(
                 f"from_arrays: endpoint arrays disagree ({len(u)} vs {len(v)})"
             )
-        dropped = 0
         if len(u):
             lo = min(int(u.min()), int(v.min()))
             hi = max(int(u.max()), int(v.max()))
@@ -343,13 +287,9 @@ class Graph:
                 raise InvalidParameterError(
                     f"self-loop at vertex {w} not allowed"
                 )
-            codes = _np.concatenate((u * n + v, v * n + u))
-            uniq, dups = _np_sort_unique(codes)
-            dropped = dups // 2
-            offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-        else:
-            offsets = array("q", bytes(8 * (n + 1)))
-            nbr = array("q")
+        offsets, nbr, dropped = _csr_from_codes(
+            _np.concatenate((u * n + v, v * n + u)), n
+        )
         g = cls.__new__(cls)
         g._init_csr(n, True, None, offsets, nbr, dropped)
         return g
@@ -771,9 +711,8 @@ class Graph:
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
         """The subgraph induced by ``vertices`` (original ids are kept).
 
-        With numpy available this is one vectorized pass over the batched
-        CSR neighbour array (mask, filter, remap); the fallback filters the
-        edge list in Python.  Both produce identical graphs.
+        One vectorized pass over the batched CSR neighbour array (mask,
+        filter, remap).
         """
         keep = set(vertices)
         missing = [v for v in keep if not self.has_vertex(v)]
@@ -781,42 +720,41 @@ class Graph:
             raise InvalidParameterError(
                 f"induced_subgraph: vertices {sorted(missing)[:5]} not in graph"
             )
-        if _np is not None and keep:
-            n = self._n
-            slot = self._slot
-            keep_idx = _np.fromiter(
-                (slot(v) for v in keep), _np.int64, count=len(keep)
-            )
-            keep_idx.sort()
-            k = len(keep_idx)
-            mask = _np.zeros(n, dtype=bool)
-            mask[keep_idx] = True
-            off = _np.frombuffer(self._offsets, dtype=_np.int64)
-            nbr = _np.frombuffer(self._nbr, dtype=_np.int64)
-            src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(off))
-            sel = mask[src] & mask[nbr]
-            remap = _np.full(n, -1, dtype=_np.int64)
-            remap[keep_idx] = _np.arange(k, dtype=_np.int64)
-            rows = remap[src[sel]]
-            cols = remap[nbr[sel]]
-            counts = _np.bincount(rows, minlength=k)
-            off_np = _np.zeros(k + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=off_np[1:])
-            offsets = array("q")
-            offsets.frombytes(off_np.tobytes())
-            sub_nbr = array("q")
-            sub_nbr.frombytes(cols.tobytes())
-            if self._contig:
-                sub_ids = tuple(int(i) for i in keep_idx)
-            else:
-                verts = self.vertices
-                sub_ids = tuple(verts[i] for i in keep_idx)
-            contig = sub_ids[0] == 0 and sub_ids[-1] == k - 1
-            g = Graph.__new__(Graph)
-            g._init_csr(k, contig, None if contig else sub_ids, offsets, sub_nbr, 0)
-            return g
-        edges = [(u, v) for (u, v) in self.edges if u in keep and v in keep]
-        return Graph(keep, edges)
+        if not keep:
+            return Graph.empty(0)
+        n = self._n
+        slot = self._slot
+        keep_idx = _np.fromiter(
+            (slot(v) for v in keep), _np.int64, count=len(keep)
+        )
+        keep_idx.sort()
+        k = len(keep_idx)
+        mask = _np.zeros(n, dtype=bool)
+        mask[keep_idx] = True
+        off = _np.frombuffer(self._offsets, dtype=_np.int64)
+        nbr = _np.frombuffer(self._nbr, dtype=_np.int64)
+        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(off))
+        sel = mask[src] & mask[nbr]
+        remap = _np.full(n, -1, dtype=_np.int64)
+        remap[keep_idx] = _np.arange(k, dtype=_np.int64)
+        rows = remap[src[sel]]
+        cols = remap[nbr[sel]]
+        counts = _np.bincount(rows, minlength=k)
+        off_np = _np.zeros(k + 1, dtype=_np.int64)
+        _np.cumsum(counts, out=off_np[1:])
+        offsets = array("q")
+        offsets.frombytes(off_np.tobytes())
+        sub_nbr = array("q")
+        sub_nbr.frombytes(cols.tobytes())
+        if self._contig:
+            sub_ids = tuple(int(i) for i in keep_idx)
+        else:
+            verts = self.vertices
+            sub_ids = tuple(verts[i] for i in keep_idx)
+        contig = sub_ids[0] == 0 and sub_ids[-1] == k - 1
+        g = Graph.__new__(Graph)
+        g._init_csr(k, contig, None if contig else sub_ids, offsets, sub_nbr, 0)
+        return g
 
     def subgraph_of_edges(self, edges: Iterable[Tuple[Vertex, Vertex]]) -> "Graph":
         """The subgraph with the same vertex set but only the given edges."""

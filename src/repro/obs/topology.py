@@ -1,7 +1,7 @@
 """Host topology probe shared by sweep traces and BENCH records.
 
 Perf numbers only compare across machines when the machine shape rides
-along: ``overlap_vs_*`` speedups are meaningless on a single-core box.
+along: parallel speedups are meaningless on a single-core box.
 Every BENCH record and every sweep trace therefore embeds this block,
 and ``benchmarks/check_perf_regression.py`` uses it to skip
 parallelism-dependent floors on mismatched topology.

@@ -10,8 +10,8 @@ parent process emits one JSON object per line for every observable event:
   totals on ``end``;
 * ``{"kind": "cache", "event": "hit"|"miss", "trial": ..., "key": ...}``
   — one per unique trial probed against the :class:`ResultCache`;
-* ``{"kind": "graphstore", "event": "build"|"publish"|"expect"|"adopt"|
-  "mint"|"evict"|"close", "graph": ...}`` — GraphStore lifecycle;
+* ``{"kind": "graphstore", "event": "expect"|"adopt"|"evict"|"close",
+  "graph": ...}`` — GraphStore lifecycle;
 * ``{"kind": "stage", "event": "span", "name": "build_graph"|
   "run_algorithm"|"verify"|"metrics", "dur_s": ..., "trial": ...,
   "pid": ..., "worker": ..., "executor": ...}`` — one span per executed
@@ -20,7 +20,8 @@ parent process emits one JSON object per line for every observable event:
   otherwise).  Worker stage timings are re-emitted by the parent when
   the record is absorbed, preserving the single-writer invariant;
 * ``{"kind": "trial", "event": "complete", ...}`` — one per fresh trial;
-* ``{"kind": "pool", "event": "start", "size": ...}`` — pool dispatch.
+* ``{"kind": "pool", "event": "start", "size": ...}`` — payload dispatch
+  onto the executor (any backend, serial included).
 
 Every line carries ``schema`` (currently 1) and ``t``, seconds since the
 writer was opened.  The file is opened in append mode so successive
@@ -47,7 +48,7 @@ class TraceWriter:
 
     Only the sweep's parent process writes; a lock serialises the two
     parent threads that can emit concurrently (the result-absorbing main
-    thread and the pool's build-streaming generator thread).
+    thread and the executor's payload-streaming dispatcher thread).
     """
 
     def __init__(self, path: str):

@@ -34,13 +34,13 @@ Fallback semantics
 ------------------
 
 The kernel path is only taken when the whole run is expressible in column
-form: numpy present, contiguous vertex ids, full participation, no
-``part_of`` labeling, no per-message observers (``trace`` or a telemetry
-sink with ``wants_messages``), and the program returns a kernel.  In every
-other case the run is delegated, whole, to the event engine — same results,
-just scalar execution.  Telemetry reports the engine that actually executed
-(``on_run_start`` receives ``"column"`` only on the kernel path), which is
-how tests observe fallback.
+form: contiguous vertex ids, full participation, no ``part_of`` labeling,
+no per-message observer (a telemetry sink with ``wants_messages``, such as
+a :class:`~repro.simulator.tracing.MessageTrace`), and the program returns
+a kernel.  In every other case the run is delegated, whole, to the event
+engine — same results, just scalar execution.  Telemetry reports the engine
+that actually executed (``on_run_start`` receives ``"column"`` only on the
+kernel path), which is how tests observe fallback.
 
 Telemetry parity: kernels feed the same per-round counters through
 :meth:`ColumnRun.note_round` (messages and bytes per executed round match
@@ -54,10 +54,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-try:  # the engine registers itself regardless; kernels need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 from .engines import Engine, EngineRun, get_engine, register_engine
 
@@ -205,10 +202,8 @@ class ColumnEngine(Engine):
         col: Optional[ColumnRun] = None
         tel = run.telemetry
         vectorizable = (
-            _np is not None
-            and run.rank is None  # contiguous ids + full participation
+            run.rank is None  # contiguous ids + full participation
             and run.part_of is None
-            and run.trace is None
             and not (tel is not None and tel.wants_messages)
         )
         if vectorizable:

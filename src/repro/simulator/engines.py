@@ -151,7 +151,6 @@ class EngineRun:
         "gp",
         "round_limit",
         "count_bytes",
-        "trace",
         "telemetry",
         "outputs",
         "rounds",
@@ -171,7 +170,6 @@ class EngineRun:
         gp: Dict[str, Any],
         round_limit: int,
         count_bytes: bool,
-        trace,
         telemetry,
     ):
         self.graph = graph
@@ -182,7 +180,6 @@ class EngineRun:
         self.gp = gp
         self.round_limit = round_limit
         self.count_bytes = count_bytes
-        self.trace = trace
         self.telemetry = telemetry
         # Everything below runs in *slot* space: slot i is the i-th
         # participant in ascending-id order, and all per-node state lives
@@ -253,7 +250,6 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
     S = run.S
     rank = run.rank
     round_limit = run.round_limit
-    trace = run.trace
     count_bytes = run.count_bytes
     contexts, programs = run.build_contexts()
 
@@ -272,9 +268,9 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
     # stream (wants_messages) or byte sizing (wants_bytes).
     tel = run.telemetry
     msg_hook = tel is not None and tel.wants_messages
-    # Byte counting and tracing are rare; keeping them in a slow-path
-    # helper keeps the per-message fast path branch-free.
-    slow_path = count_bytes or trace is not None or msg_hook
+    # Byte counting and message observers are rare; keeping them in a
+    # slow-path helper keeps the per-message fast path branch-free.
+    slow_path = count_bytes or msg_hook
 
     def dispatch_slow(sender: Vertex, outbox) -> None:
         nonlocal messages, message_bytes, max_message_bytes
@@ -285,8 +281,6 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
                 message_bytes += size
                 if size > max_message_bytes:
                     max_message_bytes = size
-            if trace is not None:
-                trace.record(current_round, sender, dest, payload)
             if msg_hook:
                 tel.on_message(current_round, sender, dest, payload)
             slot = dest if rank is None else rank[dest]

@@ -137,7 +137,6 @@ class SynchronousNetwork:
         part_of: Optional[Mapping[Vertex, Any]] = None,
         round_limit: Optional[int] = None,
         count_bytes: bool = False,
-        trace: Optional["MessageTrace"] = None,
         telemetry: Optional["Telemetry"] = None,
         scheduler: Optional[str] = None,
     ) -> RunResult:
@@ -169,9 +168,6 @@ class SynchronousNetwork:
         count_bytes:
             When true, payload sizes are estimated (slower); otherwise only
             message counts are tracked.
-        trace:
-            Optional :class:`~repro.simulator.tracing.MessageTrace` that
-            records every message (round, endpoints, payload, size).
         telemetry:
             Optional :class:`~repro.obs.telemetry.Telemetry` sink fed
             per-round counters (active nodes, messages, bytes,
@@ -179,7 +175,9 @@ class SynchronousNetwork:
             both engines.  ``None`` (the default) keeps every hook out of
             the hot loop.  A sink with ``wants_bytes`` turns on payload
             sizing; one with ``wants_messages`` also receives every
-            message via ``on_message``.
+            message via ``on_message`` — pass a
+            :class:`~repro.simulator.tracing.MessageTrace` to record every
+            message (round, endpoints, payload, size).
         scheduler:
             A registered engine name (``"event"``, ``"dense"``,
             ``"column"``, ...); defaults to the network's scheduler.  All
@@ -217,7 +215,6 @@ class SynchronousNetwork:
             gp=gp,
             round_limit=round_limit,
             count_bytes=count_bytes,
-            trace=trace,
             telemetry=telemetry,
         )
         engine.execute(state)

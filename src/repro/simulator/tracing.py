@@ -1,15 +1,12 @@
 """Message tracing for debugging and communication analysis.
 
-A :class:`MessageTrace` passed to :meth:`SynchronousNetwork.run` records
-every message with its round number, endpoints, and size.  Used by the
-CONGEST-style analyses (how big do messages actually get?) and handy when
-debugging a new node program.
+A :class:`MessageTrace` passed to :meth:`SynchronousNetwork.run` as
+``telemetry=`` records every message with its round number, endpoints, and
+size.  Used by the CONGEST-style analyses (how big do messages actually
+get?) and handy when debugging a new node program.
 
 ``MessageTrace`` is a :class:`~repro.obs.telemetry.Telemetry` sink with
-``wants_messages`` set: the dedicated ``trace=`` argument of
-:meth:`SynchronousNetwork.run` is kept as the convenient spelling, but a
-trace may equally be passed as ``telemetry=`` (do not pass the same
-object as both — every message would be recorded twice).
+``wants_messages`` set, so every engine feeds it through ``on_message``.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ class MessageTrace(Telemetry):
 
     messages: List[TracedMessage] = field(default_factory=list)
 
-    def record(
+    def on_message(
         self, round_number: int, sender: Vertex, dest: Vertex, payload: Any
     ) -> None:
-        """Internal: called by the simulator for every dispatched message."""
+        """Telemetry hook: called by the simulator for every message."""
         self.messages.append(
             TracedMessage(
                 round_number=round_number,
@@ -54,12 +51,6 @@ class MessageTrace(Telemetry):
                 size=payload_size(payload),
             )
         )
-
-    def on_message(
-        self, round_number: int, sender: Vertex, dest: Vertex, payload: Any
-    ) -> None:
-        """Telemetry hook: identical to :meth:`record`."""
-        self.record(round_number, sender, dest, payload)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

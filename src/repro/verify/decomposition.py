@@ -2,15 +2,17 @@
 
 The per-vertex invariant checks (``check_hpartition``, ``check_mis``) have
 two implementations: a vectorized one over the graph's CSR arrays (used when
-the graph is a contiguous-id :class:`Graph` and numpy is available — one C
-pass over the batched neighbour array instead of a Python filter per vertex)
-and the generic id-based loop, which doubles as the error reporter: when the
-vectorized check finds a violation it re-runs the loop to name the offending
-vertex.  Both see the same adjacency, so they accept/reject identically."""
+the graph is a contiguous-id :class:`Graph` — one C pass over the batched
+neighbour array instead of a Python filter per vertex) and the generic
+id-based loop, which doubles as the error reporter: when the vectorized
+check finds a violation it re-runs the loop to name the offending vertex.
+Both see the same adjacency, so they accept/reject identically."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Set
+
+import numpy as np
 
 from ..errors import VerificationError
 from ..graphs.arboricity import is_forest
@@ -18,21 +20,15 @@ from ..graphs.graph import Graph
 from ..types import ForestsDecomposition, HPartition, Vertex, canonical_edge
 
 def _csr_arrays(graph):
-    """Zero-copy numpy views of the CSR arrays, or None when unavailable.
-
-    Uses the graph core's numpy handle so the ``REPRO_PURE_CSR`` gate
-    disables the vectorized verifiers together with the vectorized build —
-    a numpy-free run exercises exactly the generic loops it would ship.
-    """
-    from ..graphs.graph import _np
-
-    if _np is None or not isinstance(graph, Graph) or not graph.ids_contiguous:
+    """Zero-copy numpy views of the CSR arrays, or None for graphs the
+    vectorized checks do not cover (non-:class:`Graph` or non-contiguous
+    ids), which take the generic loop."""
+    if not isinstance(graph, Graph) or not graph.ids_contiguous:
         return None
     off_mv, nbr_mv = graph.csr()
     return (
-        _np,
-        _np.frombuffer(off_mv, dtype=_np.int64),
-        _np.frombuffer(nbr_mv, dtype=_np.int64),
+        np.frombuffer(off_mv, dtype=np.int64),
+        np.frombuffer(nbr_mv, dtype=np.int64),
     )
 
 
@@ -46,7 +42,7 @@ def check_hpartition(graph: Graph, hp: HPartition) -> None:
             raise VerificationError(f"vertex {v} has no H-index")
     csr = _csr_arrays(graph)
     if csr is not None:
-        np, off, nbr = csr
+        off, nbr = csr
         n = graph.n
         levels = np.fromiter((idx[v] for v in range(n)), np.int64, count=n)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
@@ -101,7 +97,7 @@ def check_mis(graph: Graph, members: Set[Vertex]) -> None:
     if csr is not None and all(
         isinstance(v, int) and 0 <= v < graph.n for v in members
     ):
-        np, off, nbr = csr
+        off, nbr = csr
         n = graph.n
         in_mis = np.zeros(n, dtype=bool)
         if members:

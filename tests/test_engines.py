@@ -145,12 +145,15 @@ class TestColumnDispatch:
         assert tel.scheduler == "event"
 
     def test_trace_request_falls_back_to_event(self):
+        class EngineTrace(MessageTrace):
+            def on_run_start(self, n, scheduler):
+                self.scheduler = scheduler
+
         gen = forest_union(80, 2, seed=5)
         net = SynchronousNetwork(gen.graph, scheduler="column")
-        tel = RoundTelemetry()
-        trace = MessageTrace()
-        _hp_run(net, gen, telemetry=tel, trace=trace)
-        assert tel.scheduler == "event"
+        trace = EngineTrace()
+        _hp_run(net, gen, telemetry=trace)
+        assert trace.scheduler == "event"
         assert len(trace) > 0
 
     def test_subgraph_run_falls_back_to_event(self):

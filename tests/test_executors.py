@@ -128,7 +128,8 @@ class TestRegistry:
             make_executor("carrier-pigeon")
 
     def test_capability_flags(self):
-        assert SerialExecutor.supports_shm
+        # in-process: graphs are handed over by reference, never via shm
+        assert not SerialExecutor.supports_shm
         assert SerialExecutor.locality == "in-process"
         assert LocalPoolExecutor.supports_shm
         assert LocalPoolExecutor.locality == "local"
@@ -189,8 +190,8 @@ class TestSocketExecutor:
             _teardown(ex, procs)
         assert _fingerprint(remote) == _fingerprint(serial)
         # remote workers can never attach this host's segments: shared
-        # graphs must have ridden the wire pickled
-        assert {t.graph_source for t in remote} == {"pickled"}
+        # graphs must have ridden the wire as pickled graph objects
+        assert {t.graph_source for t in remote} == {"store"}
         assert remote.executor == "socket"
         # build/reuse accounting is transport-independent
         assert remote.graph_builds == serial.graph_builds == 2
@@ -386,15 +387,14 @@ class TestShareGraphsWarning:
         )
         lines = []
         run_sweep(spec, progress=lines.append)
-        assert any("share_graphs=True but no two trials" in ln
-                   for ln in lines)
+        assert any("no two trials share a graph" in ln for ln in lines)
 
     def test_silent_when_graphs_are_shared(self):
         lines = []
         run_sweep(_sharing_spec(n=24, seeds=(0,)), progress=lines.append)
-        assert not any("share_graphs" in ln for ln in lines)
+        assert not any("warning" in ln for ln in lines)
 
-    def test_silent_for_single_trial_and_disabled_sharing(self):
+    def test_silent_for_single_trial(self):
         single = SweepSpec(
             "single",
             [ScenarioSpec(family="tree", algorithm="cor46",
@@ -402,15 +402,7 @@ class TestShareGraphsWarning:
         )
         lines = []
         run_sweep(single, progress=lines.append)
-        assert not any("share_graphs" in ln for ln in lines)
-        spec = SweepSpec(
-            "no-store",
-            [ScenarioSpec(family="tree", algorithm="cor46",
-                          family_params={"n": 24}, num_seeds=2)],
-        )
-        lines = []
-        run_sweep(spec, share_graphs=False, progress=lines.append)
-        assert not any("share_graphs" in ln for ln in lines)
+        assert not any("warning" in ln for ln in lines)
 
 
 class TestGraphMultiplicityMethod:

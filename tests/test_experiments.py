@@ -326,7 +326,7 @@ class TestRunner:
 
 
 class TestOverlappedBuilds:
-    """The overlapped build pipeline: shared graphs built in the pool,
+    """The build-payload pipeline: shared graphs built by the executor,
     streamed lazily, with bounded parent memory and airtight segment
     cleanup on interrupts."""
 
@@ -378,6 +378,23 @@ class TestOverlappedBuilds:
         assert store.live_peak <= window + 1
         assert store.live_peak < num_graphs
         assert len(store) == 0  # nothing survives the sweep
+
+    def test_serial_keeps_only_graphs_still_ahead(self, monkeypatch):
+        """The serial backend runs each build payload inline, ahead of the
+        trials that use it, under the same backpressure window (1 + 2):
+        the memory bound of the pool's object transport holds here too."""
+        num_graphs = 8
+        window = 1 + 2  # serial parallelism + the runner's slack
+        created = self._spy_store(monkeypatch)
+        res = run_sweep(self._shared_spec(num_graphs))
+        (store,) = created
+        assert res.executor == "serial"
+        assert res.graph_builds == num_graphs
+        assert {t.graph_source for t in res} == {"store"}
+        assert not store.use_shm  # objects by reference, no segments
+        assert 1 <= store.live_peak <= window + 1
+        assert store.live_peak < num_graphs
+        assert len(store) == 0
 
     def test_interrupt_mid_overlap_leaks_no_segments(self, monkeypatch):
         """A KeyboardInterrupt while builds are overlapped with execution
@@ -451,24 +468,12 @@ class TestOverlappedBuilds:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_overlap_accounting_matches_prebuild(self):
-        spec = self._shared_spec(3)
-        overlapped = run_sweep(spec, workers=2)
-        prebuilt = run_sweep(spec, workers=2, overlap_builds=False)
-        assert overlapped.build_overlap
-        assert not prebuilt.build_overlap
-        assert (overlapped.graph_builds, overlapped.graph_reuses) == (
-            prebuilt.graph_builds, prebuilt.graph_reuses,
-        )
-        assert [t.metrics for t in overlapped] == [t.metrics for t in prebuilt]
-
-    def test_stage_timings_surface_build_overlap(self):
+    def test_stage_timings_surface_shared_builds(self):
         spec = self._shared_spec(2)
-        overlapped = run_sweep(spec, workers=2)
-        table = stage_timing_table(overlapped)
-        assert "overlapped with pool execution" in table
-        prebuilt = run_sweep(spec, workers=2, overlap_builds=False)
-        assert "built before dispatch" in stage_timing_table(prebuilt)
+        pool = stage_timing_table(run_sweep(spec, workers=2))
+        assert "shared graphs: 2 build(s) on the pool executor" in pool
+        serial = stage_timing_table(run_sweep(spec))
+        assert "shared graphs: 2 build(s) on the serial executor" in serial
 
 
 class TestDefaultWorkers:
@@ -792,32 +797,24 @@ class TestSweepCLI:
     def _shared_spec_file(tmp_path):
         """Explicit seeds so the two algorithm cells share each graph."""
         spec = SweepSpec(
-            "cli-overlap",
+            "cli-shared",
             grid_scenarios(
                 families=[{"name": "tree", "n": 40}],
                 algorithms=[{"name": "cor46"}, {"name": "forests"}],
                 seeds=[0, 1],
             ),
         )
-        path = tmp_path / "overlap.json"
+        path = tmp_path / "shared.json"
         path.write_text(spec.to_json())
         return str(path)
 
-    def test_sweep_no_overlap_flag(self, tmp_path, capsys):
-        rc = main(["sweep", "--spec", self._shared_spec_file(tmp_path),
-                   "--workers", "2", "--no-cache", "--no-overlap",
-                   "--stage-timings"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "built before dispatch" in out
-        assert "overlapped" not in out
-
-    def test_sweep_summary_reports_build_overlap(self, tmp_path, capsys):
+    def test_sweep_summary_reports_graph_store(self, tmp_path, capsys):
         rc = main(["sweep", "--spec", self._shared_spec_file(tmp_path),
                    "--workers", "2", "--no-cache"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "overlapped with execution" in out
+        assert "2 shared graph build(s) dispatched to the pool executor" in out
+        assert "graph store: 2 shared build(s) on the pool executor" in out
 
 
 @pytest.mark.slow

@@ -2,8 +2,7 @@
 
 The CSR rewrite must be invisible through the public id-based API: these
 tests pin it against an in-test reference implementation of the legacy
-dict-of-sets build, against networkx round-trips, and across the numpy /
-pure-Python construction paths.
+dict-of-sets build and against networkx round-trips.
 """
 
 import pickle
@@ -26,7 +25,6 @@ from repro.graphs import (
     ring,
     star,
 )
-from repro.graphs import graph as graph_mod
 from repro.types import canonical_edge
 
 
@@ -114,22 +112,6 @@ class TestAgainstReference:
 
 
 class TestBuildPaths:
-    @settings(max_examples=60, deadline=None)
-    @given(edge_lists())
-    def test_pure_equals_numpy(self, case):
-        n, edges = case
-        fast = Graph.from_edge_count(n, edges)
-        saved = graph_mod._np
-        try:
-            graph_mod._np = None
-            pure = Graph.from_edge_count(n, edges)
-        finally:
-            graph_mod._np = saved
-        assert fast == pure
-        assert fast.duplicate_edges_dropped == pure.duplicate_edges_dropped
-        assert list(fast._offsets) == list(pure._offsets)
-        assert list(fast._nbr) == list(pure._nbr)
-
     def test_from_edge_count_matches_init(self):
         edges = [(0, 1), (3, 2), (1, 3), (0, 1), (1, 0)]
         assert Graph.from_edge_count(4, edges) == Graph(range(4), edges)
@@ -215,16 +197,6 @@ class TestInducedSubgraph:
             assert sub.neighbors(v) == tuple(
                 u for u in g.neighbors(v) if u in keep
             )
-
-    def test_matches_pure_fallback(self, monkeypatch):
-        g = forest_union(50, 3, seed=11).graph
-        keep = [v for v in g.vertices if v % 3 != 0]
-        fast = g.induced_subgraph(keep)
-        monkeypatch.setattr(graph_mod, "_np", None)
-        slow = g.induced_subgraph(keep)
-        assert fast == slow
-        assert fast.vertices == slow.vertices
-        assert all(fast.neighbors(v) == slow.neighbors(v) for v in keep)
 
     def test_empty_selection(self):
         g = ring(5).graph

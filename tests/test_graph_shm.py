@@ -1,7 +1,8 @@
 """Graph shared-memory interchange: ``to_shm``/``from_shm`` round trips,
-segment lifecycle, and the GraphStore publish/attach/fallback paths."""
+segment lifecycle, and the GraphStore adopt/mint/attach/fallback paths."""
 
 import pickle
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import InvalidParameterError
 from repro.experiments import GraphStore, ShmGraphRef, shm_available
 from repro.experiments.graphstore import resolve_graph
+from repro.experiments.registry import BUILD_KIND, execute_build
 from repro.experiments.spec import TrialSpec
 from repro.graphs import (
     erdos_renyi,
@@ -49,6 +51,28 @@ def _assert_byte_identical(a: Graph, b: Graph) -> None:
     assert bytes(a.csr()[1]) == bytes(b.csr()[1])
     assert a.duplicate_edges_dropped == b.duplicate_edges_dropped
     assert a.max_degree == b.max_degree
+
+
+def _adopt_built(store: GraphStore, trial: TrialSpec) -> str:
+    """Run ``trial``'s build payload the way an executor does and let the
+    store adopt the result (a segment, or the graph object without shm).
+    Returns the graph key."""
+    gkey = trial.graph_key()
+    shm_name = f"rgtest-{uuid.uuid4().hex[:8]}" if store.use_shm else None
+    if shm_name:
+        store.expect_segment(gkey, shm_name)
+    rec = execute_build(
+        {"kind": BUILD_KIND, "trial": trial.to_dict(), "shm_name": shm_name}
+    )
+    if shm_name:
+        store.adopt_segment(
+            gkey, shm_name, name=rec["name"],
+            arboricity_bound=rec["arboricity_bound"], params=rec["params"],
+            build_s=rec["build_s"],
+        )
+    else:
+        store.adopt_graph(gkey, rec["graph"], build_s=rec["build_s"])
+    return gkey
 
 
 def _round_trip(g: Graph) -> None:
@@ -146,7 +170,7 @@ class TestLifecycle:
         trial = TrialSpec(family="tree", algorithm="cor46", seed=1,
                           family_params={"n": 30})
         store = GraphStore(use_shm=True)
-        ref = store.payload_graph(trial, for_pool=True)
+        ref = store.mint(_adopt_built(store, trial))
         assert isinstance(ref, ShmGraphRef)
         name = ref.shm_name
         # attachable while the store is open
@@ -167,8 +191,8 @@ class TestLifecycle:
 
     def test_adopted_segment_is_owned_like_a_published_one(self):
         """adopt_segment: the parent takes over a segment it did not build
-        (the overlapped scheduler's worker hand-off) — minting refs and
-        unlinking on close work exactly as for parent-published graphs."""
+        (a worker's build-payload hand-off) — minting refs and unlinking on
+        close are the store's job from then on."""
         gen = forest_union(40, 2, seed=3)
         trial = TrialSpec(family="forest_union", algorithm="cor46", seed=3,
                           family_params={"n": 40, "a": 2})
@@ -283,7 +307,7 @@ class TestAttachCache:
             trial = TrialSpec(family="tree", algorithm="cor46", seed=seed,
                               family_params={"n": 24})
             with GraphStore(use_shm=True) as store:
-                ref = store.payload_graph(trial, for_pool=True)
+                ref = store.mint(_adopt_built(store, trial))
                 gen, _ = resolve_graph(ref)
                 assert (ref.shm_name, ref.graph_key) in gs._ATTACHED
                 del gen
@@ -300,10 +324,15 @@ class TestStoreFallbacks:
         t3 = TrialSpec(family="tree", algorithm="cor46", seed=2,
                        family_params={"n": 30})  # different seed: new graph
         assert t1.graph_key() == t2.graph_key() != t3.graph_key()
-        g1 = store.get(t1)
-        assert store.get(t2) is g1
-        assert store.get(t3) is not g1
+        shared = _adopt_built(store, t1)
+        other = _adopt_built(store, t3)
+        g1 = store.mint(shared)
+        assert store.mint(t2.graph_key()) is g1
+        assert store.mint(other) is not g1
         assert (store.builds, store.reuses) == (2, 1)
+        store.discard(shared)
+        with pytest.raises(InvalidParameterError, match="not held"):
+            store.mint(shared)
 
     def test_no_shm_env_forces_pickle_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_SHM", "1")
@@ -311,10 +340,10 @@ class TestStoreFallbacks:
         assert store.use_shm is False
         trial = TrialSpec(family="tree", algorithm="cor46", seed=0,
                           family_params={"n": 24})
-        payload = store.payload_graph(trial, for_pool=True)
-        # the graph itself rides in the payload (pool pickles it)
+        payload = store.mint(_adopt_built(store, trial))
+        # the graph itself rides in the payload (a pool pickles it)
         gen, source = resolve_graph(payload)
-        assert source == "pickled"
+        assert source == "store"
         assert not gen.graph.shm_backed
         # fallback equality: pickle round trip == shm round trip == built
         copy = pickle.loads(pickle.dumps(gen))

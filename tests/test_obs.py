@@ -224,30 +224,27 @@ class TestSweepTracing:
         stage_names = {e["name"] for e in events if e["kind"] == "stage"}
         assert stage_names == {"build_graph", "run_algorithm", "verify", "metrics"}
         assert len([e for e in events if e["kind"] == "trial"]) == 4
-        # overlapped shm pool: workers build the shared graphs, the parent
-        # expects then adopts their segments and reclaims them at close
+        # shm pool: workers build the shared graphs, the parent expects
+        # then adopts their segments and reclaims them at close
         store_events = {e["event"] for e in events if e["kind"] == "graphstore"}
         assert {"expect", "adopt", "close"} <= store_events
 
-    def test_prebuilt_sweep_traces_parent_builds(self, tmp_path):
-        """With overlapping off the parent builds and publishes every
-        shared graph itself — those lifecycle events come from this side."""
+    def test_serial_sweep_traces_inline_builds(self, tmp_path):
+        """The serial backend runs the same build payloads inline: the
+        parent adopts each graph object (no segment is expected or
+        reclaimed) and evicts it after its last trial."""
         trace_path = tmp_path / "sweep.jsonl"
-        run_sweep(
-            self.shared_spec(),
-            workers=2,
-            overlap_builds=False,
-            trace=str(trace_path),
-        )
+        run_sweep(self.shared_spec(), trace=str(trace_path))
         events = read_trace(trace_path)
-        store_events = {e["event"] for e in events if e["kind"] == "graphstore"}
-        assert {"build", "close"} <= store_events
-        builds = [
-            e
-            for e in events
-            if e["kind"] == "graphstore" and e["event"] == "build"
-        ]
-        assert all(e["where"] == "parent" and e["build_s"] >= 0 for e in builds)
+        store = [e for e in events if e["kind"] == "graphstore"]
+        assert [e["event"] for e in store].count("adopt") == 2
+        assert {e["event"] for e in store} == {"adopt", "evict"}
+        adopts = [e for e in store if e["event"] == "adopt"]
+        assert all(e["transport"] == "object" and e["build_s"] >= 0
+                   for e in adopts)
+        (dispatch,) = [e for e in events if e["kind"] == "pool"]
+        assert dispatch["executor"] == "serial"
+        assert dispatch["shared_graphs"] == 2
 
     def test_cache_hits_traced_and_file_appended(self, tmp_path):
         trace_path = tmp_path / "sweep.jsonl"

@@ -167,13 +167,21 @@ class TestMessageTraceEquivalence:
     def _traced(scheduler, graph, runner):
         from repro.obs import RoundTelemetry
 
-        net = SynchronousNetwork(graph, scheduler=scheduler)
         trace = MessageTrace()
-        telemetry = RoundTelemetry()
+
+        class TracedRounds(RoundTelemetry):
+            """One sink per run: round counters, every message forwarded."""
+
+            wants_messages = True
+
+            def on_message(self, *args):
+                trace.on_message(*args)
+
+        net = SynchronousNetwork(graph, scheduler=scheduler)
+        telemetry = TracedRounds()
         original_run = net.run
 
         def run_traced(*args, **kwargs):
-            kwargs.setdefault("trace", trace)
             kwargs.setdefault("telemetry", telemetry)
             return original_run(*args, **kwargs)
 
@@ -226,22 +234,6 @@ class TestMessageTraceEquivalence:
         assert dense_tel.total_messages == event_tel.total_messages
         assert event_tel.total_messages == len(event_trace)
         assert dense_tel.message_rounds() == event_tel.message_rounds()
-
-    def test_trace_as_telemetry_matches_trace_argument(self):
-        """``telemetry=MessageTrace()`` records exactly what ``trace=`` does."""
-        from repro.core.hpartition import HPartitionProgram, degree_threshold
-
-        gen = forest_union(120, 3, seed=21)
-        threshold = degree_threshold(gen.arboricity_bound, 0.5)
-        as_trace = MessageTrace()
-        SynchronousNetwork(gen.graph).run(
-            lambda: HPartitionProgram(threshold), trace=as_trace
-        )
-        as_telemetry = MessageTrace()
-        SynchronousNetwork(gen.graph).run(
-            lambda: HPartitionProgram(threshold), telemetry=as_telemetry
-        )
-        assert as_trace.messages == as_telemetry.messages
 
 
 def test_per_run_scheduler_override():

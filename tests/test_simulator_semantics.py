@@ -144,7 +144,7 @@ class TestTraceRoundNumbers:
 
         g = Graph(range(2), [(0, 1)])
         trace = MessageTrace()
-        SynchronousNetwork(g).run(TwoRounds, trace=trace)
+        SynchronousNetwork(g).run(TwoRounds, telemetry=trace)
         assert trace.per_round() == {0: 2, 1: 2}
 
 

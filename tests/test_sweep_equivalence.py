@@ -1,15 +1,15 @@
 """Acceptance: sweep records are byte-identical — same content keys, same
-metrics — across every execution path of the staged engine: serial (shared
-in-process store), parallel over shared memory, parallel over the pickle
-fallback, rebuild-per-trial (the pre-staged engine's shape), with
-shared-graph builds overlapped into the pool or prebuilt in the parent,
-and over a socket coordinator with attached worker processes.
+metrics — across every execution path of the staged engine: serial (graph
+objects handed over in-process), parallel over shared memory, parallel over
+pickled graph objects, over a socket coordinator with attached worker
+processes, and from a cache another path warmed.
 
 Stage timings and provenance legitimately differ per path; they live
 outside ``metrics`` precisely so everything the cache and the aggregate
 reports consume cannot.  GraphStore build/reuse accounting, by contrast,
 must NOT differ per path — the same spec counts the same builds and reuses
-whichever transport or schedule ran it.
+whichever executor or transport ran it, for shared and single-use graphs
+alike.
 """
 
 import pytest
@@ -51,70 +51,69 @@ def _spec():
     return SweepSpec("equivalence", scenarios)
 
 
+def _single_use_spec():
+    """Derived seeds never collide across scenarios: every graph is
+    consumed by exactly one trial."""
+    return SweepSpec(
+        "unshared",
+        [ScenarioSpec(family="tree", algorithm="cor46",
+                      family_params={"n": 40}, num_seeds=3)],
+    )
+
+
 def _fingerprint(result):
     """Everything the cache/report layer sees: ordered (key, metrics)."""
     return [(tr.key, tr.metrics) for tr in result]
+
+
+def _accounting(result):
+    return result.graph_builds, result.graph_reuses
+
+
+#: 4 unique graphs (2 families x 2 seeds), each shared by 4 algorithm cells
+SHARED = (4, len(_spec().trials()) - 4)
 
 
 class TestExecutionPathEquivalence:
     def test_all_paths_produce_identical_records(self, monkeypatch):
         spec = _spec()
         serial = run_sweep(spec)
-        rebuild = run_sweep(spec, share_graphs=False)
         parallel_shm = run_sweep(spec, workers=2)
-        prebuilt_shm = run_sweep(spec, workers=2, overlap_builds=False)
         monkeypatch.setenv("REPRO_NO_SHM", "1")
         parallel_pickle = run_sweep(spec, workers=2)
-        prebuilt_pickle = run_sweep(spec, workers=2, overlap_builds=False)
         monkeypatch.delenv("REPRO_NO_SHM")
 
-        others = (rebuild, parallel_shm, prebuilt_shm, parallel_pickle,
-                  prebuilt_pickle)
         baseline = _fingerprint(serial)
-        for other in others:
-            assert _fingerprint(other) == baseline
-        # and the aggregate presentation layer agrees byte for byte
         expected = report_table(serial)
-        for other in others:
+        for other in (parallel_shm, parallel_pickle):
+            assert _fingerprint(other) == baseline
+            # and the aggregate presentation layer agrees byte for byte
             assert report_table(other) == expected
 
         # each path really was the path it claims to be
         assert {t.graph_source for t in serial} == {"store"}
-        assert {t.graph_source for t in rebuild} == {"built"}
         if shm_available():
             assert {t.graph_source for t in parallel_shm} == {"shm"}
-            assert {t.graph_source for t in prebuilt_shm} == {"shm"}
-        assert {t.graph_source for t in parallel_pickle} == {"pickled"}
-        assert {t.graph_source for t in prebuilt_pickle} == {"pickled"}
-        assert parallel_shm.build_overlap and parallel_pickle.build_overlap
-        assert not prebuilt_shm.build_overlap
-        assert not prebuilt_pickle.build_overlap
-        assert not serial.build_overlap and not rebuild.build_overlap
+        assert {t.graph_source for t in parallel_pickle} == {"store"}
 
-        # the ablation shape: 4 algorithm cells share each unique graph —
-        # and the build/reuse accounting is identical across transports
-        # and schedules (4 graphs = 2 families x 2 seeds)
-        stores = (serial, parallel_shm, prebuilt_shm, parallel_pickle,
-                  prebuilt_pickle)
-        for res in stores:
-            assert res.graph_builds == 4
-            assert res.graph_reuses == res.num_trials - 4
+        # the build/reuse accounting is identical across executors and
+        # transports
+        for res in (serial, parallel_shm, parallel_pickle):
+            assert _accounting(res) == SHARED
             assert res.graph_build_s > 0.0
-        assert rebuild.graph_builds == 0
-        assert rebuild.graph_reuses == 0
 
     def test_socket_loopback_matches_every_local_path(self):
-        """The seventh execution path: the same spec through a socket
-        coordinator with two loopback ``repro worker`` processes.  Remote
-        workers cannot attach the parent's shm, so shared graphs ride the
-        wire pickled — and the records are still byte-identical."""
-        spec = _spec()
-        serial = run_sweep(spec)
+        """The same specs through a socket coordinator with two loopback
+        ``repro worker`` processes.  Remote workers cannot attach the
+        parent's shm, so shared graphs ride the wire pickled — and the
+        records and the accounting are still identical."""
+        specs = (_spec(), _single_use_spec())
+        serial = [run_sweep(spec) for spec in specs]
         ex = SocketExecutor(min_workers=2)
         procs = spawn_local_workers(ex.host, ex.port, 2)
         try:
             ex.wait_for_workers(2, timeout=60)
-            remote = run_sweep(spec, executor=ex)
+            remote = [run_sweep(spec, executor=ex) for spec in specs]
         finally:
             ex.close()
             for p in procs:
@@ -124,14 +123,15 @@ class TestExecutionPathEquivalence:
                     p.wait(timeout=10)
                 except Exception:
                     p.kill()
-        assert _fingerprint(remote) == _fingerprint(serial)
-        assert report_table(remote) == report_table(serial)
-        assert {t.graph_source for t in remote} == {"pickled"}
-        assert remote.build_overlap
-        assert remote.graph_builds == 4
-        assert remote.graph_reuses == remote.num_trials - 4
-        assert remote.executor == "socket"
-        assert serial.executor == "serial"
+        for local, wire in zip(serial, remote, strict=True):
+            assert _fingerprint(wire) == _fingerprint(local)
+            assert report_table(wire) == report_table(local)
+            assert _accounting(wire) == _accounting(local)
+            assert wire.executor == "socket"
+            assert local.executor == "serial"
+        assert {t.graph_source for t in remote[0]} == {"store"}
+        assert _accounting(remote[0]) == SHARED
+        assert {t.graph_source for t in remote[1]} == {"built"}
 
     def test_cache_warmed_by_one_path_serves_every_other(self, tmp_path):
         spec = _spec()
@@ -140,18 +140,20 @@ class TestExecutionPathEquivalence:
         assert fresh.cache_misses == len({t.key() for t in spec.trials()})
         for kwargs in (
             {},
-            {"share_graphs": False},
             {"workers": 2},
-            {"workers": 2, "overlap_builds": False},
+            {"workers": 2, "use_shm": False},
         ):
             again = run_sweep(spec, cache=ResultCache(cache_dir), **kwargs)
             assert again.hit_rate == 1.0
             assert _fingerprint(again) == _fingerprint(fresh)
+            assert report_table(again) == report_table(fresh)
+            assert _accounting(again) == (0, 0)  # nothing ran, nothing built
 
     @pytest.mark.skipif(not shm_available(), reason="no shared memory here")
     def test_forced_shm_off_matches_forced_on(self):
         # two algorithms over the same explicit seeds: each graph is shared,
-        # so pool runs publish it (shm or pickled) instead of rebuilding
+        # so pool runs hand it out (shm or graph object) instead of
+        # rebuilding it
         spec = SweepSpec(
             "shm-toggle",
             [
@@ -165,19 +167,19 @@ class TestExecutionPathEquivalence:
         off = run_sweep(spec, workers=2, use_shm=False)
         assert _fingerprint(on) == _fingerprint(off)
         assert {t.graph_source for t in on} == {"shm"}
-        assert {t.graph_source for t in off} == {"pickled"}
+        assert {t.graph_source for t in off} == {"store"}
+        assert _accounting(on) == _accounting(off) == (2, 2)
 
-    def test_single_use_graphs_build_in_the_workers(self):
-        # derived seeds never collide across scenarios, so every graph here
-        # is single-use: pool mode must not pre-build them in the parent
-        spec = SweepSpec(
-            "unshared",
-            [ScenarioSpec(family="tree", algorithm="cor46",
-                          family_params={"n": 40}, num_seeds=3)],
-        )
-        par = run_sweep(spec, workers=2)
-        assert {t.graph_source for t in par} == {"built"}
-        assert par.graph_builds == 0  # nothing was worth pre-building
+    def test_single_use_graphs_build_in_the_workers(self, monkeypatch):
+        # every graph here is single-use: no executor builds it ahead of
+        # its trial, so whoever runs the trial builds it — serial included
+        spec = _single_use_spec()
         serial = run_sweep(spec)
-        assert _fingerprint(par) == _fingerprint(serial)
-        assert serial.graph_builds == 3  # serial still dedups in-process
+        par = run_sweep(spec, workers=2)
+        monkeypatch.setenv("REPRO_NO_SHM", "1")
+        par_pickle = run_sweep(spec, workers=2)
+        for res in (serial, par, par_pickle):
+            assert _fingerprint(res) == _fingerprint(serial)
+            assert report_table(res) == report_table(serial)
+            assert {t.graph_source for t in res} == {"built"}
+            assert _accounting(res) == (0, 0)  # nothing was worth sharing

@@ -33,26 +33,26 @@ class TestMessageTraceAPI:
         g = Graph(range(3), [(0, 1), (1, 2)])
         net = SynchronousNetwork(g)
         trace = MessageTrace()
-        net.run(PingProgram, trace=trace)
+        net.run(PingProgram, telemetry=trace)
         assert len(trace) == 4  # 1+2+1 broadcasts
 
     def test_round_numbers(self):
         g = Graph(range(2), [(0, 1)])
         trace = MessageTrace()
-        SynchronousNetwork(g).run(PingProgram, trace=trace)
+        SynchronousNetwork(g).run(PingProgram, telemetry=trace)
         assert trace.per_round() == {0: 2}
 
     def test_between(self):
         g = Graph(range(3), [(0, 1), (1, 2)])
         trace = MessageTrace()
-        SynchronousNetwork(g).run(PingProgram, trace=trace)
+        SynchronousNetwork(g).run(PingProgram, telemetry=trace)
         assert len(trace.between(0, 1)) == 2
         assert len(trace.between(0, 2)) == 0
 
     def test_sizes(self):
         g = Graph(range(2), [(0, 1)])
         trace = MessageTrace()
-        SynchronousNetwork(g).run(PingProgram, trace=trace)
+        SynchronousNetwork(g).run(PingProgram, telemetry=trace)
         assert trace.max_size >= 1
         assert trace.total_bytes >= 2
         hist = trace.sizes_histogram(bucket=4)
@@ -67,7 +67,7 @@ class TestCongestFrugality:
         original_run = net.run
 
         def run_traced(*args, **kwargs):
-            kwargs.setdefault("trace", trace)
+            kwargs.setdefault("telemetry", trace)
             return original_run(*args, **kwargs)
 
         net.run = run_traced

@@ -1,8 +1,8 @@
 """S5 (infrastructure) — graph core: CSR fast path vs. the seed implementation.
 
-PR 3 rewrote :class:`repro.graphs.Graph` around a flat CSR layout (contiguous
-``array('q')`` offset/neighbour arrays, O(1) degree, allocation-free
-index-based rows, vectorized batched-neighbour passes) with a bulk
+PR 3 rewrote :class:`repro.graphs.Graph` around a flat CSR layout (two
+read-only int64 numpy offset/neighbour arrays, O(1) degree, index-based
+rows, vectorized batched-neighbour passes) with a bulk
 :meth:`Graph.from_edge_count` constructor, and threaded index-based fast
 paths through the simulator and the centralized helpers.  This bench pins
 the two headline claims against the preserved seed implementation

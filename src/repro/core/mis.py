@@ -290,7 +290,7 @@ def greedy_mis_sequential(graph) -> Set[Vertex]:
     Works in index space over the CSR arrays (ascending index is ascending
     id, so the greedy choice is unchanged).
     """
-    off, nbr = graph.csr()
+    off, nbr = (a.tolist() for a in graph.csr())
     n = graph.n
     blocked = bytearray(n)
     members_idx = []

@@ -135,7 +135,7 @@ def ruling_set_domination_radius(graph, members: Set[Vertex]) -> int:
     from collections import deque
 
     n = graph.n
-    off, nbr = graph.csr()
+    off, nbr = (a.tolist() for a in graph.csr())
     index_of = graph.index_of
     dist = [-1] * n
     queue = deque()

@@ -50,7 +50,7 @@ def root_forest_by_bfs(graph: Graph) -> Dict[Vertex, Optional[Vertex]]:
     because a parent map of a non-forest would silently mis-color.
     """
     n = graph.n
-    off, nbr = graph.csr()
+    off, nbr = (a.tolist() for a in graph.csr())
     vertex_at = graph.vertex_at
     visited = bytearray(n)
     parent_idx = [-1] * n  # -1 = root of its tree

@@ -47,7 +47,7 @@ def degeneracy(graph: Graph) -> Tuple[int, List[Vertex]]:
     # Index-space peeling over the CSR arrays: no id hashing in the loop.
     # For contiguous-id graphs indices are ids, so the peeling visits the
     # very same bucket contents as the legacy id-based implementation.
-    off, nbr = graph.csr()
+    off, nbr = (a.tolist() for a in graph.csr())
     deg = [off[i + 1] - off[i] for i in range(n)]
     max_deg = max(deg)
     buckets: List[set] = [set() for _ in range(max_deg + 1)]
@@ -121,9 +121,7 @@ def nash_williams_lower_bound(graph: Graph) -> int:
     if graph.ids_contiguous:
         # Vectorized over the CSR arrays: one C pass over the batched
         # neighbour array instead of a Python loop per edge.
-        off_mv, nbr_mv = graph.csr()
-        off = np.frombuffer(off_mv, dtype=np.int64)
-        nbr = np.frombuffer(nbr_mv, dtype=np.int64)
+        off, nbr = graph.csr()
         pos = np.empty(n, dtype=np.int64)
         pos[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))

@@ -8,12 +8,14 @@ frozen graph makes it impossible for an algorithm to accidentally mutate the
 topology mid-simulation.  Conversion helpers to and from networkx are
 provided for the generators and for user interop.
 
-Storage is a compact CSR (compressed sparse row) layout:
+Storage is a compact CSR (compressed sparse row) layout of two read-only
+int64 numpy arrays, of the same type whether the graph was built in this
+process, attached from shared memory or mapped from a file:
 
-* ``_offsets`` — an ``array('q')`` of length ``n + 1``; the neighbours of the
-  vertex at *index* ``i`` occupy ``_nbr[_offsets[i]:_offsets[i + 1]]``;
-* ``_nbr`` — an ``array('q')`` of length ``2m`` holding neighbour *indices*
-  (positions in the sorted vertex tuple), sorted ascending within each row.
+* ``_offsets`` — length ``n + 1``; the neighbours of the vertex at *index*
+  ``i`` occupy ``_nbr[_offsets[i]:_offsets[i + 1]]``;
+* ``_nbr`` — length ``2m``, neighbour *indices* (positions in the sorted
+  vertex tuple), sorted ascending within each row.
 
 Vertices are integers with unique ids, matching the LOCAL model's assumption
 of unique identities.  Ids need not be contiguous (induced subgraphs keep the
@@ -27,16 +29,17 @@ the count of dropped duplicates is exposed as
 :attr:`Graph.duplicate_edges_dropped`.
 
 The id-based accessors (``vertices`` / ``edges`` / ``neighbors`` /
-``degree``) are unchanged from the legacy dict-of-tuples implementation; the
-*index* API (``neighbors_index`` / ``degree_index`` / ``csr`` / ...) is the
-allocation-free fast path for the simulator and the centralized helpers.
+``degree`` / ...) return Python ints only, as the legacy dict-of-tuples
+implementation did (an ``np.int64`` breaks ``json.dumps`` of a record and
+fails :meth:`Graph.has_vertex`); the *index* API (``index_of`` /
+``vertex_at`` / ``csr``) is the fast path for the simulator and the
+centralized helpers.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 import numpy as _np
@@ -48,39 +51,21 @@ from ..types import Edge, Vertex
 # ----------------------------------------------------------------------
 # CSR construction from directed edge codes (u*n + v, both directions)
 # ----------------------------------------------------------------------
-def _csr_from_sorted_unique_np(uniq, n: int) -> Tuple[array, array]:
-    """Turn sorted unique directed codes (int64 ndarray) into CSR arrays."""
-    rows = uniq // n
-    counts = _np.bincount(rows, minlength=n)
-    off_np = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(counts, out=off_np[1:])
-    nbr_np = uniq - rows * n
-    offsets = array("q")
-    offsets.frombytes(off_np.tobytes())
-    nbr = array("q")
-    nbr.frombytes(nbr_np.astype(_np.int64, copy=False).tobytes())
-    return offsets, nbr
-
-
-def _np_sort_unique(codes) -> Tuple["_np.ndarray", int]:
-    """Sort + adjacent-dedup (much faster than ``np.unique``'s hash path)."""
-    total = len(codes)
-    codes.sort()
-    mask = _np.empty(total, dtype=bool)
-    mask[0] = True
-    _np.not_equal(codes[1:], codes[:-1], out=mask[1:])
-    uniq = codes[mask]
-    return uniq, total - len(uniq)
-
-
-def _csr_from_codes(codes, n: int) -> Tuple[array, array, int]:
-    """Sort + dedup directed codes into (offsets, neighbors, dups)."""
+def _csr_from_codes(codes, n: int) -> Tuple[_np.ndarray, _np.ndarray, int]:
+    """Sort + dedup directed codes into ``(offsets, neighbors, dups)``
+    (adjacent dedup: much faster than ``np.unique``'s hash path)."""
     codes = _np.asarray(codes, dtype=_np.int64)
-    if not len(codes):
-        return array("q", bytes(8 * (n + 1))), array("q"), 0
-    uniq, dropped = _np_sort_unique(codes)
-    offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-    return offsets, nbr, dropped // 2
+    total = len(codes)
+    if total:
+        codes.sort()
+        keep = _np.empty(total, dtype=bool)
+        keep[0] = True
+        _np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        codes = codes[keep]
+    rows = codes // max(n, 1)
+    offsets = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, codes - rows * n, (total - len(codes)) // 2
 
 
 def _reject_bad_pair(edges, n: int) -> NoReturn:
@@ -118,7 +103,7 @@ def _looks_like_int_pairs(edges) -> bool:
     return True
 
 
-def _csr_from_index_pairs(edges, n: int) -> Tuple[array, array, int]:
+def _csr_from_index_pairs(edges, n: int) -> Tuple[_np.ndarray, _np.ndarray, int]:
     """CSR arrays from an iterable of ``(u, v)`` index pairs in ``0..n-1``.
 
     Streams the whole edge list into a flat int64 array in C and validates
@@ -154,6 +139,8 @@ def _csr_from_index_pairs(edges, n: int) -> Tuple[array, array, int]:
 class Graph:
     """An immutable, simple, undirected graph with integer vertex ids."""
 
+    # slots are cleared in this order when a graph dies: the CSR arrays must
+    # go before ``_shm``, whose close() fails while views of it are alive
     __slots__ = (
         "_n",
         "_contig",
@@ -162,7 +149,6 @@ class Graph:
         "_nbr",
         "_index",
         "_vset",
-        "_mv",
         "_edges_cache",
         "_nbr_tuples",
         "_maxdeg",
@@ -215,10 +201,12 @@ class Graph:
         n: int,
         contig: bool,
         verts: Optional[Tuple[Vertex, ...]],
-        offsets: array,
-        nbr: array,
+        offsets: _np.ndarray,
+        nbr: _np.ndarray,
         dropped: int,
     ) -> None:
+        offsets.flags.writeable = False
+        nbr.flags.writeable = False
         self._n = n
         self._contig = contig
         self._verts = verts  # None for contiguous graphs until first use
@@ -226,7 +214,6 @@ class Graph:
         self._nbr = nbr
         self._index = None
         self._vset = None
-        self._mv = None
         self._edges_cache = None
         self._nbr_tuples = None
         self._maxdeg = None
@@ -310,25 +297,18 @@ class Graph:
         """All edges in canonical ``(min, max)`` form, sorted."""
         cache = self._edges_cache
         if cache is None:
-            off = self._offsets
             nbr = self._nbr
-            out: List[Edge] = []
-            extend = out.extend
-            if self._contig:
-                for i in range(self._n):
-                    lo = bisect_left(nbr, i + 1, off[i], off[i + 1])
-                    hi = off[i + 1]
-                    if lo < hi:
-                        extend((i, j) for j in nbr[lo:hi])
-            else:
-                verts = self.vertices
-                for i in range(self._n):
-                    lo = bisect_left(nbr, i + 1, off[i], off[i + 1])
-                    hi = off[i + 1]
-                    if lo < hi:
-                        vi = verts[i]
-                        extend((vi, verts[j]) for j in nbr[lo:hi])
-            cache = self._edges_cache = tuple(out)
+            src = _np.repeat(_np.arange(self._n), _np.diff(self._offsets))
+            upper = nbr > src  # each edge once, from its lower endpoint
+            per_row = _np.bincount(src[upper], minlength=self._n)
+            # both endpoints reuse the vertex tuple's int objects
+            verts = self.vertices
+            cache = self._edges_cache = tuple(
+                zip(
+                    chain.from_iterable(map(repeat, verts, per_row.tolist())),
+                    map(verts.__getitem__, nbr[upper].tolist()),
+                )
+            )
         return cache
 
     @property
@@ -360,7 +340,8 @@ class Graph:
             cache = self._nbr_tuples = [None] * self._n
         t = cache[i]
         if t is None:
-            row = self._nbr[self._offsets[i] : self._offsets[i + 1]]
+            off = self._offsets
+            row = self._nbr[off[i] : off[i + 1]].tolist()
             if self._contig:
                 t = tuple(row)
             else:
@@ -371,28 +352,24 @@ class Graph:
     def degree(self, v: Vertex) -> int:
         """The degree of ``v`` (O(1) from the CSR offsets)."""
         i = self._slot(v)
-        return self._offsets[i + 1] - self._offsets[i]
+        return int(self._offsets[i + 1] - self._offsets[i])
 
     @property
     def max_degree(self) -> int:
         """Δ, the maximum degree (0 for the empty graph)."""
         if self._maxdeg is None:
-            off = self._offsets
-            self._maxdeg = max(
-                (off[i + 1] - off[i] for i in range(self._n)), default=0
-            )
+            self._maxdeg = int(_np.diff(self._offsets).max(initial=0))
         return self._maxdeg
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """True when ``(u, v)`` is an edge."""
         try:
-            iu = self._slot(u)
-            iv = self._slot(v)
+            row = self.neighbors(u)
+            self._slot(v)
         except KeyError:
             return False
-        lo, hi = self._offsets[iu], self._offsets[iu + 1]
-        k = bisect_left(self._nbr, iv, lo, hi)
-        return k < hi and self._nbr[k] == iv
+        k = bisect_left(row, v)
+        return k < len(row) and row[k] == v
 
     def has_vertex(self, v: Vertex) -> bool:
         """True when ``v`` is a vertex of the graph."""
@@ -417,8 +394,10 @@ class Graph:
             return NotImplemented
         if self._n != other._n or len(self._nbr) != len(other._nbr):
             return False
-        return self.vertices == other.vertices and (
-            self._offsets == other._offsets and self._nbr == other._nbr
+        return (
+            self.vertices == other.vertices
+            and _np.array_equal(self._offsets, other._offsets)
+            and _np.array_equal(self._nbr, other._nbr)
         )
 
     def __hash__(self) -> int:
@@ -428,7 +407,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     # ------------------------------------------------------------------
-    # index API — the allocation-free fast path for hot loops
+    # index API — the fast path for hot loops
     # ------------------------------------------------------------------
     @property
     def ids_contiguous(self) -> bool:
@@ -447,52 +426,28 @@ class Graph:
             raise IndexError(i)
         return self._verts[i]
 
-    def degree_index(self, i: int) -> int:
-        """Degree of the vertex at index ``i`` (O(1))."""
-        return self._offsets[i + 1] - self._offsets[i]
-
-    def _view(self) -> memoryview:
-        mv = self._mv
-        if mv is None:
-            mv = self._mv = memoryview(self._nbr).toreadonly()
-        return mv
-
-    def neighbors_index(self, i: int) -> memoryview:
-        """Neighbour *indices* of the vertex at index ``i``.
-
-        Returns a read-only zero-copy slice of the CSR neighbour array
-        (sorted ascending).  For contiguous-id graphs indices are ids.
-        """
-        return self._view()[self._offsets[i] : self._offsets[i + 1]]
-
-    def csr(self) -> Tuple[memoryview, memoryview]:
-        """The raw ``(offsets, neighbors)`` CSR arrays as read-only views.
+    def csr(self) -> Tuple[_np.ndarray, _np.ndarray]:
+        """The ``(offsets, neighbors)`` CSR arrays (read-only int64 numpy).
 
         ``neighbors[offsets[i]:offsets[i+1]]`` are the neighbour indices of
         the vertex at index ``i``; translate with :meth:`vertex_at` when ids
-        are non-contiguous.
+        are non-contiguous.  Elements are numpy scalars: loop readers call
+        ``.tolist()`` first.
         """
-        return memoryview(self._offsets).toreadonly(), self._view()
+        return self._offsets, self._nbr
 
     # ------------------------------------------------------------------
-    # pickling (memoryviews are not picklable; drop derived caches)
+    # pickling (drop derived caches)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # a shared-memory-attached graph stores its CSR rows as memoryviews
-        # into the segment; pickling materialises them so the unpickled copy
-        # owns its arrays and outlives the segment
-        offsets = self._offsets
-        nbr = self._nbr
-        if not isinstance(offsets, array):
-            offsets = array("q", offsets)
-        if not isinstance(nbr, array):
-            nbr = array("q", nbr)
+        # numpy pickles array data by value, so the copy of a shm-attached
+        # or mapped graph owns its arrays and outlives the segment or file
         return (
             self._n,
             self._contig,
             self._verts,
-            offsets,
-            nbr,
+            self._offsets,
+            self._nbr,
             self.duplicate_edges_dropped,
         )
 
@@ -501,9 +456,9 @@ class Graph:
         self._init_csr(n, contig, verts, offsets, nbr, dropped)
 
     # ------------------------------------------------------------------
-    # shared-memory interchange (zero-copy sharing across processes)
+    # segment layout, shared by shared memory and CSR files
     # ------------------------------------------------------------------
-    # Segment layout, all int64 words:
+    # All int64 words:
     #   [magic, n, contig, len(nbr), duplicate_edges_dropped, len(verts)]
     #   offsets[n + 1]  nbr[len(nbr)]  verts[len(verts)]
     # ``verts`` is present only for non-contiguous-id graphs.
@@ -511,6 +466,62 @@ class Graph:
     _SHM_MAGIC = 0x43535247  # "CSRG"
     _SHM_HEADER_WORDS = 6
 
+    def _segment(self) -> _np.ndarray:
+        """This graph in the segment layout, as one int64 array."""
+        verts = () if self._contig else self._verts
+        header = (
+            self._SHM_MAGIC,
+            self._n,
+            1 if self._contig else 0,
+            len(self._nbr),
+            self.duplicate_edges_dropped,
+            len(verts),
+        )
+        return _np.concatenate(
+            (
+                _np.array(header, dtype=_np.int64),
+                self._offsets,
+                self._nbr,
+                _np.array(verts, dtype=_np.int64),
+            )
+        )
+
+    @classmethod
+    def _from_segment(cls, buf, bad: str) -> "Graph":
+        """Parse the segment layout in ``buf`` into zero-copy CSR views.
+
+        Raises ``bad`` unless ``buf`` holds at least the words the header
+        promises (shared memory may be page-padded) and the offsets run
+        from 0 to ``len(nbr)``.  O(1) checks: a mapped file opens without
+        reading its pages.
+        """
+        head = cls._SHM_HEADER_WORDS
+        if len(buf) < 8 * head:
+            raise InvalidParameterError(bad)
+        header = _np.frombuffer(buf, _np.int64, count=head).tolist()
+        magic, n, contig, n_nbr, dropped, n_verts = header
+        size = head + n + 1 + n_nbr + n_verts
+        if (
+            magic != cls._SHM_MAGIC
+            or min(n, n_nbr) < 0
+            or n_verts != (0 if contig else n)
+            or len(buf) < 8 * size
+        ):
+            raise InvalidParameterError(bad)
+        seg = _np.frombuffer(buf, _np.int64, count=size)
+        offsets = seg[head : head + n + 1]
+        if offsets[0] != 0 or offsets[n] != n_nbr:
+            del seg, offsets  # the caller closes ``buf`` on rejection
+            raise InvalidParameterError(bad)
+        nbr = seg[head + n + 1 : head + n + 1 + n_nbr]
+        verts = None if contig else tuple(seg[size - n_verts :].tolist())
+        g = cls.__new__(cls)
+        g._init_csr(n, bool(contig), verts, offsets, nbr, dropped)
+        return g
+
+    # ------------------------------------------------------------------
+    # shared-memory interchange (zero-copy sharing across processes)
+    # ------------------------------------------------------------------
     def to_shm(self, name: Optional[str] = None):
         """Copy the CSR arrays into a new shared-memory segment.
 
@@ -522,29 +533,10 @@ class Graph:
         """
         from multiprocessing import shared_memory
 
-        verts = () if self._contig else self._verts
-        header = array(
-            "q",
-            [
-                self._SHM_MAGIC,
-                self._n,
-                1 if self._contig else 0,
-                len(self._nbr),
-                self.duplicate_edges_dropped,
-                len(verts),
-            ],
-        )
-        payload = (
-            header.tobytes()
-            + self._offsets.tobytes()
-            + self._nbr.tobytes()
-            + array("q", verts).tobytes()
-        )
-        shm = shared_memory.SharedMemory(
-            create=True, size=len(payload), name=name
-        )
+        seg = self._segment()
+        shm = shared_memory.SharedMemory(create=True, size=seg.nbytes, name=name)
         try:
-            shm.buf[: len(payload)] = payload
+            shm.buf[: seg.nbytes] = seg.view(_np.uint8)
         except BaseException:
             shm.close()
             shm.unlink()
@@ -555,44 +547,23 @@ class Graph:
     def from_shm(cls, name: str) -> "Graph":
         """Attach to a segment written by :meth:`to_shm` — zero-copy.
 
-        The returned graph's CSR rows are read-only views straight into the
-        shared segment (no copy is made); it keeps the attachment open for
-        its own lifetime, so the creator's ``unlink()`` only reclaims the
-        memory once every attached graph is garbage. Pickling an attached
-        graph (or any operation that derives a new graph) materialises
-        process-local arrays, so nothing escapes the segment's lifetime.
+        The returned graph's CSR arrays are read-only views straight into
+        the shared segment (no copy is made); it keeps the attachment open
+        for its own lifetime, so the creator's ``unlink()`` only reclaims
+        the memory once every attached graph is garbage.  Pickling an
+        attached graph copies the arrays' data, and derived graphs build
+        their own arrays, so nothing escapes the segment's lifetime.
         """
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=name)
         try:
-            words = memoryview(shm.buf).cast("q").toreadonly()
-        except TypeError:  # segment size is not a multiple of 8 bytes
-            shm.close()
-            raise InvalidParameterError(
-                f"shared-memory segment {name!r} is not a Graph segment"
-            ) from None
-        if (
-            len(words) < cls._SHM_HEADER_WORDS
-            or words[0] != cls._SHM_MAGIC
-        ):
-            words.release()
-            shm.close()
-            raise InvalidParameterError(
-                f"shared-memory segment {name!r} is not a Graph segment"
+            g = cls._from_segment(
+                shm.buf, f"shared-memory segment {name!r} is not a Graph segment"
             )
-        _magic, n, contig, n_nbr, dropped, n_verts = words[
-            : cls._SHM_HEADER_WORDS
-        ]
-        base = cls._SHM_HEADER_WORDS
-        offsets = words[base : base + n + 1]
-        nbr = words[base + n + 1 : base + n + 1 + n_nbr]
-        verts = None
-        if not contig:
-            vbase = base + n + 1 + n_nbr
-            verts = tuple(words[vbase : vbase + n_verts])
-        g = cls.__new__(cls)
-        g._init_csr(int(n), bool(contig), verts, offsets, nbr, int(dropped))
+        except InvalidParameterError:
+            shm.close()
+            raise
         g._shm = shm  # keeps the attachment alive as long as the graph
         return g
 
@@ -604,8 +575,6 @@ class Graph:
     # ------------------------------------------------------------------
     # file-backed CSR (memory-mapped graphs larger than comfortable RAM)
     # ------------------------------------------------------------------
-    # Same payload layout as the shared-memory segment, written to a file.
-
     def to_csr_file(self, path) -> None:
         """Write the CSR arrays to ``path`` in the segment layout.
 
@@ -615,89 +584,40 @@ class Graph:
         multi-million-node graphs open without copying the adjacency into
         process memory.
         """
-        verts = () if self._contig else self._verts
-        header = array(
-            "q",
-            [
-                self._SHM_MAGIC,
-                self._n,
-                1 if self._contig else 0,
-                len(self._nbr),
-                self.duplicate_edges_dropped,
-                len(verts),
-            ],
-        )
-        with open(path, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(self._offsets.tobytes())
-            fh.write(self._nbr.tobytes())
-            fh.write(array("q", verts).tobytes())
+        self._segment().tofile(path)
 
     @classmethod
     def from_csr_file(cls, path, mmap: bool = True) -> "Graph":
         """Load a graph written by :meth:`to_csr_file`.
 
-        With ``mmap=True`` (the default) the CSR rows are read-only views
+        With ``mmap=True`` (the default) the CSR arrays are read-only views
         into a memory-mapped region of the file: pages are faulted in on
         demand and shared between processes mapping the same file, so a
         10^7-node graph "loads" in milliseconds and costs no private RSS
-        beyond the pages actually touched.  With ``mmap=False`` the arrays
-        are copied into process-local memory and the file is closed.
-        Pickling a mapped graph materialises local copies (see
-        :meth:`__getstate__`), so nothing escapes the mapping's lifetime.
+        beyond the pages actually touched.  With ``mmap=False`` the file is
+        read into process memory and closed.  Pickling a mapped graph
+        copies the arrays' data, so nothing escapes the mapping's lifetime.
         """
         import mmap as _mmap_mod
 
-        fh = open(path, "rb")
+        bad = f"{path!r} is not a Graph CSR file"
+        # the mapping keeps its own descriptor, so the file closes here
+        with open(path, "rb") as fh:
+            try:
+                if mmap:
+                    buf = _mmap_mod.mmap(fh.fileno(), 0, access=_mmap_mod.ACCESS_READ)
+                else:
+                    buf = fh.read()
+            except (ValueError, OSError):  # e.g. mmap of an empty file
+                raise InvalidParameterError(bad) from None
         try:
+            g = cls._from_segment(buf, bad)
+        except InvalidParameterError:
             if mmap:
-                mm = _mmap_mod.mmap(
-                    fh.fileno(), 0, access=_mmap_mod.ACCESS_READ
-                )
-                buf = memoryview(mm)
-            else:
-                mm = None
-                buf = memoryview(fh.read())
-        except (ValueError, OSError):
-            fh.close()
-            raise InvalidParameterError(
-                f"{path!r} is not a Graph CSR file"
-            ) from None
-        try:
-            words = buf.cast("q").toreadonly()
-        except TypeError:  # size is not a multiple of 8 bytes
-            words = None
-        if (
-            words is None
-            or len(words) < cls._SHM_HEADER_WORDS
-            or words[0] != cls._SHM_MAGIC
-        ):
-            if words is not None:
-                words.release()
-            buf.release()
-            if mm is not None:
-                mm.close()
-            fh.close()
-            raise InvalidParameterError(f"{path!r} is not a Graph CSR file")
-        _magic, n, contig, n_nbr, dropped, n_verts = words[
-            : cls._SHM_HEADER_WORDS
-        ]
-        base = cls._SHM_HEADER_WORDS
-        offsets = words[base : base + n + 1]
-        nbr = words[base + n + 1 : base + n + 1 + n_nbr]
-        verts = None
-        if not contig:
-            vbase = base + n + 1 + n_nbr
-            verts = tuple(words[vbase : vbase + n_verts])
-        if mm is None:  # copy mode: own the arrays, release the buffer
-            offsets = array("q", offsets)
-            nbr = array("q", nbr)
-        g = cls.__new__(cls)
-        g._init_csr(int(n), bool(contig), verts, offsets, nbr, int(dropped))
-        if mm is not None:
-            g._mmap = (mm, fh)  # rows are views into mm: keep both alive
-        else:
-            fh.close()
+                buf.close()
+            raise
+        if mmap:
+            g._mmap = buf
         return g
 
     @property
@@ -731,29 +651,22 @@ class Graph:
         k = len(keep_idx)
         mask = _np.zeros(n, dtype=bool)
         mask[keep_idx] = True
-        off = _np.frombuffer(self._offsets, dtype=_np.int64)
-        nbr = _np.frombuffer(self._nbr, dtype=_np.int64)
-        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(off))
+        nbr = self._nbr
+        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(self._offsets))
         sel = mask[src] & mask[nbr]
         remap = _np.full(n, -1, dtype=_np.int64)
         remap[keep_idx] = _np.arange(k, dtype=_np.int64)
         rows = remap[src[sel]]
         cols = remap[nbr[sel]]
-        counts = _np.bincount(rows, minlength=k)
-        off_np = _np.zeros(k + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=off_np[1:])
-        offsets = array("q")
-        offsets.frombytes(off_np.tobytes())
-        sub_nbr = array("q")
-        sub_nbr.frombytes(cols.tobytes())
+        offsets = _np.zeros(k + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(rows, minlength=k), out=offsets[1:])
         if self._contig:
-            sub_ids = tuple(int(i) for i in keep_idx)
+            sub_ids = tuple(keep_idx.tolist())
         else:
-            verts = self.vertices
-            sub_ids = tuple(verts[i] for i in keep_idx)
+            sub_ids = tuple(map(self.vertices.__getitem__, keep_idx.tolist()))
         contig = sub_ids[0] == 0 and sub_ids[-1] == k - 1
         g = Graph.__new__(Graph)
-        g._init_csr(k, contig, None if contig else sub_ids, offsets, sub_nbr, 0)
+        g._init_csr(k, contig, None if contig else sub_ids, offsets, cols, 0)
         return g
 
     def subgraph_of_edges(self, edges: Iterable[Tuple[Vertex, Vertex]]) -> "Graph":
@@ -784,9 +697,10 @@ class Graph:
             self._nbr,
             self.duplicate_edges_dropped,
         )
-        # the copy shares this graph's rows structurally; if they live in a
-        # shared segment it must co-own the attachment to keep them mapped
+        # the copy shares this graph's arrays structurally, so it shares
+        # their backing too: the attachment it must keep open, or the mapping
         g._shm = self._shm
+        g._mmap = self._mmap
         return g, mapping
 
     # ------------------------------------------------------------------

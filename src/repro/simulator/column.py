@@ -6,7 +6,7 @@ forest labeling, the MIS color-class sweep) that per-node dispatch *is* the
 cost — the per-round work is perfectly regular.  The column engine runs
 whole rounds as numpy array operations over all nodes at once: per-node
 state lives in flat int64/bool columns, and neighbourhood interactions are
-CSR-segmented reductions over the graph's zero-copy ``csr()`` arrays.
+CSR-segmented reductions over the graph's own ``csr()`` arrays (no copy).
 
 Kernel contract
 ---------------
@@ -64,7 +64,7 @@ class ColumnRun:
 
     Exposes the graph as numpy CSR arrays plus the run parameters a kernel
     needs, and collects the kernel's results and accounting.  ``offsets``
-    and ``neighbors`` are int64 views of the graph's CSR arrays (zero-copy);
+    and ``neighbors`` are the graph's read-only int64 CSR arrays themselves;
     ``n`` is the participant count (== ``graph.n`` on the kernel path).
     """
 
@@ -94,9 +94,7 @@ class ColumnRun:
         self.globals = run.gp
         self.round_limit = run.round_limit
         self.count_bytes = run.count_bytes
-        off_mv, nbr_mv = run.graph.csr()
-        self.offsets = _np.frombuffer(off_mv, dtype=_np.int64)
-        self.neighbors = _np.frombuffer(nbr_mv, dtype=_np.int64)
+        self.offsets, self.neighbors = run.graph.csr()
         self._degrees = None
         self._telemetry = run.telemetry
         self._last_round = -1

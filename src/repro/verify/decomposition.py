@@ -20,16 +20,12 @@ from ..graphs.graph import Graph
 from ..types import ForestsDecomposition, HPartition, Vertex, canonical_edge
 
 def _csr_arrays(graph):
-    """Zero-copy numpy views of the CSR arrays, or None for graphs the
-    vectorized checks do not cover (non-:class:`Graph` or non-contiguous
-    ids), which take the generic loop."""
+    """The graph's CSR numpy arrays, or None for graphs the vectorized
+    checks do not cover (non-:class:`Graph` or non-contiguous ids), which
+    take the generic loop."""
     if not isinstance(graph, Graph) or not graph.ids_contiguous:
         return None
-    off_mv, nbr_mv = graph.csr()
-    return (
-        np.frombuffer(off_mv, dtype=np.int64),
-        np.frombuffer(nbr_mv, dtype=np.int64),
-    )
+    return graph.csr()
 
 
 def check_hpartition(graph: Graph, hp: HPartition) -> None:

@@ -1,11 +1,12 @@
 """Bulk (numpy-native) graph construction and file-backed CSR graphs."""
 
 import pickle
+import warnings
 
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.graphs import Graph, forest_union_bulk
+from repro.graphs import Graph, forest_union, forest_union_bulk
 from repro.graphs.arboricity import nash_williams_lower_bound
 
 np = pytest.importorskip("numpy")
@@ -103,6 +104,13 @@ class TestCsrFile:
         assert g2 == g
         assert g2.mmap_backed
         assert g2.duplicate_edges_dropped == g.duplicate_edges_dropped
+        # a relabeled copy shares the mapped arrays, so it is mapped too
+        assert g2.relabeled()[0].mmap_backed
+        # the mapping holds its own descriptor; no file object is left open
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del g2
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_copy_roundtrip(self, tmp_path):
         g = forest_union_bulk(400, 3, seed=5).graph
@@ -138,9 +146,26 @@ class TestCsrFile:
     def test_rejects_non_graph_files(self, tmp_path):
         bad = tmp_path / "bad.csr"
         bad.write_bytes(b"nonsense")  # 8 bytes, wrong magic
-        with pytest.raises(InvalidParameterError):
-            Graph.from_csr_file(bad)
         odd = tmp_path / "odd.csr"
         odd.write_bytes(b"12345")  # not a multiple of 8
-        with pytest.raises(InvalidParameterError):
-            Graph.from_csr_file(odd)
+        rejects = [bad, odd]
+        # files cut short: the header promises more words than remain; and
+        # a header whose len(nbr) disagrees with the offsets
+        g = forest_union(50, 2, seed=3).graph
+        for graph in (g, g.induced_subgraph(range(1, 50, 2))):
+            graph.to_csr_file(tmp_path / "full.csr")
+            data = (tmp_path / "full.csr").read_bytes()
+            tag = "contig" if graph.ids_contiguous else "ids"
+            for cut in (8, 64):
+                short = tmp_path / f"short-{tag}-{cut}.csr"
+                short.write_bytes(data[:-cut])
+                rejects.append(short)
+            header = np.frombuffer(data[:48], dtype=np.int64).copy()
+            header[3] -= 2
+            skewed = tmp_path / f"skewed-{tag}.csr"
+            skewed.write_bytes(header.tobytes() + data[48:])
+            rejects.append(skewed)
+        for path in rejects:
+            for mmap in (True, False):
+                with pytest.raises(InvalidParameterError):
+                    Graph.from_csr_file(path, mmap=mmap)

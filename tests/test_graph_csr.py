@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import Graph
 from repro.errors import InvalidParameterError
+from repro.experiments import shm_available
 from repro.graphs import (
     erdos_renyi,
     forest_union,
@@ -25,6 +26,7 @@ from repro.graphs import (
     ring,
     star,
 )
+from repro.graphs.arboricity import degeneracy
 from repro.types import canonical_edge
 
 
@@ -230,26 +232,29 @@ class TestIndexAPI:
     def test_contiguous_identity(self):
         g = forest_union(30, 2, seed=13).graph
         assert g.ids_contiguous
+        off, nbr = g.csr()
         for v in g.vertices:
             assert g.index_of(v) == v
             assert g.vertex_at(v) == v
-            assert g.degree_index(v) == g.degree(v)
-            assert tuple(g.neighbors_index(v)) == g.neighbors(v)
+            assert off[v + 1] - off[v] == g.degree(v)
+            assert tuple(nbr[off[v] : off[v + 1]].tolist()) == g.neighbors(v)
 
     def test_noncontiguous_translation(self):
         g = Graph([10, 20, 30], [(10, 30), (20, 30)])
         assert not g.ids_contiguous
+        off, nbr = g.csr()
         for i, v in enumerate(g.vertices):
             assert g.index_of(v) == i
             assert g.vertex_at(i) == v
-            assert g.degree_index(i) == g.degree(v)
-            assert tuple(g.vertex_at(j) for j in g.neighbors_index(i)) == g.neighbors(v)
+            assert off[i + 1] - off[i] == g.degree(v)
+            row = nbr[off[i] : off[i + 1]].tolist()
+            assert tuple(g.vertex_at(j) for j in row) == g.neighbors(v)
 
     def test_csr_views_are_readonly(self):
         g = ring(6).graph
         off, nbr = g.csr()
         assert off[-1] == len(nbr) == 2 * g.m
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             nbr[0] = 99
 
     def test_pickle_round_trip(self):
@@ -258,3 +263,46 @@ class TestIndexAPI:
             assert back == g
             assert back.neighbors(g.vertices[0]) == g.neighbors(g.vertices[0])
             assert back.duplicate_edges_dropped == g.duplicate_edges_dropped
+
+
+def _assert_python_ints(g: Graph) -> None:
+    values = [*g.vertices, *(v for e in g.edges for v in e)]
+    for v in g.vertices:
+        i = g.index_of(v)
+        values += [*g.neighbors(v), g.degree(v), i, g.vertex_at(i)]
+    k, order = degeneracy(g)
+    values += [g.max_degree, g.m, g.duplicate_edges_dropped, k, *order]
+    assert {type(x) for x in values} == {int}
+
+
+class TestPythonInts:
+    """The id API hands out Python ints whatever backs the CSR arrays: an
+    ``np.int64`` breaks ``json.dumps`` of a record and fails
+    ``has_vertex``."""
+
+    def test_every_storage_path(self, tmp_path):
+        base = forest_union(40, 2, seed=1).graph
+        built = Graph.from_edge_count(40, base.edges + base.edges[:3])
+        assert built.duplicate_edges_dropped == 3
+        induced = built.induced_subgraph(range(1, 40, 3))
+        assert not induced.ids_contiguous
+        induced.to_csr_file(tmp_path / "induced.csr")
+        built.to_csr_file(tmp_path / "built.csr")
+        mapped = Graph.from_csr_file(tmp_path / "induced.csr")
+        copied = Graph.from_csr_file(tmp_path / "built.csr", mmap=False)
+        for g in (
+            built,
+            induced,
+            mapped,
+            copied,
+            pickle.loads(pickle.dumps(mapped)),
+            mapped.relabeled()[0],
+        ):
+            _assert_python_ints(g)
+        if shm_available():
+            seg = built.to_shm()
+            try:
+                _assert_python_ints(Graph.from_shm(seg.name))
+            finally:
+                seg.close()
+                seg.unlink()

@@ -3,18 +3,19 @@
 An AST-based analyzer enforcing the simulator's written contracts as
 named rules:
 
-======================  ================================================
-rule id                 contract
-======================  ================================================
-congest-remote-state    programs observe the world only through ctx
-congest-payload         messages stay O(log n) bits and sizable
-determinism             trials are pure functions of the seed
-kernel-purity           column kernels never mutate shared CSR/self/ctx
-quiescence-safety       idle declarations come after the last send
-fork-thread-safety      no threads/locks across pool forks; shm via
-                        GraphStore
-cache-key-stability     spec params are JSON-stable (cache keys)
-======================  ================================================
+========================  ================================================
+rule id                   contract
+========================  ================================================
+congest-remote-state      programs observe the world only through ctx
+congest-payload           messages stay O(log n) bits and sizable
+determinism               trials are pure functions of the seed
+kernel-purity             column kernels never mutate shared CSR/self/ctx
+quiescence-safety         idle declarations come after the last send
+fork-thread-safety        no threads/locks across pool forks; shm via
+                          GraphStore
+cache-key-stability       spec params are JSON-stable (cache keys)
+loop-invariant-container  ``x in set(...)`` is not rebuilt per iteration
+========================  ================================================
 
 Suppress a finding inline with ``# repro: allow[rule-id] reason`` on the
 finding's line or the line above; suppressions (and their reasons) are
@@ -33,6 +34,7 @@ from .core import (
 )
 
 # importing the rule modules populates the registry
+from . import rules_complexity  # noqa: F401
 from . import rules_congest  # noqa: F401
 from . import rules_engine  # noqa: F401
 from . import rules_experiments  # noqa: F401

@@ -27,7 +27,6 @@ from .core import (
     is_ctx_call,
     iter_blocks,
     register_rule,
-    terminal_name,
 )
 
 #: ColumnRun fields a kernel may never write through (zero-copy CSR views).

@@ -22,11 +22,10 @@ On top of it:
 from __future__ import annotations
 
 import math
-from typing import List
 
 from ..errors import InvalidParameterError
 from ..simulator.network import SynchronousNetwork
-from ..types import ColorAssignment, Decomposition, Vertex
+from ..types import ColorAssignment, Decomposition
 from .forests import hpartition_orientation
 from .hpartition import compute_hpartition
 from .legal import legal_coloring_corollary46, legal_coloring_theorem43
@@ -69,28 +68,11 @@ def arb_kuhn_decomposition(
     )
     orientation = hpartition_orientation(graph, hp)
     out_bound = hp.degree_bound
-    active = set(participants) if participants is not None else None
-
-    def parents_of(v: Vertex) -> List[Vertex]:
-        if part_of is not None:
-            label = part_of.get(v)
-            nbrs = [
-                u
-                for u in graph.neighbors(v)
-                if (active is None or u in active) and part_of.get(u) == label
-            ]
-        elif active is not None:
-            nbrs = [u for u in graph.neighbors(v) if u in active]
-        else:
-            # unrestricted run: the graph's cached neighbour tuple, no copy
-            nbrs = graph.neighbors(v)
-        return orientation.parents_of(v, nbrs)
-
     recolored = run_recoloring(
         network,
         conflict_degree=out_bound,
         defect_target=defect,
-        conflict_set_of=parents_of,
+        conflict_set_of=orientation.parents_of,
         participants=participants,
         part_of=part_of,
         algorithm_name="arb-kuhn",

@@ -21,20 +21,20 @@ recursion works: unlike defective coloring, the product (number of parts) ×
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict
 
 from ..errors import InvalidParameterError
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import Decomposition, Orientation, Vertex
+from ..types import Decomposition, NeighborSelector, Orientation, Vertex
 from .orientation import partial_orientation
 
 
 class _SimpleArbdefectiveProgram(NodeProgram):
     """Wait for all parents; pick the color least used among them."""
 
-    def __init__(self, parents_of: Callable[[Vertex], Sequence[Vertex]], k: int):
+    def __init__(self, parents_of: NeighborSelector, k: int):
         self._parents_of = parents_of
         self._k = k
         self._parents: frozenset = frozenset()
@@ -49,7 +49,7 @@ class _SimpleArbdefectiveProgram(NodeProgram):
         ctx.halt(color)
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._parents = frozenset(self._parents_of(ctx.node))
+        self._parents = frozenset(self._parents_of(ctx.node, ctx.neighbors))
         if not self._parents:
             self._decide(ctx)
 
@@ -79,26 +79,8 @@ def simple_arbdefective(
     """
     if k < 1:
         raise InvalidParameterError(f"simple_arbdefective: k must be >= 1, got {k}")
-    graph = network.graph
-    active = set(participants) if participants is not None else None
-
-    def parents_of(v: Vertex) -> List[Vertex]:
-        if part_of is not None:
-            label = part_of.get(v)
-            nbrs = [
-                u
-                for u in graph.neighbors(v)
-                if (active is None or u in active) and part_of.get(u) == label
-            ]
-        elif active is not None:
-            nbrs = [u for u in graph.neighbors(v) if u in active]
-        else:
-            # unrestricted run: the graph's cached neighbour tuple, no copy
-            nbrs = graph.neighbors(v)
-        return orientation.parents_of(v, nbrs)
-
     result = network.run(
-        lambda: _SimpleArbdefectiveProgram(parents_of, k),
+        lambda: _SimpleArbdefectiveProgram(orientation.parents_of, k),
         participants=participants,
         part_of=part_of,
         global_params={"k": k},

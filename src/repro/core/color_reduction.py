@@ -143,10 +143,9 @@ def kuhn_wattenhofer_reduction(
         raise InvalidParameterError("kuhn_wattenhofer: degree_bound must be >= 0")
     target = degree_bound + 1
     block_size = 2 * target
+    keep = None if participants is None else set(participants)
     current: Dict[Vertex, int] = {
-        v: int(c)
-        for v, c in colors.items()
-        if participants is None or v in set(participants)
+        v: int(c) for v, c in colors.items() if keep is None or v in keep
     }
     m = num_colors
     total_rounds = 0

@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import InvalidParameterError, SimulationError
 from ..graphs.graph import Graph
@@ -32,6 +32,7 @@ from ..simulator.program import NodeProgram
 from ..types import (
     ColorAssignment,
     HPartition,
+    NeighborSelector,
     Orientation,
     Vertex,
     canonical_edge,
@@ -258,7 +259,7 @@ class _OrientationGreedyProgram(NodeProgram):
     free color instead needs only out_degree+1 colors (Lemma 2.2(1)).
     """
 
-    def __init__(self, parents_of: Callable[[Vertex], Sequence[Vertex]], palette: int):
+    def __init__(self, parents_of: NeighborSelector, palette: int):
         self._parents_of = parents_of
         self._palette = palette
         self._parent_colors: Dict[Vertex, int] = {}
@@ -276,7 +277,7 @@ class _OrientationGreedyProgram(NodeProgram):
         ctx.halt(color)
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._parents = frozenset(self._parents_of(ctx.node))
+        self._parents = frozenset(self._parents_of(ctx.node, ctx.neighbors))
         unknown = self._parents - set(ctx.neighbors)
         if unknown:
             raise SimulationError(
@@ -311,26 +312,10 @@ def orientation_greedy_coloring(
     out-degree ≤ k, in ≤ length+1 rounds (Appendix A / Lemma 2.2(1))."""
     if out_degree_bound < 0:
         raise InvalidParameterError("out_degree_bound must be >= 0")
-    graph = network.graph
-    active = set(participants) if participants is not None else None
-
-    def parents_of(v: Vertex) -> List[Vertex]:
-        if part_of is not None:
-            label = part_of.get(v)
-            nbrs = [
-                u
-                for u in graph.neighbors(v)
-                if (active is None or u in active) and part_of.get(u) == label
-            ]
-        elif active is not None:
-            nbrs = [u for u in graph.neighbors(v) if u in active]
-        else:
-            # unrestricted run: the graph's cached neighbour tuple, no copy
-            nbrs = graph.neighbors(v)
-        return orientation.parents_of(v, nbrs)
-
     result = network.run(
-        lambda: _OrientationGreedyProgram(parents_of, out_degree_bound + 1),
+        lambda: _OrientationGreedyProgram(
+            orientation.parents_of, out_degree_bound + 1
+        ),
         participants=participants,
         part_of=part_of,
         global_params={"palette": out_degree_bound + 1},

@@ -42,7 +42,7 @@ from ..families.polynomial import PolynomialFamily, select_family
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import ColorAssignment, Vertex
+from ..types import ColorAssignment, NeighborSelector, Vertex
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,18 @@ class RecolorProgram(NodeProgram):
         default is the node id — the paper's "trivial legal n-coloring that
         uses each vertex Id as its color".
     conflict_set_of:
-        Optional callable ``node -> collection of neighbour ids`` whose
-        colors count as conflicts (the node's *parents* for Arb-Kuhn).
-        ``None`` means all visible neighbours (Linial / Kuhn defective).
+        Optional callable ``(node, visible_neighbors) -> neighbour ids``
+        whose colors count as conflicts (the node's *parents* for
+        Arb-Kuhn, i.e. ``orientation.parents_of``).  Called once per node
+        with ``ctx.neighbors``, the run's visible neighbourhood.  ``None``
+        means all visible neighbours (Linial / Kuhn defective).
     """
 
     def __init__(
         self,
         schedule: Sequence[RecolorStep],
         initial_color_of: Optional[Callable[[Vertex], int]] = None,
-        conflict_set_of: Optional[Callable[[Vertex], Sequence[Vertex]]] = None,
+        conflict_set_of: Optional[NeighborSelector] = None,
     ):
         self._schedule = schedule
         self._initial_color_of = initial_color_of
@@ -176,7 +178,7 @@ class RecolorProgram(NodeProgram):
         else:
             self._color = int(self._initial_color_of(ctx.node))
         if self._conflict_set_of is not None:
-            self._conflicts = frozenset(self._conflict_set_of(ctx.node))
+            self._conflicts = frozenset(self._conflict_set_of(ctx.node, ctx.neighbors))
         if not self._schedule:
             ctx.halt(self._color)
             return
@@ -360,13 +362,15 @@ def run_recoloring(
     defect_target: int,
     initial_colors: Optional[int] = None,
     initial_color_of: Optional[Callable[[Vertex], int]] = None,
-    conflict_set_of: Optional[Callable[[Vertex], Sequence[Vertex]]] = None,
+    conflict_set_of: Optional[NeighborSelector] = None,
     participants=None,
     part_of=None,
     budget_policy: str = "equal-split",
     algorithm_name: str = "recolor",
 ) -> ColorAssignment:
     """Run the full iterated recoloring on (a subgraph of) a network.
+
+    ``conflict_set_of(node, visible_neighbors)`` is :class:`RecolorProgram`'s.
 
     Returns a :class:`~repro.types.ColorAssignment` whose ``rounds`` is the
     number of communication rounds consumed (O(log* n)).

@@ -385,7 +385,8 @@ def low_arboricity_high_degree(
     rng = random.Random(seed + 1)
     edges = list(base.graph.edges)
     hubs = rng.sample(range(n), num_hubs)
-    others = [v for v in range(n) if v not in set(hubs)]
+    hub_set = set(hubs)
+    others = [v for v in range(n) if v not in hub_set]
     share = len(others) // num_hubs
     for i, h in enumerate(hubs):
         for v in others[i * share : (i + 1) * share]:

@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, Optional
 
 import numpy as _np
 
-from .engines import Engine, EngineRun, get_engine, register_engine
+from .engines import Engine, EngineRun, gather_rows, get_engine, register_engine
 
 
 class ColumnRun:
@@ -122,22 +122,9 @@ class ColumnRun:
         """All neighbour entries of the masked rows, concatenated.
 
         Equivalent to ``np.concatenate([row(i) for i in mask])`` without
-        the per-row Python loop: build one boolean selector over the flat
-        neighbour array from the masked rows' CSR extents.
+        the per-row Python loop (see :func:`gather_rows`).
         """
-        idx = _np.flatnonzero(mask)
-        if not len(idx):
-            return _np.empty(0, dtype=_np.int64)
-        starts = self.offsets[idx]
-        lens = self.offsets[idx + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            return _np.empty(0, dtype=_np.int64)
-        # ranges [starts_i, starts_i + lens_i) concatenated: one arange,
-        # rebased per group (exclusive cumsum gives each group's origin)
-        pos = _np.arange(total, dtype=_np.int64)
-        pos -= _np.repeat(_np.cumsum(lens) - lens, lens)
-        return self.neighbors[_np.repeat(starts, lens) + pos]
+        return gather_rows(self.offsets, self.neighbors, _np.flatnonzero(mask))[0]
 
     # -- byte accounting helpers --------------------------------------
     @staticmethod

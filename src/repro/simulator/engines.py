@@ -46,6 +46,8 @@ import os
 import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as _np
+
 from ..errors import RoundLimitExceeded, SimulationError
 from ..types import Vertex
 from .context import NodeContext
@@ -143,7 +145,6 @@ class EngineRun:
         "graph",
         "program_factory",
         "order",
-        "active_set",
         "part_of",
         "S",
         "full",
@@ -165,7 +166,6 @@ class EngineRun:
         program_factory: ProgramFactory,
         *,
         order: Tuple[Vertex, ...],
-        active_set: Optional[set],
         part_of: Optional[Mapping[Vertex, Any]],
         gp: Dict[str, Any],
         round_limit: int,
@@ -175,7 +175,6 @@ class EngineRun:
         self.graph = graph
         self.program_factory = program_factory
         self.order = order
-        self.active_set = active_set
         self.part_of = part_of
         self.gp = gp
         self.round_limit = round_limit
@@ -188,7 +187,7 @@ class EngineRun:
         # participates (the common case), slot == vertex id and the
         # id→slot map is skipped entirely.
         self.S = len(order)
-        self.full = active_set is None or len(active_set) == graph.n
+        self.full = len(order) == graph.n
         identity = self.full and getattr(graph, "ids_contiguous", False)
         self.rank: Optional[Dict[Vertex, int]] = (
             None if identity else {v: i for i, v in enumerate(order)}
@@ -203,38 +202,77 @@ class EngineRun:
     def build_contexts(self) -> Tuple[List[NodeContext], List[NodeProgram]]:
         """Materialise one context + program instance per participant.
 
-        Visibility is filtered to participants (and to the same part when a
-        labeling is given).  Unrestricted runs reuse the graph's cached
-        neighbour tuples — no per-run filtering pass.
+        Each context's ``neighbors`` is the participant's visible
+        neighbourhood, ascending, as a tuple of Python ints.  Full runs
+        without ``part_of`` reuse the graph's cached neighbour tuples;
+        restricted runs build every participant's tuple from one masked
+        pass over the CSR (:meth:`visible_rows`), once per run.
+        """
+        gp = self.gp
+        program_factory = self.program_factory
+        order = self.order
+        if self.full and self.part_of is None:
+            visible = map(self.graph.neighbors, order)
+        else:
+            visible = self.visible_rows()
+        contexts = [NodeContext(v, row, gp) for v, row in zip(order, visible)]
+        programs = [program_factory() for _ in order]
+        return contexts, programs
+
+    def visible_rows(self) -> List[Tuple[Vertex, ...]]:
+        """Visible neighbours of every participant, in slot order.
+
+        ``u`` is visible to ``v`` iff ``u`` participates and carries a
+        ``part_of`` label equal to ``v``'s.  Labels are interned to int64
+        codes (non-participants get -1), the participants' CSR rows are
+        gathered in one segmented pass, and an entry survives iff its code
+        equals its row's code.  Rows keep the CSR's ascending order.
         """
         graph = self.graph
-        active_set = self.active_set
+        order = self.order
+        k = len(order)
+        if graph.ids_contiguous:
+            rows = _np.array(order, dtype=_np.int64)
+        else:
+            rows = _np.fromiter(map(graph.index_of, order), _np.int64, count=k)
         part_of = self.part_of
-        gp = self.gp
-        full = self.full
-        program_factory = self.program_factory
-        contexts: List[NodeContext] = []
-        programs: List[NodeProgram] = []
-        for v in self.order:
-            if part_of is not None:
-                label = part_of.get(v)
-                visible = tuple(
-                    u
-                    for u in graph.neighbors(v)
-                    if (active_set is None or u in active_set)
-                    and part_of.get(u) == label
-                )
-                ctx = NodeContext(v, visible, gp)
-            elif not full:
-                visible = tuple(
-                    u for u in graph.neighbors(v) if u in active_set
-                )
-                ctx = NodeContext(v, visible, gp)
-            else:
-                ctx = NodeContext(v, graph.neighbors(v), gp)
-            contexts.append(ctx)
-            programs.append(program_factory())
-        return contexts, programs
+        if part_of is None:
+            labels = _np.zeros(k, dtype=_np.int64)
+        else:
+            codes: Dict[Any, int] = {}
+            labels = _np.fromiter(
+                (codes.setdefault(part_of.get(v), len(codes)) for v in order),
+                _np.int64,
+                count=k,
+            )
+        code = _np.full(graph.n, -1, dtype=_np.int64)
+        code[rows] = labels
+        entries, lens = gather_rows(*graph.csr(), rows)
+        row_of = _np.repeat(_np.arange(k, dtype=_np.int64), lens)
+        keep = code[entries] == labels[row_of]
+        b = [0, *_np.cumsum(_np.bincount(row_of[keep], minlength=k)).tolist()]
+        kept = entries[keep].tolist()
+        if not graph.ids_contiguous:
+            kept = list(map(graph.vertices.__getitem__, kept))
+        flat = tuple(kept)
+        return [flat[b[i] : b[i + 1]] for i in range(k)]
+
+
+def gather_rows(
+    offsets: _np.ndarray, neighbors: _np.ndarray, rows: _np.ndarray
+) -> Tuple[_np.ndarray, _np.ndarray]:
+    """The CSR rows ``rows`` concatenated, and each row's length.
+
+    Equivalent to ``np.concatenate([neighbors[offsets[i]:offsets[i+1]]
+    for i in rows])`` without the per-row Python loop: output slot ``j``
+    reads CSR position ``j + starts[r] - origin[r]`` for its row ``r``,
+    where ``origin`` is the exclusive cumsum of the row lengths.
+    """
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    pos = _np.arange(int(lens.sum()), dtype=_np.int64)
+    pos += _np.repeat(starts - (_np.cumsum(lens) - lens), lens)
+    return neighbors[pos], lens
 
 
 # ----------------------------------------------------------------------
@@ -544,4 +582,5 @@ __all__ = [
     "DenseEngine",
     "EventEngine",
     "ProgramFactory",
+    "gather_rows",
 ]

@@ -157,7 +157,10 @@ class SynchronousNetwork:
         part_of:
             Optional vertex labeling.  When given, a node only sees
             neighbours with the same label — the program runs on every
-            induced part in parallel.
+            induced part in parallel.  Labels must be hashable and are
+            compared by equality; unlabelled participants share the
+            ``None`` part.  Visibility is built once per run
+            (:meth:`~repro.simulator.engines.EngineRun.visible_rows`).
         round_limit:
             Maximum number of rounds before
             :class:`~repro.errors.RoundLimitExceeded` is raised.  Defaults to
@@ -188,7 +191,6 @@ class SynchronousNetwork:
         graph = self.graph
         if participants is None:
             order: Tuple[Vertex, ...] = graph.vertices
-            active_set = None
         else:
             active_set = set(participants)
             for v in active_set:
@@ -210,7 +212,6 @@ class SynchronousNetwork:
             graph,
             program_factory,
             order=order,
-            active_set=active_set,
             part_of=part_of,
             gp=gp,
             round_limit=round_limit,

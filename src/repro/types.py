@@ -10,11 +10,14 @@ vertex ids of the input graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 Vertex = int
 Edge = Tuple[Vertex, Vertex]
 Color = int
+#: ``(node, visible_neighbors) -> parents`` (or conflicts), e.g.
+#: :meth:`Orientation.parents_of`; programs pass ``ctx.neighbors``.
+NeighborSelector = Callable[[Vertex, Sequence[Vertex]], Sequence[Vertex]]
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:

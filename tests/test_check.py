@@ -31,6 +31,7 @@ ALL_RULE_IDS = (
     "determinism",
     "fork-thread-safety",
     "kernel-purity",
+    "loop-invariant-container",
     "quiescence-safety",
 )
 
@@ -75,6 +76,7 @@ class TestRulesFire:
         "quiescence-safety": "bad_quiescence.py",
         "fork-thread-safety": "bad_fork.py",
         "cache-key-stability": "bad_cache_key.py",
+        "loop-invariant-container": "bad_loop_invariant.py",
     }
 
     @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
@@ -119,6 +121,18 @@ class TestRulesFire:
         assert "Thread was started" in messages
         assert "holding a lock" in messages
         assert "SharedMemory(create=True)" in messages
+
+    def test_loop_invariant_flags_only_repeated_tests(self):
+        """Comprehension, for-body and while-test cases fire; a for
+        statement's iterable, a comprehension's first iterable and a test
+        outside any loop are evaluated once and stay quiet."""
+        findings, _ = check_fixture(
+            "bad_loop_invariant.py", rule="loop-invariant-container"
+        )
+        messages = [f.message for f in findings]
+        assert len(findings) == 3, messages
+        for builder, message in zip(("set", "list", "sorted"), messages):
+            assert f"`{builder}(...)`" in message
 
     def test_payload_findings_not_duplicated_per_subtree(self):
         """Only the outermost offending expression is reported."""

@@ -24,7 +24,6 @@ from repro.obs import (
     Telemetry,
     TraceWriter,
     read_trace,
-    render_trace_report,
     summarize_trace,
     topology,
 )

@@ -130,19 +130,16 @@ class TestRunRecoloring:
         hp = compute_hpartition(net, 4)
         orientation = hpartition_orientation(g.graph, hp)
 
-        def parents_of(v):
-            return orientation.parents_of(v, g.graph.neighbors(v))
-
         result = run_recoloring(
             net,
             conflict_degree=hp.degree_bound,
             defect_target=2,
-            conflict_set_of=parents_of,
+            conflict_set_of=orientation.parents_of,
         )
         for v in g.graph.vertices:
             same_parents = sum(
                 1
-                for u in parents_of(v)
+                for u in orientation.parents_of(v, g.graph.neighbors(v))
                 if result.colors[u] == result.colors[v]
             )
             assert same_parents <= 2

@@ -105,7 +105,7 @@ def _sweep_trial(n, edges, legacy):
         net = LegacySynchronousNetwork(g)
     else:
         g = Graph.from_edge_count(n, edges)
-        net = SynchronousNetwork(g)
+        net = SynchronousNetwork(g, scheduler="event")
     hp = compute_hpartition(net, A)
     check_hpartition(g, hp)
     level_degrees = []

@@ -106,8 +106,9 @@ class LegacySynchronousNetwork:
     (event scheduler): id-keyed dicts for contexts/pending/awake state, a
     per-run visibility filter over ``graph.neighbors``, and per-run
     frozenset construction inside every :class:`NodeContext`.  Only the
-    event engine is carried over — it is the default both before and after
-    the rewrite, so end-to-end comparisons run event vs. event.
+    event engine is carried over (the default when it was frozen), so
+    end-to-end comparisons pin the current network to ``"event"`` too and
+    run event vs. event.
     """
 
     def __init__(self, graph):

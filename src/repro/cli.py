@@ -492,8 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
                          f"(default: $REPRO_CACHE_DIR or ./.repro-cache)")
     p_sweep.add_argument("--scheduler", default="", metavar="ENGINE",
                          help="run every scenario on this simulator engine "
-                         "(overrides any per-scenario setting; see the "
-                         "engine registry for names)")
+                         "(overrides any per-scenario setting; default: "
+                         "column, which falls back to event for programs "
+                         "without a kernel; see the engine registry for "
+                         "names)")
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="recompute everything; do not read or write the cache")
     p_sweep.add_argument("--report", action="store_true",

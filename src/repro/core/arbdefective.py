@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, RoundLimitExceeded
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
@@ -59,6 +59,68 @@ class _SimpleArbdefectiveProgram(NodeProgram):
                 self._parent_colors[sender] = payload
         if len(self._parent_colors) == len(self._parents):
             self._decide(ctx)
+
+    def column_kernel(self, col):
+        """The topological rounds as numpy columns.
+
+        Round 0 decides every node without parents; each later round, the
+        nodes whose parents have all decided take the colour least used
+        among their parents (ties to the smaller colour) from one
+        ``bincount`` over (node, parent colour), and broadcast it.  The
+        scalar program never idles, so a round with no node ready would
+        repeat up to the round limit; that limit is raised at once.
+        """
+        np = col.np
+        parents_of = self._parents_of
+        k = self._k
+
+        def run() -> None:
+            n = col.n
+            deg = col.degrees
+            is_parent = col.entry_mask(parents_of)
+            child = col.row_sources()[is_parent]
+            parent = col.neighbors[is_parent]
+            waiting = np.bincount(child, minlength=n)  # undecided parents
+            # a node with P parents finds a colour unused among them below
+            # P + 1, so no colour ever reaches max(P) + 1
+            palette = min(k, int(waiting.max()) + 1)
+            color = np.zeros(n, dtype=np.int64)
+            undecided = np.ones(n, dtype=bool)
+            slot_rank = np.zeros(n, dtype=np.int64)
+            remaining = n
+            r = 0
+            while remaining:
+                if r > col.round_limit:
+                    raise RoundLimitExceeded(col.round_limit, remaining)
+                ready = undecided & (waiting == 0)
+                slots = np.flatnonzero(ready)
+                if not len(slots):
+                    raise RoundLimitExceeded(col.round_limit, remaining)
+                slot_rank[slots] = np.arange(len(slots))
+                pick = ready[child]
+                counts = np.bincount(
+                    slot_rank[child[pick]] * palette + color[parent[pick]],
+                    minlength=len(slots) * palette,
+                )
+                chosen = counts.reshape(len(slots), palette).argmin(axis=1)
+                color[slots] = chosen
+                fanout = deg[slots]
+                msgs = int(fanout.sum())
+                if col.count_bytes and msgs:
+                    sizes = col.int_payload_sizes(chosen)
+                    b = int((sizes * fanout).sum())
+                    mx = int(sizes[fanout > 0].max())
+                else:
+                    b = mx = 0
+                col.note_round(r, remaining, msgs, b, mx)
+                undecided[slots] = False
+                remaining -= len(slots)
+                waiting -= np.bincount(child[ready[parent]], minlength=n)
+                r += 1
+            col.outputs = dict(zip(col.ids, color.tolist(), strict=True))
+            col.rounds = r - 1
+
+        return run
 
 
 def simple_arbdefective(

@@ -75,23 +75,19 @@ class _ForestLabelProgram(NodeProgram):
         """Vectorized orientation + labeling: two array passes, no rounds loop.
 
         The (level, id)-lexicographic orientation is one comparison over
-        the CSR-expanded edge list; forest labels are each out-edge's rank
-        within its row (rows are sorted ascending, matching the scalar
-        program's ``sorted`` + ``enumerate``).
+        the CSR-expanded edge list (slot order is id order); forest labels
+        are each out-edge's rank within its row (rows are sorted ascending,
+        matching the scalar program's ``sorted`` + ``enumerate``).
         """
         np = col.np
         level_of = self._level_of
 
         def run() -> None:
             n = col.n
-            if n == 0:
-                col.note_round(0, 0, 0)
-                return
+            ids = col.ids
             nbr = col.neighbors
             deg = col.degrees
-            levels = np.fromiter(
-                (level_of[v] for v in range(n)), np.int64, count=n
-            )
+            levels = np.fromiter((level_of[v] for v in ids), np.int64, count=n)
             m2 = len(nbr)  # directed entries: 2m level messages in round 0
             if col.count_bytes and m2:
                 sizes = col.int_payload_sizes(levels)
@@ -131,11 +127,13 @@ class _ForestLabelProgram(NodeProgram):
                 tails.tolist(), heads.tolist(), labels.tolist(),
                 strict=True,
             ):
-                out_labels[t][h] = f
-                in_labels[h][t] = f
-            lv = levels.tolist()
+                out_labels[t][ids[h]] = f
+                in_labels[h][ids[t]] = f
             col.outputs = {
-                v: (lv[v], out_labels[v], in_labels[v]) for v in range(n)
+                v: (lv, out, inn)
+                for v, lv, out, inn in zip(
+                    ids, levels.tolist(), out_labels, in_labels, strict=True
+                )
             }
             col.rounds = 2
 

@@ -64,11 +64,11 @@ class HPartitionProgram(NodeProgram):
             ctx.idle_until_message()
 
     def column_kernel(self, col):
-        """Whole-graph peel as numpy columns: one array pass per level.
+        """The peel as numpy columns: one array pass per level.
 
         Per round: every active node whose active degree is at or below
-        the threshold leaves, broadcasting to its *full* neighbourhood
-        (departed neighbours still receive-and-drop, exactly like the
+        the threshold leaves, broadcasting to its whole visible
+        neighbourhood (departed neighbours still receive-and-drop, like the
         scalar engines count it); survivors' active degrees drop by the
         number of leaving neighbours.
         """
@@ -112,7 +112,7 @@ class HPartitionProgram(NodeProgram):
                         active_deg = active_deg - np.bincount(
                             targets, minlength=n
                         )
-            col.outputs = dict(enumerate(out.tolist()))
+            col.outputs = dict(zip(col.ids, out.tolist(), strict=True))
             col.rounds = r
 
         return run

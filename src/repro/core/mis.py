@@ -82,7 +82,7 @@ class _ColorClassMISProgram(NodeProgram):
             n = col.n
             deg = col.degrees
             colors = np.fromiter(
-                (int(color_of(v)) for v in range(n)), np.int64, count=n
+                (int(color_of(v)) for v in col.ids), np.int64, count=n
             )
             joined = np.zeros(n, dtype=bool)
             undecided = np.ones(n, dtype=bool)
@@ -122,7 +122,7 @@ class _ColorClassMISProgram(NodeProgram):
                 announce = winners
                 col.note_round(r, acted, msgs, msgs * jsize, jsize if msgs else 0)
                 rounds = r
-            col.outputs = dict(enumerate(joined.tolist()))
+            col.outputs = dict(zip(col.ids, joined.tolist(), strict=True))
             col.rounds = rounds
 
         return run

@@ -22,6 +22,7 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import InvalidParameterError, SimulationError
@@ -72,6 +73,67 @@ class _OrientationExchangeProgram(NodeProgram):
                 )
             # same level, same color, partial mode: leave unoriented
         ctx.halt(heads)
+
+    def column_kernel(self, col):
+        """The exchange as numpy columns: one head per CSR entry.
+
+        Each entry points at the endpoint with the larger key, level first,
+        colour second.  Equal keys stay unoriented in partial mode; in
+        complete mode the first such entry in CSR order (the scalar
+        engines' activation and inbox order) raises the scalar error.
+        Outputs gather the participants' own id objects.
+        """
+        np = col.np
+        key_of = self._key_of
+        partial = self._partial
+
+        def run() -> None:
+            n = col.n
+            ids = col.ids
+            nbr = col.neighbors
+            deg = col.degrees
+            keys = np.fromiter(
+                chain.from_iterable(map(key_of, ids)), np.int64, count=2 * n
+            )
+            level, color = keys[0::2], keys[1::2]
+            m2 = len(nbr)
+            if col.count_bytes and m2:
+                sizes = (
+                    col.int_payload_sizes(level)
+                    + col.int_payload_sizes(color)
+                    + 1
+                )
+                b0, mx0 = int((deg * sizes).sum()), int(sizes[deg > 0].max())
+            else:
+                b0 = mx0 = 0
+            col.note_round(0, n, m2, b0, mx0)
+
+            src = col.row_sources()
+            same_level = level[src] == level[nbr]
+            tie = same_level & (color[src] == color[nbr])
+            if not partial and tie.any():
+                e = int(np.flatnonzero(tie)[0])
+                raise SimulationError(
+                    f"complete orientation: neighbours {ids[src[e]]} and "
+                    f"{ids[nbr[e]]} share level and color — the level "
+                    "coloring is not legal"
+                )
+            col.note_round(1, n, 0)
+            towards_nbr = np.where(
+                same_level, color[nbr] > color[src], level[nbr] > level[src]
+            )
+            oriented = ~tie
+            id_objects = np.array(ids, dtype=object)
+            tails = id_objects[nbr[oriented]].tolist()
+            heads = id_objects[np.where(towards_nbr, nbr, src)[oriented]].tolist()
+            b = [0, *np.cumsum(np.bincount(src[oriented], minlength=n)).tolist()]
+            col.outputs = {
+                v: dict(zip(tails[lo:hi], heads[lo:hi], strict=True))
+                for v, lo, hi in zip(ids, b, b[1:], strict=False)
+            }
+            col.rounds = 1
+
+        return run
 
 
 def _assemble_orientation(outputs: Mapping[Vertex, Dict[Vertex, Vertex]]) -> Dict:

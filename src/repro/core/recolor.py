@@ -210,7 +210,8 @@ class RecolorProgram(NodeProgram):
 
         Only the all-neighbours conflict configuration vectorizes; a
         restricted ``conflict_set_of`` (Arb-Kuhn's parents) declines the
-        kernel and runs on the event engine.  Per step: base-q coefficient
+        kernel and runs on the event engine, and so do ids too large for
+        int64 columns when they are the initial colours.  Per step: base-q coefficient
         columns of every node's color, then ascending-α passes — one
         Horner evaluation over all nodes plus a CSR-segmented agreement
         count per α — fixing each node at its first point within the
@@ -221,22 +222,25 @@ class RecolorProgram(NodeProgram):
         np = col.np
         schedule = self._schedule
         initial_color_of = self._initial_color_of
+        ids = col.ids
+        if initial_color_of is None and not -(2**62) <= ids[0] <= ids[-1] < 2**62:
+            return None  # ids as colours (and their byte sizes) need int64
 
         def run() -> None:
             n = col.n
             deg = col.degrees
             nbr = col.neighbors
             if initial_color_of is None:
-                colors = np.arange(n, dtype=np.int64)
+                colors = np.array(ids, dtype=np.int64)
             else:
                 colors = np.fromiter(
-                    (int(initial_color_of(v)) for v in range(n)),
+                    (int(initial_color_of(v)) for v in ids),
                     np.int64,
                     count=n,
                 )
-            if not schedule or n == 0:
+            if not schedule:
                 col.note_round(0, n, 0)
-                col.outputs = dict(enumerate(colors.tolist()))
+                col.outputs = dict(zip(ids, colors.tolist(), strict=True))
                 return
             m2 = len(nbr)
 
@@ -257,7 +261,7 @@ class RecolorProgram(NodeProgram):
                 if bad.any():
                     v = int(np.flatnonzero(bad)[0])
                     raise SimulationError(
-                        f"node {v}: color {int(colors[v])} outside the "
+                        f"node {ids[v]}: color {int(colors[v])} outside the "
                         f"expected space [0, {step.colors_in}) at step "
                         f"{step_index}"
                     )
@@ -283,7 +287,7 @@ class RecolorProgram(NodeProgram):
                 if unfixed.any():
                     v = int(np.flatnonzero(unfixed)[0])
                     raise SimulationError(
-                        f"node {v}: no valid recoloring point exists "
+                        f"node {ids[v]}: no valid recoloring point exists "
                         f"(family q={q}, degree={family.degree}, defect "
                         f"budget {step.defect_new}, {int(deg[v])} "
                         "conflicts) — family selection bug"
@@ -291,7 +295,7 @@ class RecolorProgram(NodeProgram):
                 colors = new_colors
                 b, mx = broadcast_stats(colors)
                 col.note_round(step_index + 1, n, m2, b, mx)
-            col.outputs = dict(enumerate(colors.tolist()))
+            col.outputs = dict(zip(ids, colors.tolist(), strict=True))
             col.rounds = len(schedule)
 
         return run

@@ -404,7 +404,7 @@ def execute_trial(
     if gen is None:
         gen = build_instance(trial)
         graph_source = "built"
-    net = SynchronousNetwork(gen.graph, scheduler=trial.scheduler or "event")
+    net = SynchronousNetwork(gen.graph, scheduler=trial.scheduler or "column")
     stages["build_graph"] = time.perf_counter() - t0
     # Algorithm randomness is decorrelated from the structural seed so that
     # e.g. Luby's coin flips are not the same stream that wired the graph.

@@ -6,7 +6,8 @@ forest labeling, the MIS color-class sweep) that per-node dispatch *is* the
 cost — the per-round work is perfectly regular.  The column engine runs
 whole rounds as numpy array operations over all nodes at once: per-node
 state lives in flat int64/bool columns, and neighbourhood interactions are
-CSR-segmented reductions over the graph's own ``csr()`` arrays (no copy).
+CSR-segmented reductions over the run's visible graph (the graph's own
+``csr()`` arrays on full runs, no copy; the masked CSR on subset runs).
 
 Kernel contract
 ---------------
@@ -33,14 +34,20 @@ parametrised equivalence suite enforces this.
 Fallback semantics
 ------------------
 
-The kernel path is only taken when the whole run is expressible in column
-form: contiguous vertex ids, full participation, no ``part_of`` labeling,
-no per-message observer (a telemetry sink with ``wants_messages``, such as
-a :class:`~repro.simulator.tracing.MessageTrace`), and the program returns
-a kernel.  In every other case the run is delegated, whole, to the event
-engine — same results, just scalar execution.  Telemetry reports the engine
-that actually executed (``on_run_start`` receives ``"column"`` only on the
-kernel path), which is how tests observe fallback.
+``column`` is the default engine, and the kernel path serves full and
+``participants=``/``part_of=`` runs alike: a restricted run hands its
+kernel the masked CSR the run builds once
+(:meth:`~repro.simulator.engines.EngineRun.visible_csr`), renumbered into
+slot space.  Only two cases fall back, whole, to the event engine — same
+results, just scalar execution: a program without a kernel (or whose
+``column_kernel`` returns ``None`` for this configuration), and a run
+observed by a per-message sink (a telemetry sink with ``wants_messages``,
+such as a :class:`~repro.simulator.tracing.MessageTrace`).  An empty run
+goes to the event engine without a probe.  On a fallback the probe's
+prototype becomes slot 0's program, so the factory runs exactly once per
+participant on every path.  Telemetry reports the engine that actually
+executed (``on_run_start`` receives ``"column"`` only on the kernel path),
+which is how tests observe fallback.
 
 Telemetry parity: kernels feed the same per-round counters through
 :meth:`ColumnRun.note_round` (messages and bytes per executed round match
@@ -52,32 +59,41 @@ dense and event.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, Optional
 
 import numpy as _np
 
+from ..types import NeighborSelector
 from .engines import Engine, EngineRun, gather_rows, get_engine, register_engine
 
 
 class ColumnRun:
     """The vectorized view of one run, handed to column kernels.
 
-    Exposes the graph as numpy CSR arrays plus the run parameters a kernel
-    needs, and collects the kernel's results and accounting.  ``offsets``
-    and ``neighbors`` are the graph's read-only int64 CSR arrays themselves;
-    ``n`` is the participant count (== ``graph.n`` on the kernel path).
+    Everything is in *slot* space: slot ``i`` is the ``i``-th participant
+    in ascending-id order, ``ids[i]`` its vertex id (``n`` participants).
+    ``offsets``/``neighbors`` are the run's visible graph as an int64 CSR
+    over slots: for full runs without ``part_of`` the graph's own read-only
+    arrays (zero-copy; slot == graph index), otherwise the run's masked CSR
+    with its kept entries renumbered to slots.  Kernels read per-node
+    inputs through ``ids``, key outputs by them, and name ``ids[slot]`` in
+    error messages.  The object also collects the kernel's results and
+    accounting.
     """
 
     __slots__ = (
         "graph",
         "np",
         "n",
+        "ids",
         "globals",
         "round_limit",
         "count_bytes",
         "offsets",
         "neighbors",
         "_degrees",
+        "_rows",
         "_telemetry",
         "_last_round",
         "outputs",
@@ -88,14 +104,23 @@ class ColumnRun:
     )
 
     def __init__(self, run: EngineRun):
-        self.graph = run.graph
+        graph = run.graph
+        self.graph = graph
         self.np = _np
         self.n = run.S
+        self.ids = run.order
         self.globals = run.gp
         self.round_limit = run.round_limit
         self.count_bytes = run.count_bytes
-        self.offsets, self.neighbors = run.graph.csr()
+        if run.full and run.part_of is None:
+            self.offsets, self.neighbors = graph.csr()
+        else:
+            rows, self.offsets, kept = run.visible_csr()
+            slot_of = _np.full(graph.n, -1, dtype=_np.int64)
+            slot_of[rows] = _np.arange(run.S, dtype=_np.int64)
+            self.neighbors = slot_of[kept]
         self._degrees = None
+        self._rows = run.visible_rows
         self._telemetry = run.telemetry
         self._last_round = -1
         self.outputs: Dict[Any, Any] = {}
@@ -126,16 +151,32 @@ class ColumnRun:
         """
         return gather_rows(self.offsets, self.neighbors, _np.flatnonzero(mask))[0]
 
+    def entry_mask(self, select: NeighborSelector) -> "_np.ndarray":
+        """Per-entry bool mask of a ``(node, visible_neighbors)`` callback.
+
+        ``select`` is called once per participant, in slot order, with the
+        node's id and its visible neighbourhood (the same tuple a scalar
+        program sees as ``ctx.neighbors``); entry ``j`` of the node's row
+        is set iff the row's ``j``-th id is among the returned ids.  Ids
+        outside the row select nothing.
+        """
+        flags = chain.from_iterable(
+            map(set(select(v, row)).__contains__, row)
+            for v, row in zip(self.ids, self._rows(), strict=True)
+        )
+        return _np.fromiter(flags, dtype=bool, count=len(self.neighbors))
+
     # -- byte accounting helpers --------------------------------------
     @staticmethod
     def int_payload_sizes(vals: "_np.ndarray") -> "_np.ndarray":
-        """Vectorized :func:`payload_size` for non-negative int payloads.
+        """Vectorized :func:`payload_size` for int payloads.
 
-        Matches ``max(1, (bit_length + 7) // 8)`` exactly: one byte per
-        started octet, minimum one.
+        Matches ``max(1, (bits + 7) // 8)`` exactly: one byte per started
+        octet, minimum one, where a negative value's ``bits`` adds a sign
+        bit to its magnitude's (the bit length of ``-2 * value``).
         """
         sizes = _np.ones(len(vals), dtype=_np.int64)
-        v = vals >> 8
+        v = _np.where(vals < 0, -2 * vals, vals) >> 8
         while v.any():
             sizes += v > 0
             v >>= 8
@@ -184,17 +225,12 @@ class ColumnEngine(Engine):
 
     def execute(self, run: EngineRun) -> None:
         kernel: Optional[ColumnKernel] = None
-        col: Optional[ColumnRun] = None
         tel = run.telemetry
-        vectorizable = (
-            run.rank is None  # contiguous ids + full participation
-            and run.part_of is None
-            and not (tel is not None and tel.wants_messages)
-        )
-        if vectorizable:
+        if run.S and not (tel is not None and tel.wants_messages):
             prototype = run.program_factory()
             col = ColumnRun(run)
             kernel = prototype.column_kernel(col)
+            run.prototype = prototype
         if kernel is None:
             get_engine("event").execute(run)
             return

@@ -17,10 +17,12 @@ Built-in engines:
   declared quiescence are only activated on message delivery or a due
   wakeup, and rounds with no activatable node are fast-forwarded in O(1).
 * ``"column"`` (:class:`~repro.simulator.column.ColumnEngine`, registered
-  by :mod:`repro.simulator.column`) — bulk-synchronous numpy execution for
-  programs that provide a vectorized kernel
-  (:meth:`~repro.simulator.program.NodeProgram.column_kernel`); every
-  other program transparently falls back to the event engine.
+  by :mod:`repro.simulator.column`; the default) — bulk-synchronous numpy
+  execution for programs that provide a vectorized kernel
+  (:meth:`~repro.simulator.program.NodeProgram.column_kernel`), on full
+  and ``participants``/``part_of`` runs alike; kernel-less programs and
+  runs observed by a ``wants_messages`` sink fall back to the event
+  engine.
 
 All engines must produce byte-identical :class:`RunResult`\\ s; the
 parametrised suite ``tests/test_scheduler_equivalence.py`` pins every
@@ -30,7 +32,7 @@ The engine contract
 -------------------
 
 An engine receives an :class:`EngineRun` — the precomputed, engine-agnostic
-run state (participant order, slot ranks, globals, limits, telemetry) — and
+run state (participant order, visibility, globals, limits, telemetry) — and
 must fill in its result fields (``outputs``, ``rounds``, ``messages``,
 ``message_bytes``, ``max_message_bytes``).  The engine is responsible for
 calling ``telemetry.on_run_start`` (with the name of the engine that
@@ -134,21 +136,24 @@ def get_engine(name: str) -> Engine:
 class EngineRun:
     """Engine-agnostic state for one ``SynchronousNetwork.run`` invocation.
 
-    Built once by ``run`` and handed to the selected engine.  Everything a
-    loop needs is precomputed here (participant order, slot ranks, the
-    effective byte-counting flag); per-node contexts and program instances
-    are *not* — engines that need them call :meth:`build_contexts`, so the
-    column engine's kernel path never materialises n Python objects.
+    Built once by ``run`` and handed to the selected engine: participant
+    order, the effective byte-counting flag, limits and telemetry.  Slot
+    ``i`` is the ``i``-th participant in ascending-id order.  Visibility
+    (:meth:`visible_csr`) is built on first use and cached; per-node
+    contexts and program instances are built only by engines that call
+    :meth:`build_contexts`, so the column engine's kernel path never
+    materialises n Python objects.
     """
 
     __slots__ = (
         "graph",
         "program_factory",
+        "prototype",
         "order",
         "part_of",
         "S",
         "full",
-        "rank",
+        "_visible",
         "gp",
         "round_limit",
         "count_bytes",
@@ -174,24 +179,19 @@ class EngineRun:
     ):
         self.graph = graph
         self.program_factory = program_factory
+        # A program instance already drawn from the factory (the column
+        # engine's kernel probe); build_contexts makes it slot 0's program,
+        # so the factory runs exactly once per participant.
+        self.prototype: Optional[NodeProgram] = None
         self.order = order
         self.part_of = part_of
         self.gp = gp
         self.round_limit = round_limit
         self.count_bytes = count_bytes
         self.telemetry = telemetry
-        # Everything below runs in *slot* space: slot i is the i-th
-        # participant in ascending-id order, and all per-node state lives
-        # in flat lists indexed by slot — no id-keyed dict lookups in the
-        # inner loops.  When the graph has contiguous ids and everyone
-        # participates (the common case), slot == vertex id and the
-        # id→slot map is skipped entirely.
         self.S = len(order)
         self.full = len(order) == graph.n
-        identity = self.full and getattr(graph, "ids_contiguous", False)
-        self.rank: Optional[Dict[Vertex, int]] = (
-            None if identity else {v: i for i, v in enumerate(order)}
-        )
+        self._visible: Optional[Tuple[_np.ndarray, ...]] = None
         # Result fields, filled by the engine.
         self.outputs: Dict[Vertex, Any] = {}
         self.rounds = 0
@@ -203,31 +203,36 @@ class EngineRun:
         """Materialise one context + program instance per participant.
 
         Each context's ``neighbors`` is the participant's visible
-        neighbourhood, ascending, as a tuple of Python ints.  Full runs
-        without ``part_of`` reuse the graph's cached neighbour tuples;
-        restricted runs build every participant's tuple from one masked
-        pass over the CSR (:meth:`visible_rows`), once per run.
+        neighbourhood (:meth:`visible_rows`).  Slot 0 gets
+        :attr:`prototype` when one was drawn.
         """
         gp = self.gp
         program_factory = self.program_factory
         order = self.order
-        if self.full and self.part_of is None:
-            visible = map(self.graph.neighbors, order)
+        contexts = [
+            NodeContext(v, row, gp) for v, row in zip(order, self.visible_rows())
+        ]
+        if self.prototype is None:
+            programs = [program_factory() for _ in order]
         else:
-            visible = self.visible_rows()
-        contexts = [NodeContext(v, row, gp) for v, row in zip(order, visible)]
-        programs = [program_factory() for _ in order]
+            programs = [self.prototype]
+            programs += [program_factory() for _ in range(self.S - 1)]
         return contexts, programs
 
-    def visible_rows(self) -> List[Tuple[Vertex, ...]]:
-        """Visible neighbours of every participant, in slot order.
+    def visible_csr(self) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+        """The restricted run's masked CSR, built once and cached.
 
-        ``u`` is visible to ``v`` iff ``u`` participates and carries a
-        ``part_of`` label equal to ``v``'s.  Labels are interned to int64
-        codes (non-participants get -1), the participants' CSR rows are
-        gathered in one segmented pass, and an entry survives iff its code
-        equals its row's code.  Rows keep the CSR's ascending order.
+        Returns ``(rows, bounds, kept)``: the participants' graph indices
+        in slot order, the int64 row bounds (``S + 1`` entries), and the
+        kept entries as graph indices.  ``u`` is visible to ``v`` iff ``u``
+        participates and carries a ``part_of`` label equal to ``v``'s.
+        Labels are interned to int64 codes (non-participants get -1), the
+        participants' CSR rows are gathered in one segmented pass, and an
+        entry survives iff its code equals its row's code.  Rows keep the
+        CSR's ascending order.
         """
+        if self._visible is not None:
+            return self._visible
         graph = self.graph
         order = self.order
         k = len(order)
@@ -239,23 +244,36 @@ class EngineRun:
         if part_of is None:
             labels = _np.zeros(k, dtype=_np.int64)
         else:
-            codes: Dict[Any, int] = {}
-            labels = _np.fromiter(
-                (codes.setdefault(part_of.get(v), len(codes)) for v in order),
-                _np.int64,
-                count=k,
-            )
+            names = list(map(part_of.get, order))
+            codes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+            labels = _np.fromiter(map(codes.__getitem__, names), _np.int64, count=k)
         code = _np.full(graph.n, -1, dtype=_np.int64)
         code[rows] = labels
         entries, lens = gather_rows(*graph.csr(), rows)
         row_of = _np.repeat(_np.arange(k, dtype=_np.int64), lens)
         keep = code[entries] == labels[row_of]
-        b = [0, *_np.cumsum(_np.bincount(row_of[keep], minlength=k)).tolist()]
-        kept = entries[keep].tolist()
+        bounds = _np.zeros(k + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(row_of[keep], minlength=k), out=bounds[1:])
+        self._visible = (rows, bounds, entries[keep])
+        return self._visible
+
+    def visible_rows(self) -> List[Tuple[Vertex, ...]]:
+        """Visible neighbours of every participant, in slot order.
+
+        Each row is an ascending tuple of Python int ids.  Full runs
+        without ``part_of`` reuse the graph's cached neighbour tuples;
+        restricted runs slice one flat tuple along :meth:`visible_csr`.
+        """
+        graph = self.graph
+        if self.full and self.part_of is None:
+            return list(map(graph.neighbors, self.order))
+        _rows, bounds, kept = self.visible_csr()
+        b = bounds.tolist()
+        kept = kept.tolist()
         if not graph.ids_contiguous:
             kept = list(map(graph.vertices.__getitem__, kept))
         flat = tuple(kept)
-        return [flat[b[i] : b[i + 1]] for i in range(k)]
+        return [flat[b[i] : b[i + 1]] for i in range(self.S)]
 
 
 def gather_rows(
@@ -286,7 +304,15 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
     accounting, which is what keeps their results byte-identical.
     """
     S = run.S
-    rank = run.rank
+    # All per-node state lives in flat lists indexed by slot — no id-keyed
+    # dict lookups in the inner loops.  When the graph has contiguous ids
+    # and everyone participates (the common case), slot == vertex id and
+    # the id→slot map is skipped entirely.
+    rank: Optional[Dict[Vertex, int]] = (
+        None
+        if run.full and run.graph.ids_contiguous
+        else {v: i for i, v in enumerate(run.order)}
+    )
     round_limit = run.round_limit
     count_bytes = run.count_bytes
     contexts, programs = run.build_contexts()

@@ -25,7 +25,7 @@ Three engines ship built in, all producing byte-identical
 * ``"dense"`` — the reference implementation: every still-running node is
   activated in every round, in ascending vertex order.  This is the model
   definition made literal, and it is what validates the fast paths.
-* ``"event"`` (default) — the active-set, event-driven fast path: the
+* ``"event"`` — the active-set, event-driven fast path: the
   deterministic activation order is precomputed once, and a node that has
   declared quiescence (:meth:`~repro.simulator.context.NodeContext.
   idle_until_message`, optionally bounded by
@@ -35,11 +35,13 @@ Three engines ship built in, all producing byte-identical
   so sparse-activity executions (ruling-set stalls, color-class sweeps,
   recursive decompositions waiting on a deep part) cost proportional to
   the activity, not to rounds × nodes.
-* ``"column"`` — the bulk-synchronous numpy engine
+* ``"column"`` (default) — the bulk-synchronous numpy engine
   (:mod:`repro.simulator.column`): programs that provide a vectorized
   kernel (:meth:`~repro.simulator.program.NodeProgram.column_kernel`)
-  execute whole rounds as array operations over the CSR core; every other
-  program transparently falls back to the event engine.
+  execute whole rounds as array operations over the run's CSR, on full
+  and ``participants``/``part_of`` runs alike.  The only fallbacks left,
+  to the event engine, are kernel-less programs and runs observed by a
+  ``wants_messages`` telemetry sink.
 
 The equivalence rests on the quiescence contract: an idle declaration
 promises that activating the node with an empty inbox would be a no-op.
@@ -117,12 +119,14 @@ class SynchronousNetwork:
 
     ``scheduler`` selects the default execution engine for every
     :meth:`run` on this network (overridable per run) by registry name:
-    ``"event"`` (the fast path, default), ``"dense"`` (the reference
-    engine), ``"column"`` (bulk-synchronous numpy kernels), or any engine
-    registered via :func:`~repro.simulator.engines.register_engine`.
+    ``"column"`` (bulk-synchronous numpy kernels, falling back to the
+    event engine for kernel-less programs and ``wants_messages`` sinks;
+    the default), ``"event"`` (the scalar active-set fast path),
+    ``"dense"`` (the reference engine), or any engine registered via
+    :func:`~repro.simulator.engines.register_engine`.
     """
 
-    def __init__(self, graph: Graph, scheduler: str = "event"):
+    def __init__(self, graph: Graph, scheduler: str = "column"):
         get_engine(scheduler)  # unknown names raise, listing the registry
         self.graph = graph
         self.scheduler = scheduler
@@ -160,7 +164,7 @@ class SynchronousNetwork:
             induced part in parallel.  Labels must be hashable and are
             compared by equality; unlabelled participants share the
             ``None`` part.  Visibility is built once per run
-            (:meth:`~repro.simulator.engines.EngineRun.visible_rows`).
+            (:meth:`~repro.simulator.engines.EngineRun.visible_csr`).
         round_limit:
             Maximum number of rounds before
             :class:`~repro.errors.RoundLimitExceeded` is raised.  Defaults to

@@ -59,15 +59,19 @@ class NodeProgram:
     def column_kernel(self, col):
         """Optional vectorized whole-run kernel for the column engine.
 
-        Called once on a *prototype* instance (never on per-node copies)
-        with a :class:`~repro.simulator.column.ColumnRun`.  Return a
+        The column engine is the default, and calls this once on a
+        *prototype* instance (never on per-node copies) with a
+        :class:`~repro.simulator.column.ColumnRun` for every non-empty
+        run, full or ``participants``/``part_of`` alike.  Return a
         zero-argument callable that executes the entire run in column form
-        — filling ``col.outputs``/``col.rounds`` and accounting every round
-        through ``col.note_round`` with results byte-identical to the
-        scalar engines — or ``None`` (the default) to fall back to the
-        event engine.  A program may also return ``None`` conditionally
-        when only some configurations vectorize (e.g. a restricted
-        conflict set).
+        — reading per-node inputs through ``col.ids``, filling
+        ``col.outputs``/``col.rounds`` keyed by those ids and accounting
+        every round through ``col.note_round`` with results byte-identical
+        to the scalar engines — or ``None`` (the default) to fall back to
+        the event engine, where the prototype runs as the first
+        participant's program.  A program may also return ``None``
+        conditionally when only some configurations vectorize (e.g. a
+        restricted conflict set).
         """
         return None
 

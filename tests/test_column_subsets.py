@@ -1,0 +1,231 @@
+"""Column kernels on subset runs: raw RunResults against the dense reference.
+
+The paper's recursion runs nearly every program with ``participants=`` or
+``part_of=``, and the column engine serves those runs from the run's masked
+CSR renumbered into slot space.  For every program with a kernel, this
+compares the whole :class:`RunResult` (outputs, rounds, messages, bytes and
+the largest payload, with byte counting on) against the dense engine on
+participant subsets, partial labelings, both at once and an empty
+participant set, over contiguous ids and a relabeled non-contiguous copy
+with negative ids.  Every non-empty run must report the ``column`` engine,
+so a silent fallback cannot pass.  The error cases check that a kernel
+raises the scalar program's exception with the same message.
+"""
+
+import pytest
+
+from repro import Graph, SynchronousNetwork
+from repro.core.arbdefective import _SimpleArbdefectiveProgram
+from repro.core.forests import _ForestLabelProgram
+from repro.core.hpartition import HPartitionProgram
+from repro.core.mis import _ColorClassMISProgram
+from repro.core.orientation import _OrientationExchangeProgram
+from repro.core.recolor import RecolorProgram, compute_recolor_schedule
+from repro.errors import RoundLimitExceeded, SimulationError
+from repro.graphs import forest_union
+from repro.obs import RoundTelemetry
+
+
+def _graphs():
+    base = forest_union(90, 3, seed=13).graph
+    relabel = lambda v: 41 * v - 200  # non-contiguous, some ids negative
+    relabeled = Graph(
+        map(relabel, base.vertices),
+        [(relabel(u), relabel(v)) for u, v in base.edges],
+    )
+    return {"contiguous": base, "relabeled": relabeled}
+
+
+GRAPHS = _graphs()
+
+
+def _restriction(graph, kind):
+    """``run`` keyword arguments for one kind of subset run."""
+    ids = graph.vertices
+    subset = [v for i, v in enumerate(ids) if i % 3 != 1]
+    # a partial labeling: a third of the vertices share the None part
+    labels = {v: i % 2 for i, v in enumerate(ids) if i % 3 != 0}
+    return {
+        "participants": {"participants": subset},
+        "part_of": {"part_of": labels},
+        "both": {"participants": subset, "part_of": labels},
+        "empty": {"participants": []},
+    }[kind]
+
+
+def _position(graph):
+    return {v: i for i, v in enumerate(graph.vertices)}
+
+
+def _hpartition(graph):
+    return lambda: HPartitionProgram(4)
+
+
+def _forests(graph):
+    pos = _position(graph)
+    level_of = {v: 1 + pos[v] % 3 for v in graph.vertices}
+    return lambda: _ForestLabelProgram(level_of)
+
+
+def _mis_sweep(graph):
+    pos = _position(graph)
+    return lambda: _ColorClassMISProgram(lambda v: pos[v] % 5)
+
+
+def _defective_from_ids(graph):
+    # the ids are the initial colours (negative ones included)
+    start = max(graph.vertices) + 1
+    schedule = compute_recolor_schedule(start, graph.max_degree, 4)
+    return lambda: RecolorProgram(schedule)
+
+
+def _linial(graph):
+    pos = _position(graph)
+    schedule = compute_recolor_schedule(97 * graph.n, graph.max_degree, 0)
+    return lambda: RecolorProgram(schedule, lambda v: 97 * pos[v])
+
+
+def _simple_arbdefective(graph):
+    # acyclic and partial: edges point to the larger id unless the
+    # endpoints' positions sum to a multiple of 3
+    pos = _position(graph)
+    parents_of = lambda v, nbrs: [
+        u for u in nbrs if u > v and (pos[u] + pos[v]) % 3
+    ]
+    return lambda: _SimpleArbdefectiveProgram(parents_of, 3)
+
+
+def _exchange(partial):
+    def make(graph):
+        pos = _position(graph)
+        if partial:
+            key_of = lambda v: (pos[v] % 2, pos[v] % 3)  # leaves ties
+        else:
+            key_of = lambda v: (pos[v] % 3, v)  # ids never tie
+        return lambda: _OrientationExchangeProgram(key_of, partial=partial)
+
+    return make
+
+
+PROGRAMS = {
+    "hpartition": _hpartition,
+    "forests": _forests,
+    "mis_sweep": _mis_sweep,
+    "defective_from_ids": _defective_from_ids,
+    "linial": _linial,
+    "simple_arbdefective": _simple_arbdefective,
+    "partial_exchange": _exchange(partial=True),
+    "complete_exchange": _exchange(partial=False),
+}
+
+
+@pytest.mark.parametrize("kind", ["participants", "part_of", "both", "empty"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+def test_run_result_matches_dense(program, graph_name, kind):
+    graph = GRAPHS[graph_name]
+    factory = PROGRAMS[program](graph)
+    kwargs = _restriction(graph, kind)
+    dense = SynchronousNetwork(graph, scheduler="dense").run(
+        factory, count_bytes=True, **kwargs
+    )
+    tel = RoundTelemetry()
+    column = SynchronousNetwork(graph, scheduler="column").run(
+        factory, count_bytes=True, telemetry=tel, **kwargs
+    )
+    assert tel.scheduler == ("event" if kind == "empty" else "column")
+    assert column == dense
+    if kind != "empty":
+        assert column.messages and column.message_bytes
+
+
+def test_exchange_outputs_reuse_participant_id_objects():
+    """Kernel outputs hold the participants' own id objects, as the scalar
+    program's do: fresh ints per entry would grow every orientation."""
+    graph = GRAPHS["relabeled"]
+    participants = [int(str(v)) for v in graph.vertices]  # new objects
+    same = {v: v for v in participants}
+    result = SynchronousNetwork(graph, scheduler="column").run(
+        _exchange(partial=True)(graph), participants=participants
+    )
+    pairs = [(v, u, h) for v, heads in result.outputs.items() for u, h in heads.items()]
+    assert pairs
+    assert all(x is same[x] for triple in pairs for x in triple)
+
+
+def test_recolor_from_ids_beyond_int64_runs_scalar():
+    """Ids that are initial colours but do not fit an int64 column make
+    the recolor kernel decline, so the run still matches dense."""
+    big = 2**64
+    base = GRAPHS["contiguous"]
+    graph = Graph(
+        [big + v for v in base.vertices],
+        [(big + u, big + v) for u, v in base.edges],
+    )
+    factory = _defective_from_ids(graph)
+    kwargs = _restriction(graph, "both")
+    dense = SynchronousNetwork(graph, scheduler="dense").run(
+        factory, count_bytes=True, **kwargs
+    )
+    tel = RoundTelemetry()
+    column = SynchronousNetwork(graph, scheduler="column").run(
+        factory, count_bytes=True, telemetry=tel, **kwargs
+    )
+    assert tel.scheduler == "event"
+    assert column == dense
+
+
+def _raised(graph, scheduler, factory, **kwargs):
+    net = SynchronousNetwork(graph, scheduler=scheduler)
+    with pytest.raises(SimulationError) as info:
+        net.run(factory, **kwargs)
+    return info.value
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_complete_exchange_error_matches_dense(graph_name):
+    """Same-(level, colour) neighbours: the first in CSR order is named."""
+    graph = GRAPHS[graph_name]
+    pos = _position(graph)
+    key_of = lambda v: (0, pos[v] % 2)
+    factory = lambda: _OrientationExchangeProgram(key_of, partial=False)
+    kwargs = _restriction(graph, "both")
+    dense = _raised(graph, "dense", factory, **kwargs)
+    column = _raised(graph, "column", factory, **kwargs)
+    assert type(column) is type(dense) is SimulationError
+    assert str(column) == str(dense)
+    assert "share level and color" in str(column)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_cyclic_parents_exceed_round_limit_like_dense(graph_name):
+    """Every neighbour a parent: each edge is a 2-cycle, so only isolated
+    nodes ever decide and the rest wait out the round limit."""
+    graph = GRAPHS[graph_name]
+    factory = lambda: _SimpleArbdefectiveProgram(lambda v, nbrs: list(nbrs), 3)
+    kwargs = {**_restriction(graph, "participants"), "round_limit": 12}
+    dense = _raised(graph, "dense", factory, **kwargs)
+    column = _raised(graph, "column", factory, **kwargs)
+    assert type(column) is type(dense) is RoundLimitExceeded
+    assert (column.limit, column.still_running) == (
+        dense.limit,
+        dense.still_running,
+    )
+    assert str(column) == str(dense)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_recolor_error_names_the_node_like_dense(graph_name):
+    """A colour outside the step's space: the message names the vertex id."""
+    graph = GRAPHS[graph_name]
+    pos = _position(graph)
+    start = 97 * graph.n
+    schedule = compute_recolor_schedule(start, graph.max_degree, 0)
+    colors = {v: start + 5 if pos[v] % 7 == 4 else 97 * pos[v] for v in pos}
+    factory = lambda: RecolorProgram(schedule, colors.__getitem__)
+    kwargs = _restriction(graph, "part_of")
+    dense = _raised(graph, "dense", factory, **kwargs)
+    column = _raised(graph, "column", factory, **kwargs)
+    assert type(column) is type(dense) is SimulationError
+    assert str(column) == str(dense)
+    assert str(column).startswith(f"node {graph.vertices[4]}: color")

@@ -26,6 +26,7 @@ from repro.core import (
     partial_orientation,
     ruling_set,
 )
+from repro.simulator import engine_names
 from repro.verify import check_legal_coloring, check_mis
 
 TINY_GRAPHS = [
@@ -102,8 +103,10 @@ class TestTinyGraphMIS:
 
 
 class TestZeroVertexGraph:
-    def test_simulator_noop(self):
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_simulator_noop(self, engine):
         g = Graph([], [])
-        result = SynchronousNetwork(g).run(lambda: None.__class__())  # never called
+        net = SynchronousNetwork(g, scheduler=engine)
+        result = net.run(lambda: None.__class__())  # never called
         assert result.outputs == {}
         assert result.rounds == 0

@@ -156,12 +156,26 @@ class TestColumnDispatch:
         assert trace.scheduler == "event"
         assert len(trace) > 0
 
-    def test_subgraph_run_falls_back_to_event(self):
+    def test_subgraph_run_takes_kernel_path(self):
         gen = forest_union(80, 2, seed=5)
         net = SynchronousNetwork(gen.graph, scheduler="column")
         tel = RoundTelemetry()
         participants = list(range(0, 80, 2))
         _hp_run(net, gen, telemetry=tel, participants=participants)
+        assert tel.scheduler == "column"
+
+    def test_subgraph_run_falls_back_to_event(self):
+        """Kernel-less programs still fall back on subset runs."""
+        from repro.core.mis import _LubyProgram
+
+        gen = forest_union(80, 2, seed=5)
+        net = SynchronousNetwork(gen.graph, scheduler="column")
+        tel = RoundTelemetry()
+        net.run(
+            lambda: _LubyProgram(3),
+            telemetry=tel,
+            participants=list(range(0, 80, 2)),
+        )
         assert tel.scheduler == "event"
 
     def test_telemetry_round_stream_matches_event(self):
@@ -226,9 +240,9 @@ class TestSchedulerKnob:
             family="forest_union", algorithm="mis_arboricity", seed=1,
             family_params={"n": 60, "a": 2}, scheduler=sched,
         ).to_dict()
-        rec_col = execute_trial(mk("column"))
+        rec_evt = execute_trial(mk("event"))
         rec_def = execute_trial(mk(""))
-        assert rec_col["provenance"]["scheduler"] == "column"
-        assert rec_def["provenance"]["scheduler"] == "event"
+        assert rec_evt["provenance"]["scheduler"] == "event"
+        assert rec_def["provenance"]["scheduler"] == "column"
         # engine choice never leaks into metrics
-        assert rec_col["metrics"] == rec_def["metrics"]
+        assert rec_evt["metrics"] == rec_def["metrics"]

@@ -242,8 +242,8 @@ def test_per_run_scheduler_override():
     from repro.errors import SimulationError
 
     gen = forest_union(60, 2, seed=7)
-    net = SynchronousNetwork(gen.graph)  # event by default
-    assert net.scheduler == "event"
+    net = SynchronousNetwork(gen.graph)  # column by default
+    assert net.scheduler == "column"
     a = ruling_set(net)
     dense = SynchronousNetwork(gen.graph, scheduler="dense")
     assert ruling_set(dense) == a

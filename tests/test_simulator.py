@@ -4,7 +4,7 @@ import pytest
 
 from repro import Graph, NodeProgram, SynchronousNetwork
 from repro.errors import RoundLimitExceeded, SimulationError
-from repro.simulator import FunctionProgram, RoundLedger, payload_size
+from repro.simulator import FunctionProgram, RoundLedger, engine_names, payload_size
 from repro.simulator.message import Envelope
 
 
@@ -55,8 +55,11 @@ class TestRoundSemantics:
         assert result.outputs == {0: 3, 1: 2, 2: 1}
         assert result.messages == 6
 
-    def test_messages_sent_while_halting_are_delivered(self):
-        """A node may announce and halt in the same activation."""
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_messages_sent_while_halting_are_delivered(self, engine):
+        """A node may announce and halt in the same activation.  The
+        factory hands out a different program per call, so every engine
+        must call it exactly once per node, in slot order."""
 
         class Announcer(NodeProgram):
             def on_start(self, ctx):
@@ -74,11 +77,11 @@ class TestRoundSemantics:
                 ctx.halt(sorted(ctx.inbox.values()))
 
         g = Graph(range(2), [(0, 1)])
-        net2 = SynchronousNetwork(g)
+        net2 = SynchronousNetwork(g, scheduler=engine)
         instances = iter([Announcer(), Listener()])
         result = net2.run(lambda: next(instances))
         # node 0 (created first) is the announcer
-        assert result.outputs[1] == ["bye"]
+        assert result.outputs == {0: "sender", 1: ["bye"]}
 
     def test_messages_to_halted_nodes_dropped(self):
         class FirstHalts(NodeProgram):
@@ -333,9 +336,9 @@ class TestEventScheduler:
                 Oversleeper, round_limit=10
             )
 
-    def test_event_is_default_and_matches_dense_for_plain_programs(self):
+    def test_column_is_default_and_event_matches_dense(self):
         g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-        assert SynchronousNetwork(g).scheduler == "event"
+        assert SynchronousNetwork(g).scheduler == "column"
         dense = SynchronousNetwork(g, scheduler="dense").run(
             SumNeighborsProgram, count_bytes=True
         )

@@ -5,8 +5,8 @@ dynamically today:
 
 * the column engine requires kernels to be pure array passes over the
   shared CSR — a kernel that mutates the CSR in place corrupts every
-  later run sharing the arrays (they are zero-copy views, shm- or
-  mmap-backed), and one that touches per-node Python state or ctx
+  later run sharing the arrays (they are zero-copy views, possibly
+  shm-backed), and one that touches per-node Python state or ctx
   messaging breaks the byte-identical column-vs-event guarantee;
 * the event engine trusts ``ctx.idle_until_message()`` as a promise
   that the node would do nothing if activated — a code path that
@@ -51,7 +51,7 @@ class KernelPurity(Rule):
     doc = (
         "A column_kernel executes the whole run as numpy passes over "
         "`col.offsets`/`col.neighbors`, which are zero-copy views of the "
-        "graph's shared CSR arrays (possibly shm/mmap-backed and shared "
+        "graph's shared CSR arrays (possibly shm-backed and shared "
         "with other trials).  The kernel must treat them as read-only, "
         "must not keep state on the prototype instance (`self.x = ...` "
         "leaks across runs — the prototype is never re-created), and has "

@@ -17,7 +17,11 @@ Organised bottom-up:
 """
 
 from .arb_kuhn import arb_kuhn_decomposition, theorem52_fast_coloring, theorem53_tradeoff
-from .arbdefective import arbdefective_coloring, simple_arbdefective
+from .arbdefective import (
+    arbdefective_coloring,
+    orientation_greedy_coloring,
+    simple_arbdefective,
+)
 from .baselines import be08_coloring, luby_coloring, sequential_greedy_coloring
 from .cole_vishkin import cole_vishkin_forest, cv_iterations_needed
 from .color_reduction import (
@@ -48,7 +52,6 @@ from .mis import greedy_mis_sequential, luby_mis, mis_arboricity, mis_from_color
 from .orientation import (
     complete_from_partial,
     complete_orientation,
-    orientation_greedy_coloring,
     partial_orientation,
 )
 from .ruling_sets import ruling_set, ruling_set_domination_radius

@@ -13,6 +13,11 @@ recursion works: unlike defective coloring, the product (number of parts) ×
   same-colored parents by ⌊m/k⌋, so each class has an acyclic orientation
   of out-degree ≤ τ + ⌊m/k⌋ after completing the unoriented edges (Lemmas
   3.1 + 2.5).  Runs in length(σ)+1 rounds.
+* :func:`orientation_greedy_coloring` — Appendix A / the engine of Lemma
+  2.2(1): Simple-Arbdefective with k+1 colors along a complete acyclic
+  orientation of out-degree k.  A vertex always finds a color no parent
+  holds, so it takes the smallest free one: a legal (k+1)-coloring in
+  length+1 rounds.
 * :func:`arbdefective_coloring` — Procedure Arbdefective-Coloring
   (Corollary 3.6): Partial-Orientation(t) then Simple-Arbdefective(k),
   giving an ⌊a/t + (2+ε)a/k⌋-arbdefective k-coloring in O(t² log n)
@@ -23,20 +28,39 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..errors import InvalidParameterError, RoundLimitExceeded
+from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import Decomposition, NeighborSelector, Orientation, Vertex
+from ..types import (
+    ColorAssignment,
+    Decomposition,
+    NeighborSelector,
+    Orientation,
+    Vertex,
+)
 from .orientation import partial_orientation
 
 
-class _SimpleArbdefectiveProgram(NodeProgram):
-    """Wait for all parents; pick the color least used among them."""
+def _palette_exhausted(node: Vertex, k: int, parents: int) -> SimulationError:
+    return SimulationError(
+        f"node {node}: palette of size {k} exhausted by {parents} parents "
+        "— out-degree bound violated"
+    )
 
-    def __init__(self, parents_of: NeighborSelector, k: int):
+
+class _SimpleArbdefectiveProgram(NodeProgram):
+    """Wait for all parents; pick the color least used among them.
+
+    With ``legal=True`` the coloring must be legal (Lemma 2.2(1)): a node
+    whose least-used color is still held by a parent raises
+    :class:`~repro.errors.SimulationError` instead of sharing it.
+    """
+
+    def __init__(self, parents_of: NeighborSelector, k: int, legal: bool = False):
         self._parents_of = parents_of
         self._k = k
+        self._legal = legal
         self._parents: frozenset = frozenset()
         self._parent_colors: Dict[Vertex, int] = {}
 
@@ -45,12 +69,17 @@ class _SimpleArbdefectiveProgram(NodeProgram):
         for c in self._parent_colors.values():
             counts[c] += 1
         color = min(range(self._k), key=lambda c: (counts[c], c))
+        if self._legal and counts[color]:
+            raise _palette_exhausted(ctx.node, self._k, len(self._parents))
         ctx.broadcast(color)
         ctx.halt(color)
 
     def on_start(self, ctx: NodeContext) -> None:
         self._parents = frozenset(self._parents_of(ctx.node, ctx.neighbors))
-        if not self._parents:
+        if self._parents:
+            # nothing to do until a parent announces its color
+            ctx.idle_until_message()
+        else:
             self._decide(ctx)
 
     def on_round(self, ctx: NodeContext) -> None:
@@ -59,6 +88,8 @@ class _SimpleArbdefectiveProgram(NodeProgram):
                 self._parent_colors[sender] = payload
         if len(self._parent_colors) == len(self._parents):
             self._decide(ctx)
+        else:
+            ctx.idle_until_message()
 
     def column_kernel(self, col):
         """The topological rounds as numpy columns.
@@ -66,13 +97,17 @@ class _SimpleArbdefectiveProgram(NodeProgram):
         Round 0 decides every node without parents; each later round, the
         nodes whose parents have all decided take the colour least used
         among their parents (ties to the smaller colour) from one
-        ``bincount`` over (node, parent colour), and broadcast it.  The
-        scalar program never idles, so a round with no node ready would
-        repeat up to the round limit; that limit is raised at once.
+        ``bincount`` over (node, parent colour), and broadcast it.  With
+        ``legal``, the first such node in slot order (the scalar engines'
+        activation order) whose least-used count is above 0 raises the
+        scalar error.  A round with no node ready means every undecided
+        node waits on a cycle: the event engine raises the round limit at
+        once there, and so does the kernel.
         """
         np = col.np
         parents_of = self._parents_of
         k = self._k
+        legal = self._legal
 
         def run() -> None:
             n = col.n
@@ -101,8 +136,15 @@ class _SimpleArbdefectiveProgram(NodeProgram):
                 counts = np.bincount(
                     slot_rank[child[pick]] * palette + color[parent[pick]],
                     minlength=len(slots) * palette,
-                )
-                chosen = counts.reshape(len(slots), palette).argmin(axis=1)
+                ).reshape(len(slots), palette)
+                chosen = counts.argmin(axis=1)
+                if legal:
+                    held = np.flatnonzero(counts.min(axis=1))
+                    if len(held):
+                        first = slots[held[0]]
+                        raise _palette_exhausted(
+                            col.ids[first], k, int(np.count_nonzero(child == first))
+                        )
                 color[slots] = chosen
                 fanout = deg[slots]
                 msgs = int(fanout.sum())
@@ -158,6 +200,38 @@ def simple_arbdefective(
             "deficit_bound": deficit_bound,
             "orientation": orientation,
         },
+    )
+
+
+def orientation_greedy_coloring(
+    network: SynchronousNetwork,
+    orientation: Orientation,
+    out_degree_bound: int,
+    *,
+    participants=None,
+    part_of=None,
+) -> ColorAssignment:
+    """Legal (k+1)-coloring along a complete acyclic orientation of
+    out-degree ≤ k, in ≤ length+1 rounds (Appendix A / Lemma 2.2(1)).
+
+    Simple-Arbdefective with palette k+1.  Raises
+    :class:`~repro.errors.SimulationError` when a vertex's parents hold
+    every color, i.e. the out-degree bound is violated.
+    """
+    if out_degree_bound < 0:
+        raise InvalidParameterError("out_degree_bound must be >= 0")
+    palette = out_degree_bound + 1
+    result = network.run(
+        lambda: _SimpleArbdefectiveProgram(orientation.parents_of, palette, legal=True),
+        participants=participants,
+        part_of=part_of,
+        global_params={"palette": palette},
+    )
+    return ColorAssignment(
+        colors=dict(result.outputs),
+        rounds=result.rounds,
+        algorithm="orientation-greedy",
+        params={"out_degree_bound": out_degree_bound},
     )
 
 

@@ -25,7 +25,8 @@ from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Vertex
-from .orientation import complete_orientation, orientation_greedy_coloring
+from .arbdefective import orientation_greedy_coloring
+from .orientation import complete_orientation
 
 
 def be08_coloring(

@@ -32,9 +32,9 @@ from typing import Dict, Mapping, Optional
 from ..errors import InvalidParameterError
 from ..simulator.network import SynchronousNetwork
 from ..types import ColorAssignment, Vertex
-from .arbdefective import arbdefective_coloring
+from .arbdefective import arbdefective_coloring, orientation_greedy_coloring
 from .color_reduction import greedy_reduction
-from .orientation import complete_orientation, orientation_greedy_coloring
+from .orientation import complete_orientation
 
 
 def _combined_parts(

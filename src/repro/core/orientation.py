@@ -13,10 +13,6 @@
 * :func:`complete_from_partial` — Lemma 3.1: any acyclic partial
   orientation extends to a complete acyclic one via a topological sort
   (centralized utility, used in the arboricity-certification argument).
-* :func:`orientation_greedy_coloring` — Appendix A / the engine of Lemma
-  2.2(1): along a complete acyclic orientation of out-degree k, every
-  vertex waits for its parents and picks the smallest free color, giving a
-  legal (k+1)-coloring in length+1 rounds.
 """
 
 from __future__ import annotations
@@ -30,14 +26,7 @@ from ..graphs.graph import Graph
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import (
-    ColorAssignment,
-    HPartition,
-    NeighborSelector,
-    Orientation,
-    Vertex,
-    canonical_edge,
-)
+from ..types import HPartition, Orientation, Vertex, canonical_edge
 from .color_reduction import delta_plus_one_coloring
 from .defective import kuhn_defective_coloring
 from .hpartition import compute_hpartition
@@ -309,82 +298,3 @@ def _topological_order(graph: Graph, orientation: Orientation) -> List[Vertex]:
     if len(order) != graph.n:
         raise SimulationError("orientation contains a directed cycle")
     return order
-
-
-class _OrientationGreedyProgram(NodeProgram):
-    """Wait for all parents, then take the smallest color they don't use.
-
-    Requires a *complete* acyclic orientation: legality holds because every
-    edge has a parent/child relation and the child always avoids the
-    parent's color.  Appendix A's (ℓ+1)-coloring is the variant where a
-    vertex simply takes the round number as its color; picking the smallest
-    free color instead needs only out_degree+1 colors (Lemma 2.2(1)).
-    """
-
-    def __init__(self, parents_of: NeighborSelector, palette: int):
-        self._parents_of = parents_of
-        self._palette = palette
-        self._parent_colors: Dict[Vertex, int] = {}
-        self._parents: frozenset = frozenset()
-
-    def _decide(self, ctx: NodeContext) -> None:
-        used = set(self._parent_colors.values())
-        color = next((c for c in range(self._palette) if c not in used), None)
-        if color is None:
-            raise SimulationError(
-                f"node {ctx.node}: palette of size {self._palette} exhausted "
-                f"by {len(self._parents)} parents — out-degree bound violated"
-            )
-        ctx.broadcast(color)
-        ctx.halt(color)
-
-    def on_start(self, ctx: NodeContext) -> None:
-        self._parents = frozenset(self._parents_of(ctx.node, ctx.neighbors))
-        unknown = self._parents - set(ctx.neighbors)
-        if unknown:
-            raise SimulationError(
-                f"node {ctx.node}: parents {sorted(unknown)} are not visible "
-                "neighbours"
-            )
-        if not self._parents:
-            self._decide(ctx)
-            return
-        # Nothing to do until a parent announces its color.
-        ctx.idle_until_message()
-
-    def on_round(self, ctx: NodeContext) -> None:
-        for sender, payload in ctx.inbox.items():
-            if sender in self._parents:
-                self._parent_colors[sender] = payload
-        if len(self._parent_colors) == len(self._parents):
-            self._decide(ctx)
-        else:
-            ctx.idle_until_message()
-
-
-def orientation_greedy_coloring(
-    network: SynchronousNetwork,
-    orientation: Orientation,
-    out_degree_bound: int,
-    *,
-    participants=None,
-    part_of=None,
-) -> ColorAssignment:
-    """Legal (k+1)-coloring along a complete acyclic orientation of
-    out-degree ≤ k, in ≤ length+1 rounds (Appendix A / Lemma 2.2(1))."""
-    if out_degree_bound < 0:
-        raise InvalidParameterError("out_degree_bound must be >= 0")
-    result = network.run(
-        lambda: _OrientationGreedyProgram(
-            orientation.parents_of, out_degree_bound + 1
-        ),
-        participants=participants,
-        part_of=part_of,
-        global_params={"palette": out_degree_bound + 1},
-    )
-    return ColorAssignment(
-        colors=dict(result.outputs),
-        rounds=result.rounds,
-        algorithm="orientation-greedy",
-        params={"out_degree_bound": out_degree_bound},
-    )

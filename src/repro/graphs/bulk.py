@@ -15,9 +15,6 @@ the random streams differ (``numpy.random.Generator`` vs
 :class:`random.Random`), so graphs are *not* sample-identical to the scalar
 generator for the same seed — they are draws from the same family, which is
 what the benchmarks need.
-
-Pair with :meth:`Graph.to_csr_file` / :meth:`Graph.from_csr_file` to build a
-graph once and memory-map it into later runs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ provided for the generators and for user interop.
 
 Storage is a compact CSR (compressed sparse row) layout of two read-only
 int64 numpy arrays, of the same type whether the graph was built in this
-process, attached from shared memory or mapped from a file:
+process or attached from shared memory:
 
 * ``_offsets`` — length ``n + 1``; the neighbours of the vertex at *index*
   ``i`` occupy ``_nbr[_offsets[i]:_offsets[i + 1]]``;
@@ -153,7 +153,6 @@ class Graph:
         "_nbr_tuples",
         "_maxdeg",
         "_shm",
-        "_mmap",
         "duplicate_edges_dropped",
     )
 
@@ -218,7 +217,6 @@ class Graph:
         self._nbr_tuples = None
         self._maxdeg = None
         self._shm = None
-        self._mmap = None
         self.duplicate_edges_dropped = dropped
 
     @classmethod
@@ -441,7 +439,7 @@ class Graph:
     # ------------------------------------------------------------------
     def __getstate__(self):
         # numpy pickles array data by value, so the copy of a shm-attached
-        # or mapped graph owns its arrays and outlives the segment or file
+        # graph owns its arrays and outlives the segment
         return (
             self._n,
             self._contig,
@@ -456,7 +454,7 @@ class Graph:
         self._init_csr(n, contig, verts, offsets, nbr, dropped)
 
     # ------------------------------------------------------------------
-    # segment layout, shared by shared memory and CSR files
+    # shared-memory segment layout
     # ------------------------------------------------------------------
     # All int64 words:
     #   [magic, n, contig, len(nbr), duplicate_edges_dropped, len(verts)]
@@ -492,8 +490,8 @@ class Graph:
 
         Raises ``bad`` unless ``buf`` holds at least the words the header
         promises (shared memory may be page-padded) and the offsets run
-        from 0 to ``len(nbr)``.  O(1) checks: a mapped file opens without
-        reading its pages.
+        from 0 to ``len(nbr)``.  O(1) checks: the arrays are not scanned,
+        so attaching stays cheap.
         """
         head = cls._SHM_HEADER_WORDS
         if len(buf) < 8 * head:
@@ -573,59 +571,6 @@ class Graph:
         return self._shm is not None
 
     # ------------------------------------------------------------------
-    # file-backed CSR (memory-mapped graphs larger than comfortable RAM)
-    # ------------------------------------------------------------------
-    def to_csr_file(self, path) -> None:
-        """Write the CSR arrays to ``path`` in the segment layout.
-
-        The file uses the exact byte layout of :meth:`to_shm`'s payload, so
-        a graph round-trips bit-identically through either channel.  Load
-        it back with :meth:`from_csr_file` — optionally memory-mapped, so
-        multi-million-node graphs open without copying the adjacency into
-        process memory.
-        """
-        self._segment().tofile(path)
-
-    @classmethod
-    def from_csr_file(cls, path, mmap: bool = True) -> "Graph":
-        """Load a graph written by :meth:`to_csr_file`.
-
-        With ``mmap=True`` (the default) the CSR arrays are read-only views
-        into a memory-mapped region of the file: pages are faulted in on
-        demand and shared between processes mapping the same file, so a
-        10^7-node graph "loads" in milliseconds and costs no private RSS
-        beyond the pages actually touched.  With ``mmap=False`` the file is
-        read into process memory and closed.  Pickling a mapped graph
-        copies the arrays' data, so nothing escapes the mapping's lifetime.
-        """
-        import mmap as _mmap_mod
-
-        bad = f"{path!r} is not a Graph CSR file"
-        # the mapping keeps its own descriptor, so the file closes here
-        with open(path, "rb") as fh:
-            try:
-                if mmap:
-                    buf = _mmap_mod.mmap(fh.fileno(), 0, access=_mmap_mod.ACCESS_READ)
-                else:
-                    buf = fh.read()
-            except (ValueError, OSError):  # e.g. mmap of an empty file
-                raise InvalidParameterError(bad) from None
-        try:
-            g = cls._from_segment(buf, bad)
-        except InvalidParameterError:
-            if mmap:
-                buf.close()
-            raise
-        if mmap:
-            g._mmap = buf
-        return g
-
-    @property
-    def mmap_backed(self) -> bool:
-        """True when this graph's CSR arrays are memory-mapped from a file."""
-        return self._mmap is not None
-
-    # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
@@ -697,10 +642,9 @@ class Graph:
             self._nbr,
             self.duplicate_edges_dropped,
         )
-        # the copy shares this graph's arrays structurally, so it shares
-        # their backing too: the attachment it must keep open, or the mapping
+        # the copy shares this graph's arrays structurally, so it keeps
+        # their shared-memory attachment open too
         g._shm = self._shm
-        g._mmap = self._mmap
         return g, mapping
 
     # ------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 The dense and event engines dispatch Python per node per round; for the
 paper's structured core programs (H-partition peel, iterated recoloring,
-forest labeling, the MIS color-class sweep) that per-node dispatch *is* the
-cost — the per-round work is perfectly regular.  The column engine runs
-whole rounds as numpy array operations over all nodes at once: per-node
-state lives in flat int64/bool columns, and neighbourhood interactions are
-CSR-segmented reductions over the run's visible graph (the graph's own
-``csr()`` arrays on full runs, no copy; the masked CSR on subset runs).
+forest labeling, the MIS color-class sweep, the orientation exchange, and
+Simple-Arbdefective, which also runs Lemma 2.2(1)'s greedy coloring) that
+per-node dispatch *is* the cost — the per-round work is perfectly regular.
+The column engine runs whole rounds as numpy array operations over all
+nodes at once: per-node state lives in flat int64/bool columns, and
+neighbourhood interactions are CSR-segmented reductions over the run's
+visible graph (the graph's own ``csr()`` arrays on full runs, no copy; the
+masked CSR on subset runs).
 
 Kernel contract
 ---------------

@@ -7,7 +7,7 @@ bound.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import VerificationError
 from ..graphs.graph import Graph
@@ -61,8 +61,11 @@ def check_orientation_edges_exist(graph: Graph, orientation: Orientation) -> Non
             )
 
 
-def _toposort(graph: Graph, orientation: Orientation) -> List[Vertex]:
-    """Topological order of the oriented sub-DAG; raises on a cycle."""
+def _toposort(
+    graph: Graph, orientation: Orientation
+) -> Tuple[List[Vertex], Dict[Vertex, List[Vertex]]]:
+    """Topological order of the oriented sub-DAG and its children lists;
+    raises on a cycle."""
     indeg = {v: 0 for v in graph.vertices}
     children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
     for (u, v), head in orientation.direction.items():
@@ -80,7 +83,7 @@ def _toposort(graph: Graph, orientation: Orientation) -> List[Vertex]:
                 stack.append(u)
     if len(order) != graph.n:
         raise VerificationError("orientation contains a directed cycle")
-    return order
+    return order, children
 
 
 def check_orientation_acyclic(graph: Graph, orientation: Orientation) -> None:
@@ -88,52 +91,37 @@ def check_orientation_acyclic(graph: Graph, orientation: Orientation) -> None:
     _toposort(graph, orientation)
 
 
-def orientation_length(graph: Graph, orientation: Orientation) -> int:
-    """len(σ): the longest consistently-directed path (DP over the DAG)."""
-    order = _toposort(graph, orientation)
-    # len(v) = longest path *leaving* v; process in reverse topological
-    # order so every head is resolved before its tails.
+def _longest_paths(
+    graph: Graph, orientation: Orientation
+) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
+    """len(v), the longest path *leaving* v, and the next vertex on one such
+    path: one DP in reverse topological order (heads before their tails)."""
+    order, children = _toposort(graph, orientation)
     length = {v: 0 for v in graph.vertices}
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
-    for (u, v), head in orientation.direction.items():
-        tail = u if head == v else v
-        children[tail].append(head)
+    best_child: Dict[Vertex, Vertex] = {}
     for v in reversed(order):
         for u in children[v]:
-            length[v] = max(length[v], 1 + length[u])
-    return max(length.values(), default=0)
+            if 1 + length[u] > length[v]:
+                length[v] = 1 + length[u]
+                best_child[v] = u
+    return length, best_child
+
+
+def orientation_length(graph: Graph, orientation: Orientation) -> int:
+    """len(σ): the longest consistently-directed path (DP over the DAG)."""
+    return max(_longest_paths(graph, orientation)[0].values(), default=0)
 
 
 def vertex_lengths(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
     """len(v) for every vertex (used by Figure-1-style analyses)."""
-    order = _toposort(graph, orientation)
-    length = {v: 0 for v in graph.vertices}
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
-    for (u, v), head in orientation.direction.items():
-        tail = u if head == v else v
-        children[tail].append(head)
-    for v in reversed(order):
-        for u in children[v]:
-            length[v] = max(length[v], 1 + length[u])
-    return length
+    return _longest_paths(graph, orientation)[0]
 
 
 def longest_directed_path(
     graph: Graph, orientation: Orientation
 ) -> List[Vertex]:
     """An actual longest consistently-directed path (Figure 1 material)."""
-    order = _toposort(graph, orientation)
-    length = {v: 0 for v in graph.vertices}
-    best_child: Dict[Vertex, Vertex] = {}
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
-    for (u, v), head in orientation.direction.items():
-        tail = u if head == v else v
-        children[tail].append(head)
-    for v in reversed(order):
-        for u in children[v]:
-            if 1 + length[u] > length[v]:
-                length[v] = 1 + length[u]
-                best_child[v] = u
+    length, best_child = _longest_paths(graph, orientation)
     if not length:
         return []
     start = max(length, key=lambda v: length[v])

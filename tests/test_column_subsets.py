@@ -85,14 +85,23 @@ def _linial(graph):
     return lambda: RecolorProgram(schedule, lambda v: 97 * pos[v])
 
 
-def _simple_arbdefective(graph):
+def _acyclic_parents(graph):
     # acyclic and partial: edges point to the larger id unless the
     # endpoints' positions sum to a multiple of 3
     pos = _position(graph)
-    parents_of = lambda v, nbrs: [
-        u for u in nbrs if u > v and (pos[u] + pos[v]) % 3
-    ]
+    return lambda v, nbrs: [u for u in nbrs if u > v and (pos[u] + pos[v]) % 3]
+
+
+def _simple_arbdefective(graph):
+    parents_of = _acyclic_parents(graph)
     return lambda: _SimpleArbdefectiveProgram(parents_of, 3)
+
+
+def _orientation_greedy(graph):
+    # Lemma 2.2(1): one more colour than any node has parents
+    parents_of = _acyclic_parents(graph)
+    k = 1 + max(len(parents_of(v, graph.neighbors(v))) for v in graph.vertices)
+    return lambda: _SimpleArbdefectiveProgram(parents_of, k, legal=True)
 
 
 def _exchange(partial):
@@ -114,6 +123,7 @@ PROGRAMS = {
     "defective_from_ids": _defective_from_ids,
     "linial": _linial,
     "simple_arbdefective": _simple_arbdefective,
+    "orientation_greedy": _orientation_greedy,
     "partial_exchange": _exchange(partial=True),
     "complete_exchange": _exchange(partial=False),
 }
@@ -195,6 +205,25 @@ def test_complete_exchange_error_matches_dense(graph_name):
     assert type(column) is type(dense) is SimulationError
     assert str(column) == str(dense)
     assert "share level and color" in str(column)
+
+
+@pytest.mark.parametrize("kind", ["full", "participants"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_exhausted_palette_error_matches_scalar_engines(graph_name, kind):
+    """Lemma 2.2(1) with too few colours: every engine names the same
+    node, the first in slot order of the first round that runs out."""
+    graph = GRAPHS[graph_name]
+    parents_of = _acyclic_parents(graph)
+    factory = lambda: _SimpleArbdefectiveProgram(parents_of, 2, legal=True)
+    kwargs = {} if kind == "full" else _restriction(graph, kind)
+    dense = _raised(graph, "dense", factory, **kwargs)
+    event = _raised(graph, "event", factory, **kwargs)
+    tel = RoundTelemetry()
+    column = _raised(graph, "column", factory, telemetry=tel, **kwargs)
+    assert tel.scheduler == "column"
+    assert type(column) is type(event) is type(dense) is SimulationError
+    assert str(column) == str(event) == str(dense)
+    assert "palette of size 2 exhausted by" in str(column)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))

@@ -280,23 +280,17 @@ class TestPythonInts:
     ``np.int64`` breaks ``json.dumps`` of a record and fails
     ``has_vertex``."""
 
-    def test_every_storage_path(self, tmp_path):
+    def test_every_storage_path(self):
         base = forest_union(40, 2, seed=1).graph
         built = Graph.from_edge_count(40, base.edges + base.edges[:3])
         assert built.duplicate_edges_dropped == 3
         induced = built.induced_subgraph(range(1, 40, 3))
         assert not induced.ids_contiguous
-        induced.to_csr_file(tmp_path / "induced.csr")
-        built.to_csr_file(tmp_path / "built.csr")
-        mapped = Graph.from_csr_file(tmp_path / "induced.csr")
-        copied = Graph.from_csr_file(tmp_path / "built.csr", mmap=False)
         for g in (
             built,
             induced,
-            mapped,
-            copied,
-            pickle.loads(pickle.dumps(mapped)),
-            mapped.relabeled()[0],
+            pickle.loads(pickle.dumps(induced)),
+            induced.relabeled()[0],
         ):
             _assert_python_ints(g)
         if shm_available():

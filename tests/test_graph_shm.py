@@ -4,6 +4,7 @@ segment lifecycle, and the GraphStore adopt/mint/attach/fallback paths."""
 import pickle
 import uuid
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,23 +159,29 @@ class TestLifecycle:
     def test_bad_segment_rejected(self):
         from multiprocessing import shared_memory
 
-        seg = shared_memory.SharedMemory(create=True, size=64)
-        try:
-            with pytest.raises(InvalidParameterError):
-                Graph.from_shm(seg.name)
-        finally:
-            seg.close()
-            seg.unlink()
-        # a segment cut short: the header promises more words than it holds
-        full = forest_union(50, 2, seed=3).graph.to_shm()
-        size = full.size - 64
-        cut = shared_memory.SharedMemory(create=True, size=size)
-        try:
-            cut.buf[:size] = full.buf[:size]
-            with pytest.raises(InvalidParameterError):
-                Graph.from_shm(cut.name)
-        finally:
-            for seg in (full, cut):
+        # too short for a header, and all zeros (no magic)
+        rejects = [bytes(8), bytes(64)]
+        g = forest_union(50, 2, seed=3).graph
+        for graph in (g, g.induced_subgraph(range(1, 50, 2))):
+            full = graph.to_shm()
+            try:
+                data = bytes(full.buf[: full.size])
+            finally:
+                full.close()
+                full.unlink()
+            # cut short: the header promises more words than remain
+            rejects += [data[:-8], data[:-64]]
+            # a header whose len(nbr) disagrees with the offsets
+            words = np.frombuffer(data, dtype=np.int64).copy()
+            words[3] -= 2
+            rejects.append(words.tobytes())
+        for payload in rejects:
+            seg = shared_memory.SharedMemory(create=True, size=len(payload))
+            try:
+                seg.buf[: len(payload)] = payload
+                with pytest.raises(InvalidParameterError):
+                    Graph.from_shm(seg.name)
+            finally:
                 seg.close()
                 seg.unlink()
 

@@ -23,7 +23,9 @@ from repro.verify import (
     coloring_arbdefect_bounds,
     coloring_defect,
     is_legal_coloring,
+    longest_directed_path,
     orientation_length,
+    vertex_lengths,
 )
 
 
@@ -122,8 +124,11 @@ class TestOrientationCheckers:
     def test_length_on_directed_path(self, p4):
         chain = Orientation(direction={(0, 1): 1, (1, 2): 2, (2, 3): 3})
         assert orientation_length(p4, chain) == 3
+        assert vertex_lengths(p4, chain) == {0: 3, 1: 2, 2: 1, 3: 0}
+        assert longest_directed_path(p4, chain) == [0, 1, 2, 3]
         alternating = Orientation(direction={(0, 1): 1, (1, 2): 1, (2, 3): 3})
         assert orientation_length(p4, alternating) == 1
+        assert vertex_lengths(p4, alternating) == {0: 1, 1: 0, 2: 1, 3: 0}
 
 
 class TestDecompositionCheckers:

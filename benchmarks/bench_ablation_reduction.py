@@ -1,10 +1,10 @@
 """Ablation A2 — greedy vs Kuhn–Wattenhofer color reduction.
 
-DESIGN.md §7(4): the Δ+1 pipeline (our substitute for [5]/[17]) reduces
-Linial's O(Δ²) palette with KW's divide-and-conquer instead of the naive
-class-by-class sweep.  This bench quantifies the round difference —
-O(Δ log(m/Δ)) vs m − Δ − 1 — which is what keeps Complete-Orientation's
-level coloring affordable.
+README, *Substitutions and ablations*: the Δ+1 pipeline (our substitute
+for [5]/[17]) reduces Linial's O(Δ²) palette with KW's divide-and-conquer
+instead of the naive class-by-class sweep.  This bench quantifies the
+round difference — O(Δ log(m/Δ)) vs m − Δ − 1 — which is what keeps
+Complete-Orientation's level coloring affordable.
 """
 
 

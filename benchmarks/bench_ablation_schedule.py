@@ -1,8 +1,9 @@
 """Ablation A1 — the defect budget schedule in the recoloring engine.
 
-DESIGN.md §7(3): two policies for spending the defect budget across the
-log*-many iterations.  "half-remaining" spends half the remaining budget
-per step; "equal-split" (the library default) pre-divides it evenly.
+README, *Substitutions and ablations*: two policies for spending the
+defect budget across the log*-many iterations.  "half-remaining" spends
+half the remaining budget per step; "equal-split" (the library default)
+pre-divides it evenly.
 Measured result: equal-split reaches a 2–3× smaller color fixpoint at the
 cost of 1–2 extra iterations, because half-remaining exhausts the budget
 early and leaves the fixpoint iteration with denominator ≈ 1.  This bench

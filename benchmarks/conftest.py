@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every bench module regenerates one experiment from DESIGN.md §5: it runs
-the algorithm(s), prints a paper-bound vs. measured table (also appended
+Every bench module regenerates one of the paper's experiments E01–E14 or
+an ablation (README, *Substitutions and ablations*): it runs the
+algorithm(s), prints a paper-bound vs. measured table (also appended
 under ``results/``), asserts the *shape* of the claim (who wins, how the
 quantity scales), and reports wall time through pytest-benchmark.
 

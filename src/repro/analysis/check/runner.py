@@ -18,7 +18,6 @@ JSON schema (``--format json``), version 1::
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 from dataclasses import dataclass, field
@@ -181,12 +180,3 @@ def render_github(result: CheckResult) -> str:
         f"{counts['suppressed']} suppressed"
     )
     return "\n".join(lines)
-
-
-def parse_ok(source: str) -> bool:
-    """Cheap syntax probe used by tests."""
-    try:
-        ast.parse(source)
-        return True
-    except SyntaxError:
-        return False

@@ -22,9 +22,10 @@ On top of it:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from ..errors import InvalidParameterError
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, refine_parts
 from ..types import ColorAssignment, Decomposition
 from .forests import hpartition_orientation
 from .hpartition import compute_hpartition
@@ -32,15 +33,12 @@ from .legal import legal_coloring_corollary46, legal_coloring_theorem43
 from .recolor import run_recoloring
 
 
-class _LevelExchangeRounds:
-    """The one extra round nodes spend learning neighbours' H-indices.
-
-    The (level, id) orientation is locally computable once every node knows
-    its neighbours' levels; we account for that single exchange round
-    explicitly instead of burying it.
-    """
-
-    ROUNDS = 1
+#: The one extra round nodes spend learning neighbours' H-indices.
+#:
+#: The (level, id) orientation is locally computable once every node knows
+#: its neighbours' levels; we account for that single exchange round
+#: explicitly instead of burying it.
+_LEVEL_EXCHANGE_ROUNDS = 1
 
 
 def arb_kuhn_decomposition(
@@ -77,7 +75,7 @@ def arb_kuhn_decomposition(
         part_of=part_of,
         algorithm_name="arb-kuhn",
     )
-    total_rounds = hp.rounds + _LevelExchangeRounds.ROUNDS + recolored.rounds
+    total_rounds = hp.rounds + _LEVEL_EXCHANGE_ROUNDS + recolored.rounds
     return Decomposition(
         label=dict(recolored.colors),
         arboricity_bound=defect,
@@ -90,6 +88,28 @@ def arb_kuhn_decomposition(
             "color_space": recolored.params["final_color_space"],
             "orientation": orientation,
         },
+    )
+
+
+def _color_classes(
+    decomposition: Decomposition, color_class, part_of, algorithm: str, params
+) -> ColorAssignment:
+    """Colour every Arb-Kuhn class in parallel, each on its own palette.
+
+    ``color_class(participants=..., part_of=...)`` colours all classes in
+    one run; class ``c`` then moves to palette ``c``, of size (largest
+    colour used) + 1.
+    """
+    labels = decomposition.label
+    per_class = color_class(
+        participants=list(labels), part_of=refine_parts(part_of, labels)
+    )
+    palette = max(per_class.colors.values(), default=0) + 1
+    return ColorAssignment(
+        colors={v: labels[v] * palette + per_class.colors[v] for v in labels},
+        rounds=decomposition.rounds + per_class.rounds,
+        algorithm=algorithm,
+        params=params,
     )
 
 
@@ -117,28 +137,14 @@ def theorem52_fast_coloring(
         network, a, defect=d, epsilon=epsilon,
         participants=participants, part_of=part_of,
     )
-    labels = decomposition.label
-    parts = {
-        v: ((part_of.get(v) if part_of is not None else None), lab)
-        for v, lab in labels.items()
-    }
-    per_part = legal_coloring_corollary46(
-        network,
-        max(1, d),
-        eta=eta,
-        epsilon=epsilon,
-        participants=list(labels.keys()),
-        part_of=parts,
-    )
-    # Per-part colorings already use values label·palette+ψ only when the
-    # caller separates palettes; here we separate them explicitly.
-    palette = max(per_part.colors.values()) + 1 if per_part.colors else 1
-    colors = {v: labels[v] * palette + per_part.colors[v] for v in labels}
-    return ColorAssignment(
-        colors=colors,
-        rounds=decomposition.rounds + per_part.rounds,
-        algorithm="fast-coloring (Theorem 5.2)",
-        params={
+    return _color_classes(
+        decomposition,
+        partial(
+            legal_coloring_corollary46, network, max(1, d), eta=eta, epsilon=epsilon
+        ),
+        part_of,
+        "fast-coloring (Theorem 5.2)",
+        {
             "a": a,
             "d": d,
             "eta": eta,
@@ -172,26 +178,12 @@ def theorem53_tradeoff(
         network, a, defect=alpha, epsilon=epsilon,
         participants=participants, part_of=part_of,
     )
-    labels = decomposition.label
-    parts = {
-        v: ((part_of.get(v) if part_of is not None else None), lab)
-        for v, lab in labels.items()
-    }
-    per_part = legal_coloring_theorem43(
-        network,
-        alpha,
-        mu=mu,
-        epsilon=epsilon,
-        participants=list(labels.keys()),
-        part_of=parts,
-    )
-    palette = max(per_part.colors.values()) + 1 if per_part.colors else 1
-    colors = {v: labels[v] * palette + per_part.colors[v] for v in labels}
-    return ColorAssignment(
-        colors=colors,
-        rounds=decomposition.rounds + per_part.rounds,
-        algorithm="tradeoff-coloring (Theorem 5.3)",
-        params={
+    return _color_classes(
+        decomposition,
+        partial(legal_coloring_theorem43, network, alpha, mu=mu, epsilon=epsilon),
+        part_of,
+        "tradeoff-coloring (Theorem 5.3)",
+        {
             "a": a,
             "t": t,
             "mu": mu,

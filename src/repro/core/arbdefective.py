@@ -146,15 +146,8 @@ class _SimpleArbdefectiveProgram(NodeProgram):
                             col.ids[first], k, int(np.count_nonzero(child == first))
                         )
                 color[slots] = chosen
-                fanout = deg[slots]
-                msgs = int(fanout.sum())
-                if col.count_bytes and msgs:
-                    sizes = col.int_payload_sizes(chosen)
-                    b = int((sizes * fanout).sum())
-                    mx = int(sizes[fanout > 0].max())
-                else:
-                    b = mx = 0
-                col.note_round(r, remaining, msgs, b, mx)
+                sizes = col.int_payload_sizes(chosen) if col.count_bytes else 0
+                col.note_round(r, remaining, deg[slots], sizes)
                 undecided[slots] = False
                 remaining -= len(slots)
                 waiting -= np.bincount(child[ready[parent]], minlength=n)

@@ -17,7 +17,8 @@ pipelines in this library:
 reduction to color a (sub)graph with Δ+1 colors in O(Δ log Δ + log* n)
 rounds.  The paper invokes the O(Δ + log* n) algorithms of [5]/[17] here;
 the extra log factor is immaterial for every claim we reproduce (see
-DESIGN.md §4) and this pipeline is dramatically simpler.
+README, *Substitutions and ablations*) and this pipeline is dramatically
+simpler.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import Callable, Dict, Mapping
 
 from ..errors import InvalidParameterError, SimulationError
 from ..simulator.context import NodeContext
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, refine_parts
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Vertex
-from .recolor import run_recoloring
+from .linial import linial_coloring
 
 
 class _GreedyReductionProgram(NodeProgram):
@@ -153,17 +154,13 @@ def kuhn_wattenhofer_reduction(
         num_blocks = math.ceil(m / block_size)
         block = {v: c // block_size for v, c in current.items()}
         local = {v: c % block_size for v, c in current.items()}
-        combined_parts: Dict[Vertex, object] = {
-            v: ((part_of.get(v) if part_of is not None else None), block[v])
-            for v in current
-        }
         step = greedy_reduction(
             network,
             local,
             block_size,
             target,
             participants=current.keys(),
-            part_of=combined_parts,
+            part_of=refine_parts(part_of, block),
         )
         total_rounds += step.rounds
         current = {
@@ -201,17 +198,12 @@ def delta_plus_one_coloring(
     reduction to Δ+1 (``reduction="kw"`` for Kuhn–Wattenhofer,
     ``"greedy"`` for the slower class-by-class reduction — an ablation
     knob).  This is the library's substitute for the O(Δ + log* n)
-    algorithms of [5]/[17]; see DESIGN.md §4.
+    algorithms of [5]/[17]; see README, *Substitutions and ablations*.
     """
     if reduction not in ("kw", "greedy"):
         raise InvalidParameterError(f"unknown reduction {reduction!r}")
-    linial = run_recoloring(
-        network,
-        conflict_degree=degree_bound,
-        defect_target=0,
-        participants=participants,
-        part_of=part_of,
-        algorithm_name="linial",
+    linial = linial_coloring(
+        network, degree_bound, participants=participants, part_of=part_of
     )
     m = int(linial.params["final_color_space"])
     if reduction == "kw":

@@ -10,7 +10,7 @@ small enough to become the orientation's *deficit*.
 Implemented with the generic recoloring engine: conflicts counted against
 all neighbours, defect budget ⌊Δ/p⌋ spent over the O(log* n) iterations.
 With the explicit polynomial families the color count is O(p²·polylog p)
-rather than O(p²) — see DESIGN.md §4.
+rather than O(p²) — see README, *Substitutions and ablations*.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ H-partition with the candidate bound â = 1, 2, 4, ...; a candidate at
 least the true arboricity makes the peeling finish within its O(log n)
 level budget, while an underestimate stalls — and a stall is *locally
 detectable* (the peeling exceeded the budget without everyone leaving).
+Each attempt is the H-partition peel of Lemma 2.3 itself, run with the
+level budget as its round limit.
 
 Cost analysis: a failed attempt costs its level budget O(log n) rounds;
 there are O(log a) attempts; so estimation costs O(log a · log n) rounds —
@@ -21,40 +23,11 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..errors import InvalidParameterError
-from ..simulator.context import NodeContext
+from ..errors import InvalidParameterError, RoundLimitExceeded
 from ..simulator.network import SynchronousNetwork
-from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, HPartition
-from .hpartition import degree_threshold, expected_num_levels
+from .hpartition import HPartitionProgram, degree_threshold, expected_num_levels
 from .legal import legal_coloring_corollary46
-
-
-class _BoundedPeelProgram(NodeProgram):
-    """H-partition peeling that gives up after a fixed level budget.
-
-    Halts with its level on success, or with ``None`` when the budget ran
-    out while the node was still active — the local signature of an
-    underestimated arboricity bound.
-    """
-
-    def __init__(self, threshold: int, level_budget: int):
-        self._threshold = threshold
-        self._budget = level_budget
-        self._active_neighbors: set = set()
-
-    def on_start(self, ctx: NodeContext) -> None:
-        self._active_neighbors = set(ctx.neighbors)
-
-    def on_round(self, ctx: NodeContext) -> None:
-        for sender, payload in ctx.inbox.items():
-            if payload == "leaving":
-                self._active_neighbors.discard(sender)
-        if len(self._active_neighbors) <= self._threshold:
-            ctx.broadcast("leaving")
-            ctx.halt(ctx.round_number)
-        elif ctx.round_number >= self._budget:
-            ctx.halt(None)  # stall detected locally
 
 
 def try_hpartition(
@@ -67,23 +40,27 @@ def try_hpartition(
 ) -> Tuple[Optional[HPartition], int]:
     """Attempt an H-partition with arboricity candidate â.
 
-    Returns ``(hpartition, rounds)`` on success or ``(None, rounds)`` when
-    the peeling stalled within its level budget — i.e. â is too small.
+    Runs the H-partition peel, :class:`HPartitionProgram`, with the level
+    budget as its round limit.  Returns ``(hpartition, rounds)`` on
+    success, or ``(None, budget)`` when the peel did not finish within the
+    budget — i.e. â is too small.  A failed attempt costs its whole
+    budget: the nodes still active in the budget's last round detect the
+    stall locally.
     """
     if candidate < 1:
         raise InvalidParameterError("candidate arboricity must be >= 1")
     threshold = degree_threshold(candidate, epsilon)
-    n = network.graph.n
-    budget = expected_num_levels(max(2, n), epsilon) + 2
-    result = network.run(
-        lambda: _BoundedPeelProgram(threshold, budget),
-        participants=participants,
-        part_of=part_of,
-        round_limit=budget + 2,
-        global_params={"candidate": candidate, "epsilon": epsilon},
-    )
-    if any(level is None for level in result.outputs.values()):
-        return None, result.rounds
+    budget = expected_num_levels(max(2, network.graph.n), epsilon) + 2
+    try:
+        result = network.run(
+            lambda: HPartitionProgram(threshold),
+            participants=participants,
+            part_of=part_of,
+            round_limit=budget,
+            global_params={"candidate": candidate, "epsilon": epsilon},
+        )
+    except RoundLimitExceeded:
+        return None, budget
     index = {v: int(level) for v, level in result.outputs.items()}
     hp = HPartition(
         index=index,

@@ -86,17 +86,9 @@ class _ForestLabelProgram(NodeProgram):
             n = col.n
             ids = col.ids
             nbr = col.neighbors
-            deg = col.degrees
             levels = np.fromiter((level_of[v] for v in ids), np.int64, count=n)
-            m2 = len(nbr)  # directed entries: 2m level messages in round 0
-            if col.count_bytes and m2:
-                sizes = col.int_payload_sizes(levels)
-                b0 = int((deg * sizes).sum())
-                has_nbrs = deg > 0
-                mx0 = int(sizes[has_nbrs].max())
-            else:
-                b0 = mx0 = 0
-            col.note_round(0, n, m2, b0, mx0)
+            level_sizes = col.int_payload_sizes(levels) if col.count_bytes else 0
+            col.note_round(0, n, col.degrees, level_sizes)
 
             src = col.row_sources()
             lv_n, lv_s = levels[nbr], levels[src]
@@ -110,16 +102,14 @@ class _ForestLabelProgram(NodeProgram):
             # the scalar program's enumerate over sorted out-neighbours.
             labels = np.arange(len(sel), dtype=np.int64) - starts[tails]
 
-            msgs1 = len(sel)  # one ("forest", f) per out-edge
-            if col.count_bytes and msgs1:
+            # one ("forest", f) per out-edge: the tag adds a fixed overhead
+            # to the label's int size
+            label_sizes = 0
+            if col.count_bytes:
                 tag_overhead = payload_size(("forest", 0)) - payload_size(0)
-                fsizes = col.int_payload_sizes(labels) + tag_overhead
-                b1 = int(fsizes.sum())
-                mx1 = int(fsizes.max())
-            else:
-                b1 = mx1 = 0
-            col.note_round(1, n, msgs1, b1, mx1)
-            col.note_round(2, n, 0)
+                label_sizes = col.int_payload_sizes(labels) + tag_overhead
+            col.note_round(1, n, np.ones_like(labels), label_sizes)
+            col.note_round(2, n)
 
             out_labels = [{} for _ in range(n)]
             in_labels = [{} for _ in range(n)]

@@ -81,8 +81,8 @@ class HPartitionProgram(NodeProgram):
             active = np.ones(n, dtype=bool)
             active_deg = deg.copy()
             out = np.zeros(n, dtype=np.int64)
-            leaving_size = payload_size(_LEAVING) if col.count_bytes else 0
-            col.note_round(0, n, 0)
+            leaving_size = payload_size(_LEAVING)
+            col.note_round(0, n)
             remaining = n
             r = 0
             while remaining:
@@ -95,14 +95,7 @@ class HPartitionProgram(NodeProgram):
                     # Every remaining node sleeps with no wakeup and no
                     # message in flight — the event engine's eager stall.
                     raise RoundLimitExceeded(col.round_limit, remaining)
-                msgs = int(deg[leave].sum())
-                col.note_round(
-                    r,
-                    n_leave,
-                    msgs,
-                    msgs * leaving_size,
-                    leaving_size if msgs else 0,
-                )
+                col.note_round(r, n_leave, deg[leave], leaving_size)
                 out[leave] = r
                 active &= ~leave
                 remaining -= n_leave

@@ -30,21 +30,11 @@ import math
 from typing import Dict, Mapping, Optional
 
 from ..errors import InvalidParameterError
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, refine_parts
 from ..types import ColorAssignment, Vertex
 from .arbdefective import arbdefective_coloring, orientation_greedy_coloring
 from .color_reduction import greedy_reduction
 from .orientation import complete_orientation
-
-
-def _combined_parts(
-    labels: Mapping[Vertex, int], part_of: Optional[Mapping[Vertex, object]]
-) -> Dict[Vertex, object]:
-    """Refine the caller's partition with our own labels."""
-    return {
-        v: ((part_of.get(v) if part_of is not None else None), lab)
-        for v, lab in labels.items()
-    }
 
 
 def color_parts_legally(
@@ -63,7 +53,7 @@ def color_parts_legally(
     ``label(v)·A + ψ(v)``.
     """
     alpha = max(1, alpha)
-    parts = _combined_parts(labels, part_of)
+    parts = refine_parts(part_of, labels)
     participants = list(labels.keys())
     orientation = complete_orientation(
         network, alpha, epsilon, participants=participants, part_of=parts
@@ -156,7 +146,7 @@ def legal_coloring(
     total_rounds = 0
     iterations = 0
     while alpha > p:
-        parts = _combined_parts(labels, part_of)
+        parts = refine_parts(part_of, labels)
         decomposition = arbdefective_coloring(
             network, alpha, k=p, t=p, epsilon=epsilon,
             participants=participants, part_of=parts,

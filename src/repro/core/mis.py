@@ -86,11 +86,10 @@ class _ColorClassMISProgram(NodeProgram):
             )
             joined = np.zeros(n, dtype=bool)
             undecided = np.ones(n, dtype=bool)
-            jsize = payload_size(_JOINED) if col.count_bytes else 0
+            jsize = payload_size(_JOINED)
 
             announce = undecided & (colors == 0)
-            m0 = int(deg[announce].sum())
-            col.note_round(0, n, m0, m0 * jsize, jsize if m0 else 0)
+            col.note_round(0, n, deg[announce], jsize)
             joined |= announce
             undecided &= ~announce
 
@@ -115,12 +114,11 @@ class _ColorClassMISProgram(NodeProgram):
                     acted += int(np.count_nonzero(losers))
                     undecided &= ~losers
                 winners = undecided & (colors == r)
-                msgs = int(deg[winners].sum())
                 acted += int(np.count_nonzero(winners))
                 joined |= winners
                 undecided &= ~winners
                 announce = winners
-                col.note_round(r, acted, msgs, msgs * jsize, jsize if msgs else 0)
+                col.note_round(r, acted, deg[winners], jsize)
                 rounds = r
             col.outputs = dict(zip(col.ids, joined.tolist(), strict=True))
             col.rounds = rounds

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from ..errors import InvalidParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..simulator.context import NodeContext
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, refine_parts
 from ..simulator.program import NodeProgram
 from ..types import HPartition, Orientation, Vertex, canonical_edge
 from .color_reduction import delta_plus_one_coloring
@@ -80,22 +80,14 @@ class _OrientationExchangeProgram(NodeProgram):
             n = col.n
             ids = col.ids
             nbr = col.neighbors
-            deg = col.degrees
             keys = np.fromiter(
                 chain.from_iterable(map(key_of, ids)), np.int64, count=2 * n
             )
             level, color = keys[0::2], keys[1::2]
-            m2 = len(nbr)
-            if col.count_bytes and m2:
-                sizes = (
-                    col.int_payload_sizes(level)
-                    + col.int_payload_sizes(color)
-                    + 1
-                )
-                b0, mx0 = int((deg * sizes).sum()), int(sizes[deg > 0].max())
-            else:
-                b0 = mx0 = 0
-            col.note_round(0, n, m2, b0, mx0)
+            sizes = 0
+            if col.count_bytes:  # a tuple costs its items plus one byte
+                sizes = col.int_payload_sizes(level) + col.int_payload_sizes(color) + 1
+            col.note_round(0, n, col.degrees, sizes)
 
             src = col.row_sources()
             same_level = level[src] == level[nbr]
@@ -107,7 +99,7 @@ class _OrientationExchangeProgram(NodeProgram):
                     f"{ids[nbr[e]]} share level and color — the level "
                     "coloring is not legal"
                 )
-            col.note_round(1, n, 0)
+            col.note_round(1, n)
             towards_nbr = np.where(
                 same_level, color[nbr] > color[src], level[nbr] > level[src]
             )
@@ -154,15 +146,11 @@ def complete_orientation(
             network, a, epsilon, participants=participants, part_of=part_of
         )
     threshold = hpartition.degree_bound
-    level_parts = {
-        v: ((part_of.get(v) if part_of is not None else None), lvl)
-        for v, lvl in hpartition.index.items()
-    }
     level_coloring = delta_plus_one_coloring(
         network,
         threshold,
         participants=hpartition.index.keys(),
-        part_of=level_parts,
+        part_of=refine_parts(part_of, hpartition.index),
     )
     key_of = lambda v: (hpartition.index[v], level_coloring.colors[v])
     result = network.run(
@@ -214,16 +202,12 @@ def partial_orientation(
         )
     threshold = hpartition.degree_bound
     p = max(1, math.ceil((2.0 + epsilon) * t))
-    level_parts = {
-        v: ((part_of.get(v) if part_of is not None else None), lvl)
-        for v, lvl in hpartition.index.items()
-    }
     level_coloring = kuhn_defective_coloring(
         network,
         p,
         max_degree=threshold,
         participants=hpartition.index.keys(),
-        part_of=level_parts,
+        part_of=refine_parts(part_of, hpartition.index),
     )
     key_of = lambda v: (hpartition.index[v], level_coloring.colors[v])
     result = network.run(

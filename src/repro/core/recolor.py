@@ -239,20 +239,11 @@ class RecolorProgram(NodeProgram):
                     count=n,
                 )
             if not schedule:
-                col.note_round(0, n, 0)
+                col.note_round(0, n)
                 col.outputs = dict(zip(ids, colors.tolist(), strict=True))
                 return
-            m2 = len(nbr)
-
-            def broadcast_stats(vals):
-                if col.count_bytes and m2:
-                    sizes = col.int_payload_sizes(vals)
-                    has_nbrs = deg > 0
-                    return int((deg * sizes).sum()), int(sizes[has_nbrs].max())
-                return 0, 0
-
-            b, mx = broadcast_stats(colors)
-            col.note_round(0, n, m2, b, mx)
+            sizes = col.int_payload_sizes(colors) if col.count_bytes else 0
+            col.note_round(0, n, deg, sizes)
             src = col.row_sources()
             for step_index, step in enumerate(schedule):
                 family = step.family
@@ -293,8 +284,8 @@ class RecolorProgram(NodeProgram):
                         "conflicts) — family selection bug"
                     )
                 colors = new_colors
-                b, mx = broadcast_stats(colors)
-                col.note_round(step_index + 1, n, m2, b, mx)
+                sizes = col.int_payload_sizes(colors) if col.count_bytes else 0
+                col.note_round(step_index + 1, n, deg, sizes)
             col.outputs = dict(zip(ids, colors.tolist(), strict=True))
             col.rounds = len(schedule)
 

@@ -13,7 +13,7 @@ coefficient vector is the base-``q`` representation of ``x`` (degree ≤ D),
 two distinct polynomials of degree ≤ D agree on at most ``D`` points.
 This keeps every node's computation deterministic and local, at the cost of
 a polylog factor in the final color count (absorbed by all the paper's
-statements).  See DESIGN.md §4 (substitutions).
+statements).  See README, *Substitutions and ablations*.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ zero-argument callable that executes the entire run.  The callable must
 
 * fill ``col.outputs`` (plain Python values — exactly what the per-node
   program would have passed to ``ctx.halt``) and ``col.rounds``;
-* account every message the per-node program would have sent via
-  :meth:`ColumnRun.note_round` — including broadcasts to already-halted
-  neighbours, which the scalar engines count and drop;
+* account every message the per-node program would have sent —
+  including broadcasts to already-halted neighbours, which the scalar
+  engines count and drop — with one
+  ``col.note_round(round_number, active, fanout, sizes)`` per executed
+  round: entry ``i`` sent ``fanout[i]`` messages of ``sizes[i]`` bytes,
+  and :meth:`ColumnRun.note_round` derives every total from them;
 * raise the same exceptions (:class:`~repro.errors.RoundLimitExceeded`,
   :class:`~repro.errors.SimulationError`) in the same situations.
 
@@ -189,24 +192,32 @@ class ColumnRun:
         self,
         round_number: int,
         active: int,
-        messages: int,
-        message_bytes: int = 0,
-        max_message_bytes: int = 0,
+        fanout: Any = 0,
+        sizes: Any = 0,
     ) -> None:
         """Record one executed round (accounting + telemetry).
 
-        ``messages``/``message_bytes`` are the totals *sent in* this round;
-        ``max_message_bytes`` the largest single payload among them.  Rounds
-        a kernel skips entirely (nothing would activate) are simply not
-        noted — the gap is reported as a fast-forward, mirroring the event
-        engine.
+        Entry ``i`` sent ``fanout[i]`` messages of ``sizes[i]`` bytes each;
+        either may be one int (a scalar ``fanout`` is one sender's count).
+        Derives the round's messages (Σ fanout) and, when bytes are
+        counted, its bytes (Σ fanout·sizes) and largest payload (the
+        largest size with ``fanout > 0``).  Kernels compute ``sizes`` only
+        when ``count_bytes``; a round that sends nothing passes neither.
+        Rounds a kernel skips entirely (nothing would activate) are simply
+        not noted — the gap is reported as a fast-forward, mirroring the
+        event engine.
         """
-        messages = int(messages)
-        message_bytes = int(message_bytes)
+        messages = int(_np.sum(fanout))
+        message_bytes = 0
+        if messages and self.count_bytes:
+            if _np.ndim(sizes):
+                message_bytes = int(_np.dot(fanout, sizes))
+                sizes = sizes[_np.asarray(fanout) > 0].max()
+            else:
+                message_bytes = messages * int(sizes)
+            self.message_bytes += message_bytes
+            self.max_message_bytes = max(self.max_message_bytes, int(sizes))
         self.messages += messages
-        self.message_bytes += message_bytes
-        if max_message_bytes > self.max_message_bytes:
-            self.max_message_bytes = int(max_message_bytes)
         tel = self._telemetry
         if tel is not None:
             if round_number > self._last_round + 1:

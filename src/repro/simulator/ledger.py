@@ -62,16 +62,6 @@ class RoundLedger:
         for p in other.phases:
             self.add(prefix + p.name, p.rounds, p.messages, p.message_bytes)
 
-    def add_telemetry(self, name: str, telemetry: Any) -> None:
-        """Record a phase from a collected
-        :class:`~repro.obs.telemetry.RoundTelemetry` sink."""
-        self.add(
-            name,
-            telemetry.last_round,
-            telemetry.total_messages,
-            telemetry.total_bytes,
-        )
-
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Serialize all phases (the ``phases`` block of sweep records)."""
         return [p.to_dict() for p in self.phases]

@@ -114,6 +114,20 @@ class RunResult:
         )
 
 
+def refine_parts(
+    part_of: Optional[Mapping[Vertex, Any]], labels: Mapping[Vertex, Any]
+) -> Dict[Vertex, Tuple[Any, Any]]:
+    """Refine a ``part_of`` labeling by ``labels``: ``v -> (outer, label)``.
+
+    Keyed by the vertices in ``labels``; ``outer`` is ``part_of[v]``, or
+    ``None`` when there is no labeling or ``v`` is unlabelled.  Passed as a
+    run's ``part_of``, it runs the program on every ``labels`` part inside
+    every part of the caller's partition, in parallel.
+    """
+    outer = {} if part_of is None else part_of
+    return {v: (outer.get(v), label) for v, label in labels.items()}
+
+
 class SynchronousNetwork:
     """A network of processors, one per vertex of an undirected graph.
 

@@ -185,6 +185,24 @@ def test_recolor_from_ids_beyond_int64_runs_scalar():
     assert column == dense
 
 
+def test_largest_payload_counts_only_senders():
+    """The isolated vertex's 3-byte colour is never sent, so the largest
+    payload is the path's 1-byte colours, as the dense engine counts it."""
+    graph = Graph([0, 1, 2, 10**6], [(0, 1), (1, 2)])
+    schedule = compute_recolor_schedule(10**6 + 1, graph.max_degree, 0)
+    factory = lambda: RecolorProgram(schedule)
+    dense = SynchronousNetwork(graph, scheduler="dense").run(
+        factory, count_bytes=True
+    )
+    tel = RoundTelemetry()
+    column = SynchronousNetwork(graph, scheduler="column").run(
+        factory, count_bytes=True, telemetry=tel
+    )
+    assert tel.scheduler == "column"
+    assert dense.max_message_bytes == 1
+    assert column == dense
+
+
 def _raised(graph, scheduler, factory, **kwargs):
     net = SynchronousNetwork(graph, scheduler=scheduler)
     with pytest.raises(SimulationError) as info:

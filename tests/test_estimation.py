@@ -5,6 +5,7 @@ import pytest
 from repro import SynchronousNetwork
 from repro.core import (
     estimate_arboricity_bound,
+    expected_num_levels,
     legal_coloring_auto,
     try_hpartition,
 )
@@ -15,7 +16,23 @@ from repro.graphs import (
     nash_williams_lower_bound,
     random_tree,
 )
+from repro.obs import RoundTelemetry
 from repro.verify import check_hpartition, check_legal_coloring
+
+
+class _EngineRecordingNetwork(SynchronousNetwork):
+    """Records the engine that executed each run, as telemetry reports it."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.engines = []
+
+    def run(self, program_factory, **kwargs):
+        tel = RoundTelemetry()
+        try:
+            return super().run(program_factory, telemetry=tel, **kwargs)
+        finally:  # a stalled attempt raises out of the run
+            self.engines.append(tel.scheduler)
 
 
 class TestTryHPartition:
@@ -31,10 +48,25 @@ class TestTryHPartition:
         hp, rounds = try_hpartition(net, 1)
         assert hp is None
         assert rounds > 0  # the attempt still costs its budget
+        # exactly its level budget, on every engine
+        budget = expected_num_levels(20, 0.5) + 2
+        assert budget == 18
+        for scheduler in ("dense", "event", "column"):
+            net = SynchronousNetwork(g.graph, scheduler=scheduler)
+            assert try_hpartition(net, 1) == (None, budget)
 
     def test_invalid_candidate(self, forest_net):
         with pytest.raises(InvalidParameterError):
             try_hpartition(forest_net, 0)
+
+    def test_attempts_run_on_the_column_kernel(self, forest_graph):
+        """Success and stall alike run the H-partition peel's kernel."""
+        net = _EngineRecordingNetwork(forest_graph.graph)
+        hp, rounds = try_hpartition(net, forest_graph.arboricity_bound)
+        assert hp is not None and rounds > 1
+        stalled, _ = try_hpartition(net, 1)
+        assert stalled is None
+        assert net.engines == ["column", "column"]
 
 
 class TestEstimate:

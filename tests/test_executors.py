@@ -239,11 +239,12 @@ class TestSocketExecutor:
         replacement = []
         fired = threading.Event()
 
-        def progress(_msg):
-            # runs on run_sweep's thread, once the first record landed:
-            # the lone worker has more payloads in flight (window 2) —
-            # spawn its replacement, then SIGKILL it
-            if not fired.is_set():
+        def progress(msg):
+            # runs on run_sweep's thread; the first record line ("[1/N]")
+            # means payloads were dispatched and the lone worker has more
+            # in flight (window 2) — spawn its replacement, then SIGKILL it.
+            # Earlier lines ("computing N trial(s)") precede any dispatch.
+            if "[1/" in msg and not fired.is_set():
                 fired.set()
                 replacement.extend(spawn_local_workers(ex.host, ex.port, 1))
                 procs[0].kill()

@@ -31,6 +31,11 @@ with the numpy bulk generator, no Python edge objects).  Acceptance:
 byte-identical to the event engine and ≥10× faster on the structured-core
 workload (observed: 100–300×; the committed baseline floor is gated in
 CI, skipped visibly on low-memory boxes).
+
+A fourth test measures the column engine end to end on a flagship
+algorithm: Corollary 4.6 at n = 3.2·10^4, where every simulator run is a
+subset run.  Acceptance: the same colouring as the event engine and ≥3×
+faster (observed: about 7×; the committed baseline floor is gated in CI).
 """
 
 from __future__ import annotations
@@ -209,6 +214,58 @@ def test_column_engine_scale(benchmark):
         f"column engine speedup {speedup:.1f}x < 10x at n={n}"
     )
     benchmark.pedantic(lambda: peel("column"), iterations=1, rounds=1)
+
+
+def test_cor46_column_vs_event(benchmark):
+    """Column vs. event end to end: Corollary 4.6 at n = 3.2·10^4.
+
+    The peel above is one program; this is a whole flagship algorithm —
+    H-partition, arbdefective recursion, and Lemma 2.2(1)'s Linial +
+    Kuhn–Wattenhofer colouring of every H-level — where every simulator
+    run is a ``participants``/``part_of`` subset run and every program has
+    a column kernel.  Both engines must give the same colouring; the
+    speedup is recorded as ``cor46_column_vs_event_speedup`` and gated
+    against the committed baseline.
+    """
+    from repro.core import legal_coloring_corollary46
+    from repro.graphs import forest_union
+
+    n, a = 32_000, 4
+    graph = forest_union(n, a, seed=4200).graph
+
+    def cor46(engine):
+        net = SynchronousNetwork(graph, scheduler=engine)
+        return legal_coloring_corollary46(net, a, eta=0.5)
+
+    col_out, col_s = _best_of(3, lambda: cor46("column"))
+    event_out, event_s = _timed(lambda: cor46("event"))
+    assert col_out == event_out, "column and event colourings diverge"
+    speedup = event_s / col_s
+    emit(
+        render_table(
+            "S4 — column engine end to end: Corollary 4.6, n = 3.2·10^4",
+            ["engine", "n", "a", "rounds", "colors", "wall s"],
+            [
+                ["event", n, a, event_out.rounds, event_out.num_colors,
+                 f"{event_s:.2f}"],
+                ["column", n, a, col_out.rounds, col_out.num_colors,
+                 f"{col_s:.2f}"],
+            ],
+            note=f"forest_union(n, a, seed=4200); column best of 3, event "
+            f"once; column speedup {speedup:.1f}x; colourings identical by "
+            "assertion",
+        ),
+        "s4_cor46_column_vs_event.txt",
+    )
+    perf_record.add_metrics(
+        "simulator_throughput",
+        cor46_column_vs_event_speedup=round(speedup, 2),
+    )
+    # Acceptance: ≥3× over the event engine end to end.
+    assert speedup >= 3.0, (
+        f"column engine speedup {speedup:.2f}x < 3x on cor46 at n={n}"
+    )
+    benchmark.pedantic(lambda: cor46("column"), iterations=1, rounds=1)
 
 
 def _with_telemetry(net, tel):

@@ -6,7 +6,8 @@ pipelines in this library:
 * :func:`greedy_reduction` — process color classes one per round from the
   top of the palette down; each processed vertex picks the smallest free
   color below the target.  Reduces ``m`` colors to ``target ≥ Δ+1`` in
-  ``m − target`` rounds.
+  ``m − c`` rounds, ``c`` the smallest input color ``≥ target`` (no rounds
+  when there is none): at most ``m − target``.
 * :func:`kuhn_wattenhofer_reduction` — the divide-and-conquer reduction of
   Kuhn & Wattenhofer (PODC'06 [18]): split the palette into blocks of size
   ``2(Δ+1)``, reduce every block to ``Δ+1`` colors in parallel (the blocks
@@ -26,8 +27,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Mapping
 
-from ..errors import InvalidParameterError, SimulationError
+from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
+from ..simulator.engines import gather_rows
 from ..simulator.network import SynchronousNetwork, refine_parts
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Vertex
@@ -90,6 +92,77 @@ class _GreedyReductionProgram(NodeProgram):
         ctx.broadcast(self._color)
         ctx.halt(self._color)
 
+    def column_kernel(self, col):
+        """The class-by-class sweep as numpy columns.
+
+        Round 0 broadcasts every input colour; then each class present
+        ``≥ target``, in descending order, acts at round ``m − class``
+        (empty classes and the event engine's delivery-only rounds are
+        fast-forwarded).  Its nodes take the ``argmin`` of a (node ×
+        colour) "used" table over their neighbours' colours, read from the
+        colour column as it stood before the round; the last column means
+        no colour below ``target`` is free.  Colours outside ``±2**62``
+        decline the kernel: int64 payload sizing doubles negative ones.
+        """
+        np = col.np
+        m = self._m
+        target = self._target
+        try:
+            colors = np.fromiter(
+                map(int, map(self._color_of, col.ids)), np.int64, count=col.n
+            )
+        except OverflowError:
+            return None
+        if colors.min() < -(2**62) or colors.max() >= 2**62:
+            return None
+
+        def run() -> None:
+            ids = col.ids
+            deg = col.degrees
+            over = np.flatnonzero(colors >= m)
+            if len(over):
+                v = int(over[0])
+                raise SimulationError(
+                    f"node {ids[v]}: input color {int(colors[v])} >= m={m}"
+                )
+            sizes = col.int_payload_sizes(colors) if col.count_bytes else 0
+            col.note_round(0, col.n, deg, sizes)
+            # the pending slots sorted by class, descending, each class in
+            # slot order (the scalar engines' activation order)
+            pending = np.flatnonzero(colors >= target)
+            pending = pending[np.argsort(-colors[pending], kind="stable")]
+            cuts = np.flatnonzero(np.diff(colors[pending])) + 1
+            held = colors.copy()
+            remaining = len(pending)
+            r = 0
+            for slots in np.split(pending, cuts) if remaining else ():
+                r = m - int(colors[slots[0]])
+                if r > col.round_limit:
+                    raise RoundLimitExceeded(col.round_limit, remaining)
+                nbrs, lens = gather_rows(col.offsets, col.neighbors, slots)
+                # d neighbours leave a colour <= d free: trim the table
+                width = min(target, int(lens.max()) + 1)
+                seen = held[nbrs]
+                hit = (seen >= 0) & (seen < width)
+                row = np.repeat(np.arange(len(slots)), lens)
+                used = np.zeros((len(slots), width + 1), dtype=bool)
+                used[row[hit], seen[hit]] = True
+                free = used.argmin(axis=1)
+                stuck = np.flatnonzero(free == target)
+                if len(stuck):
+                    raise SimulationError(
+                        f"node {ids[slots[stuck[0]]]}: no free color below "
+                        f"target {target} (visible degree too high)"
+                    )
+                held[slots] = free
+                sizes = col.int_payload_sizes(free) if col.count_bytes else 0
+                col.note_round(r, remaining, deg[slots], sizes)
+                remaining -= len(slots)
+            col.outputs = dict(zip(ids, held.tolist(), strict=True))
+            col.rounds = r
+
+        return run
+
 
 def greedy_reduction(
     network: SynchronousNetwork,
@@ -105,7 +178,9 @@ def greedy_reduction(
     ``target`` must exceed the maximum degree of the (visible) graph, or a
     processed vertex may find no free color, which raises a
     :class:`~repro.errors.SimulationError`.
-    Costs ``max(0, num_colors − target)`` rounds.
+    Costs ``num_colors − c`` rounds, where ``c`` is the smallest input color
+    ``≥ target`` (0 rounds when there is none), so at most
+    ``max(0, num_colors − target)``.
     """
     if target < 1:
         raise InvalidParameterError("greedy_reduction: target must be >= 1")

@@ -33,7 +33,18 @@ class TestGreedyReduction:
         net = SynchronousNetwork(g.graph)
         colors, m = legal_base_coloring(g.graph)
         reduced = greedy_reduction(net, colors, m, target=5)
-        assert reduced.rounds <= m - 5
+        assert reduced.rounds == m - 5
+
+    @pytest.mark.parametrize("scheduler", ["dense", "event", "column"])
+    def test_rounds_stop_at_smallest_class_present(self, scheduler):
+        """Sparse palette (colour 7·v): the sweep ends at the smallest
+        class >= target present, 7, two rounds short of m − target."""
+        g = random_regular(60, 4, seed=2)
+        net = SynchronousNetwork(g.graph, scheduler=scheduler)
+        colors = {v: 7 * v for v in g.graph.vertices}
+        reduced = greedy_reduction(net, colors, 7 * g.graph.n, target=5)
+        check_legal_coloring(g.graph, reduced.colors)
+        assert reduced.rounds == 7 * g.graph.n - 7
 
     def test_noop_when_under_target(self):
         g = grid(5, 5)

@@ -16,6 +16,7 @@ import pytest
 
 from repro import Graph, SynchronousNetwork
 from repro.core.arbdefective import _SimpleArbdefectiveProgram
+from repro.core.color_reduction import _GreedyReductionProgram
 from repro.core.forests import _ForestLabelProgram
 from repro.core.hpartition import HPartitionProgram
 from repro.core.mis import _ColorClassMISProgram
@@ -104,6 +105,22 @@ def _orientation_greedy(graph):
     return lambda: _SimpleArbdefectiveProgram(parents_of, k, legal=True)
 
 
+def _greedy_inputs(graph):
+    """A legal colouring with empty classes, ``m`` above its largest colour
+    and ``target`` = Δ + 1: a position-order greedy colouring, 5c + 3."""
+    colors = {}
+    for v in graph.vertices:
+        used = {colors[u] for u in graph.neighbors(v) if u in colors}
+        colors[v] = min(c for c in range(len(used) + 1) if c not in used)
+    colors = {v: 5 * c + 3 for v, c in colors.items()}
+    return colors, max(colors.values()) + 4, graph.max_degree + 1
+
+
+def _greedy_reduction(graph):
+    colors, m, target = _greedy_inputs(graph)
+    return lambda: _GreedyReductionProgram(colors.__getitem__, m, target)
+
+
 def _exchange(partial):
     def make(graph):
         pos = _position(graph)
@@ -126,6 +143,7 @@ PROGRAMS = {
     "orientation_greedy": _orientation_greedy,
     "partial_exchange": _exchange(partial=True),
     "complete_exchange": _exchange(partial=False),
+    "greedy_reduction": _greedy_reduction,
 }
 
 
@@ -180,6 +198,27 @@ def test_recolor_from_ids_beyond_int64_runs_scalar():
     tel = RoundTelemetry()
     column = SynchronousNetwork(graph, scheduler="column").run(
         factory, count_bytes=True, telemetry=tel, **kwargs
+    )
+    assert tel.scheduler == "event"
+    assert column == dense
+
+
+@pytest.mark.parametrize("offset", [2**64, -(2**63)])
+def test_greedy_colors_outside_int64_payloads_run_scalar(offset):
+    """Input colours an int64 column cannot hold, or whose byte sizes the
+    vectorized sizing cannot compute (below -2**62), make the greedy
+    kernel decline, so the run still matches dense."""
+    graph = GRAPHS["contiguous"]
+    colors, m, target = _greedy_inputs(graph)
+    shifted = {v: offset + c for v, c in colors.items()}
+    m = max(m, offset + m)  # negative colours sit below target: no classes
+    factory = lambda: _GreedyReductionProgram(shifted.__getitem__, m, target)
+    dense = SynchronousNetwork(graph, scheduler="dense").run(
+        factory, count_bytes=True
+    )
+    tel = RoundTelemetry()
+    column = SynchronousNetwork(graph, scheduler="column").run(
+        factory, count_bytes=True, telemetry=tel
     )
     assert tel.scheduler == "event"
     assert column == dense
@@ -276,3 +315,69 @@ def test_recolor_error_names_the_node_like_dense(graph_name):
     assert type(column) is type(dense) is SimulationError
     assert str(column) == str(dense)
     assert str(column).startswith(f"node {graph.vertices[4]}: color")
+
+
+def _raised_on_every_engine(graph, factory, **kwargs):
+    """The error dense, event and column all raise (same type, same
+    message); the column engine must have run its kernel."""
+    tel = RoundTelemetry()
+    column = _raised(graph, "column", factory, telemetry=tel, **kwargs)
+    assert tel.scheduler == "column"
+    dense = _raised(graph, "dense", factory, **kwargs)
+    event = _raised(graph, "event", factory, **kwargs)
+    assert type(column) is type(event) is type(dense)
+    assert str(column) == str(event) == str(dense)
+    return column
+
+
+@pytest.mark.parametrize("kind", ["full", "participants"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_greedy_reduction_no_free_color_matches_scalar_engines(graph_name, kind):
+    """A target below Δ + 1: every engine names the same node, the first in
+    slot order of the first class that finds no free colour."""
+    graph = GRAPHS[graph_name]
+    colors, m, _ = _greedy_inputs(graph)
+    factory = lambda: _GreedyReductionProgram(colors.__getitem__, m, 2)
+    kwargs = {} if kind == "full" else _restriction(graph, kind)
+    error = _raised_on_every_engine(graph, factory, **kwargs)
+    assert type(error) is SimulationError
+    assert "no free color below target 2" in str(error)
+
+
+@pytest.mark.parametrize("kind", ["full", "participants"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_greedy_reduction_color_above_palette_matches_scalar_engines(
+    graph_name, kind
+):
+    """Input colours ``>= m``: the first such node in slot order is named."""
+    graph = GRAPHS[graph_name]
+    colors, _, target = _greedy_inputs(graph)
+    factory = lambda: _GreedyReductionProgram(colors.__getitem__, 9, target)
+    kwargs = {} if kind == "full" else _restriction(graph, kind)
+    ids = kwargs.get("participants", graph.vertices)
+    first = next(v for v in ids if colors[v] >= 9)
+    error = _raised_on_every_engine(graph, factory, **kwargs)
+    assert type(error) is SimulationError
+    assert str(error) == f"node {first}: input color {colors[first]} >= m=9"
+
+
+@pytest.mark.parametrize("kind", ["full", "participants"])
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_greedy_reduction_round_limit_matches_scalar_engines(graph_name, kind):
+    """A round limit between the first two class rounds, past the event
+    engine's delivery-only round: every engine stops with the same number
+    of nodes still running."""
+    graph = GRAPHS[graph_name]
+    colors, m, target = _greedy_inputs(graph)
+    kwargs = {} if kind == "full" else _restriction(graph, kind)
+    ids = kwargs.get("participants", graph.vertices)
+    top, below = sorted({colors[v] for v in ids if colors[v] >= target})[-1:-3:-1]
+    limit = m - top + 2
+    assert m - below > limit
+    factory = lambda: _GreedyReductionProgram(colors.__getitem__, m, target)
+    error = _raised_on_every_engine(graph, factory, round_limit=limit, **kwargs)
+    assert type(error) is RoundLimitExceeded
+    assert (error.limit, error.still_running) == (
+        limit,
+        sum(1 for v in ids if target <= colors[v] < top),
+    )

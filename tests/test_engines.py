@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import SynchronousNetwork
+from repro.core.color_reduction import _GreedyReductionProgram
 from repro.core.hpartition import HPartitionProgram, degree_threshold
 from repro.errors import SimulationError
 from repro.graphs import forest_union
@@ -180,20 +181,79 @@ class TestColumnDispatch:
 
     def test_telemetry_round_stream_matches_event(self):
         """The engine-independent telemetry view — per-round message and
-        byte counts — is identical between column and event."""
+        byte counts — is identical between column and event, on the peel
+        and on a sparse-palette greedy reduction (colour 7·v).  The event
+        engine also executes the greedy's delivery-only rounds, which the
+        kernel fast-forwards, so only the peel's sample counts agree."""
         gen = forest_union(120, 3, seed=9)
-        tels = {}
-        for engine in ("event", "column"):
-            net = SynchronousNetwork(gen.graph, scheduler=engine)
-            tel = tels[engine] = RoundTelemetry(count_bytes=True)
-            _hp_run(net, gen, telemetry=tel)
-        assert tels["column"].scheduler == "column"  # kernel actually ran
-        assert (
-            tels["column"].message_rounds() == tels["event"].message_rounds()
+        n, target = gen.graph.n, gen.graph.max_degree + 1
+        workloads = {
+            "peel": lambda net, tel: _hp_run(net, gen, telemetry=tel),
+            "greedy": lambda net, tel: net.run(
+                lambda: _GreedyReductionProgram(lambda v: 7 * v, 7 * n, target),
+                telemetry=tel,
+            ),
+        }
+        for name, workload in workloads.items():
+            tels = {}
+            for engine in ("event", "column"):
+                net = SynchronousNetwork(gen.graph, scheduler=engine)
+                tel = tels[engine] = RoundTelemetry(count_bytes=True)
+                workload(net, tel)
+            assert tels["column"].scheduler == "column"  # kernel actually ran
+            assert (
+                tels["column"].message_rounds() == tels["event"].message_rounds()
+            )
+            assert tels["column"].total_messages == tels["event"].total_messages
+            assert tels["column"].total_bytes == tels["event"].total_bytes
+            if name == "peel":
+                assert len(tels["column"].samples) == len(tels["event"].samples)
+
+    @pytest.mark.parametrize("a", [4, 16])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            "be08",
+            "cor46",
+            "delta_plus_one",
+            "forests",
+            "linial",
+            "mis_arboricity",
+            "oneshot",
+            "thm43",
+        ],
+    )
+    def test_flagship_trials_run_only_on_column(self, algorithm, a, monkeypatch):
+        """Every simulator run of a flagship trial executes a column kernel.
+
+        Left out: the Luby baselines, which have no kernel, and
+        ``thm52``/``thm53``, whose Arb-Kuhn recolor counts conflicts only
+        against parents, a configuration the recolor kernel declines.
+        """
+        from repro.experiments import registry
+        from repro.experiments.spec import TrialSpec
+
+        engines = []
+
+        class RecordingNetwork(SynchronousNetwork):
+            def run(self, program_factory, **kwargs):
+                tel = RoundTelemetry()
+                try:
+                    return super().run(program_factory, telemetry=tel, **kwargs)
+                finally:
+                    engines.append(tel.scheduler)
+
+        monkeypatch.setattr(registry, "SynchronousNetwork", RecordingNetwork)
+        registry.execute_trial(
+            TrialSpec(
+                family="forest_union",
+                algorithm=algorithm,
+                seed=1,
+                family_params={"n": 300, "a": a},
+            ).to_dict()
         )
-        assert tels["column"].total_messages == tels["event"].total_messages
-        assert tels["column"].total_bytes == tels["event"].total_bytes
-        assert len(tels["column"].samples) == len(tels["event"].samples)
+        assert engines
+        assert set(engines) == {"column"}
 
 
 class TestSchedulerKnob:

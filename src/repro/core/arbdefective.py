@@ -32,13 +32,7 @@ from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import (
-    ColorAssignment,
-    Decomposition,
-    NeighborSelector,
-    Orientation,
-    Vertex,
-)
+from ..types import ColorAssignment, Decomposition, Orientation, Vertex
 from .orientation import partial_orientation
 
 
@@ -52,13 +46,14 @@ def _palette_exhausted(node: Vertex, k: int, parents: int) -> SimulationError:
 class _SimpleArbdefectiveProgram(NodeProgram):
     """Wait for all parents; pick the color least used among them.
 
-    With ``legal=True`` the coloring must be legal (Lemma 2.2(1)): a node
-    whose least-used color is still held by a parent raises
+    A node's parents are its visible neighbours the ``orientation`` points
+    to.  With ``legal=True`` the coloring must be legal (Lemma 2.2(1)): a
+    node whose least-used color is still held by a parent raises
     :class:`~repro.errors.SimulationError` instead of sharing it.
     """
 
-    def __init__(self, parents_of: NeighborSelector, k: int, legal: bool = False):
-        self._parents_of = parents_of
+    def __init__(self, orientation: Orientation, k: int, legal: bool = False):
+        self._orientation = orientation
         self._k = k
         self._legal = legal
         self._parents: frozenset = frozenset()
@@ -75,7 +70,9 @@ class _SimpleArbdefectiveProgram(NodeProgram):
         ctx.halt(color)
 
     def on_start(self, ctx: NodeContext) -> None:
-        self._parents = frozenset(self._parents_of(ctx.node, ctx.neighbors))
+        self._parents = frozenset(
+            self._orientation.parents_of(ctx.node, ctx.neighbors)
+        )
         if self._parents:
             # nothing to do until a parent announces its color
             ctx.idle_until_message()
@@ -94,6 +91,9 @@ class _SimpleArbdefectiveProgram(NodeProgram):
     def column_kernel(self, col):
         """The topological rounds as numpy columns.
 
+        The parent mask is the orientation's ``heads`` at the run's entries
+        (:meth:`~repro.simulator.column.ColumnRun.at_entries`), ``> 0``; an
+        orientation over a graph other than the run's declines the kernel.
         Round 0 decides every node without parents; each later round, the
         nodes whose parents have all decided take the colour least used
         among their parents (ties to the smaller colour) from one
@@ -104,15 +104,17 @@ class _SimpleArbdefectiveProgram(NodeProgram):
         node waits on a cycle: the event engine raises the round limit at
         once there, and so does the kernel.
         """
+        if self._orientation.graph != col.graph:
+            return None
         np = col.np
-        parents_of = self._parents_of
+        heads = self._orientation.heads
         k = self._k
         legal = self._legal
 
         def run() -> None:
             n = col.n
             deg = col.degrees
-            is_parent = col.entry_mask(parents_of)
+            is_parent = col.at_entries(heads) > 0
             child = col.row_sources()[is_parent]
             parent = col.neighbors[is_parent]
             waiting = np.bincount(child, minlength=n)  # undecided parents
@@ -177,7 +179,7 @@ def simple_arbdefective(
     if k < 1:
         raise InvalidParameterError(f"simple_arbdefective: k must be >= 1, got {k}")
     result = network.run(
-        lambda: _SimpleArbdefectiveProgram(orientation.parents_of, k),
+        lambda: _SimpleArbdefectiveProgram(orientation, k),
         participants=participants,
         part_of=part_of,
         global_params={"k": k},
@@ -215,7 +217,7 @@ def orientation_greedy_coloring(
         raise InvalidParameterError("out_degree_bound must be >= 0")
     palette = out_degree_bound + 1
     result = network.run(
-        lambda: _SimpleArbdefectiveProgram(orientation.parents_of, palette, legal=True),
+        lambda: _SimpleArbdefectiveProgram(orientation, palette, legal=True),
         participants=participants,
         part_of=part_of,
         global_params={"palette": palette},

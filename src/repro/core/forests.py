@@ -33,6 +33,7 @@ from ..types import (
     canonical_edge,
 )
 from .hpartition import compute_hpartition
+from .orientation import key_heads
 
 
 class _ForestLabelProgram(NodeProgram):
@@ -134,16 +135,12 @@ def hpartition_orientation(
     graph, hpartition: HPartition
 ) -> Orientation:
     """The acyclic (level, id)-lexicographic orientation induced by an
-    H-partition (centralized assembly of locally-determined directions)."""
-    direction = {}
-    idx = hpartition.index
-    for (u, v) in graph.edges:
-        if u not in idx or v not in idx:
-            continue
-        head = v if (idx[v], v) > (idx[u], u) else u
-        direction[canonical_edge(u, v)] = head
+    H-partition, over every edge joining two of its vertices (centralized
+    assembly of locally-determined directions,
+    :func:`~repro.core.orientation.key_heads`)."""
     return Orientation(
-        direction=direction,
+        graph,
+        key_heads(graph, hpartition.index, None, None),
         algorithm="hpartition-orientation",
         params={"degree_bound": hpartition.degree_bound},
     )
@@ -174,17 +171,20 @@ def forests_decomposition(
         global_params={"a": a, "epsilon": epsilon},
     )
     forest_of: Dict[Tuple[int, int], int] = {}
-    direction = {}
     num_forests = 0
     for v, out in result.outputs.items():
         _level, labels, _in_labels = out
         for head, f in labels.items():
-            e = canonical_edge(v, head)
-            forest_of[e] = f
-            direction[e] = head
+            forest_of[canonical_edge(v, head)] = f
             num_forests = max(num_forests, f + 1)
+    # the heads of exactly the edges the labelling run saw
+    index = hpartition.index
+    if participants is not None:
+        index = {v: index[v] for v in participants}
+    graph = network.graph
     orientation = Orientation(
-        direction=direction,
+        graph,
+        key_heads(graph, index, None, part_of),
         rounds=hpartition.rounds + result.rounds,
         algorithm="forests-decomposition-orientation",
         params={"a": a, "epsilon": epsilon},

@@ -21,12 +21,15 @@ import math
 from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..errors import InvalidParameterError, SimulationError
 from ..graphs.graph import Graph
 from ..simulator.context import NodeContext
+from ..simulator.engines import label_codes
 from ..simulator.network import SynchronousNetwork, refine_parts
 from ..simulator.program import NodeProgram
-from ..types import HPartition, Orientation, Vertex, canonical_edge
+from ..types import HPartition, Orientation, Vertex, heads_by_key
 from .color_reduction import delta_plus_one_coloring
 from .defective import kuhn_defective_coloring
 from .hpartition import compute_hpartition
@@ -35,9 +38,13 @@ from .hpartition import compute_hpartition
 class _OrientationExchangeProgram(NodeProgram):
     """One-round exchange of (level, color); each node orients its edges.
 
-    Output per node: dict ``neighbor -> head`` covering every incident edge
-    the node could orient (both endpoints compute the same head because the
-    rule is symmetric in the exchanged keys).
+    Every edge points at the endpoint with the larger key, level first,
+    colour second (both endpoints compute the same head because the rule
+    is symmetric in the exchanged keys).  Output per node: its out-degree,
+    the number of visible neighbours with a larger key.  The procedures
+    below build the orientation itself from the same keys
+    (:func:`key_heads`); the run supplies the exchange's rounds, messages
+    and bytes, and the error for an illegal level colouring.
     """
 
     def __init__(self, key_of: Callable[[Vertex], Tuple[int, int]], partial: bool):
@@ -49,28 +56,29 @@ class _OrientationExchangeProgram(NodeProgram):
 
     def on_round(self, ctx: NodeContext) -> None:
         my_level, my_color = self._key_of(ctx.node)
-        heads: Dict[Vertex, Vertex] = {}
+        out_degree = 0
         for u, (lvl, col) in ctx.inbox.items():
             if lvl != my_level:
-                heads[u] = u if lvl > my_level else ctx.node
+                out_degree += lvl > my_level
             elif col != my_color:
-                heads[u] = u if col > my_color else ctx.node
+                out_degree += col > my_color
             elif not self._partial:
                 raise SimulationError(
                     f"complete orientation: neighbours {ctx.node} and {u} "
                     "share level and color — the level coloring is not legal"
                 )
             # same level, same color, partial mode: leave unoriented
-        ctx.halt(heads)
+        ctx.halt(out_degree)
 
     def column_kernel(self, col):
-        """The exchange as numpy columns: one head per CSR entry.
+        """The exchange as numpy columns: one comparison per CSR entry.
 
-        Each entry points at the endpoint with the larger key, level first,
-        colour second.  Equal keys stay unoriented in partial mode; in
-        complete mode the first such entry in CSR order (the scalar
-        engines' activation and inbox order) raises the scalar error.
-        Outputs gather the participants' own id objects.
+        An entry points at its neighbour when the neighbour's key is larger,
+        level first, colour second.  Equal keys stay unoriented in partial
+        mode; in complete mode the first such entry in CSR order (the
+        scalar engines' activation and inbox order) raises the scalar
+        error.  Each node's output counts its row's entries that point at
+        the neighbour.
         """
         np = col.np
         key_of = self._key_of
@@ -90,39 +98,60 @@ class _OrientationExchangeProgram(NodeProgram):
             col.note_round(0, n, col.degrees, sizes)
 
             src = col.row_sources()
-            same_level = level[src] == level[nbr]
-            tie = same_level & (color[src] == color[nbr])
-            if not partial and tie.any():
-                e = int(np.flatnonzero(tie)[0])
-                raise SimulationError(
-                    f"complete orientation: neighbours {ids[src[e]]} and "
-                    f"{ids[nbr[e]]} share level and color — the level "
-                    "coloring is not legal"
-                )
+            level_src, level_nbr = level[src], level[nbr]
+            color_src, color_nbr = color[src], color[nbr]
+            same_level = level_src == level_nbr
+            if not partial:
+                tie = same_level & (color_src == color_nbr)
+                if tie.any():
+                    e = int(np.flatnonzero(tie)[0])
+                    raise SimulationError(
+                        f"complete orientation: neighbours {ids[src[e]]} and "
+                        f"{ids[nbr[e]]} share level and color — the level "
+                        "coloring is not legal"
+                    )
             col.note_round(1, n)
             towards_nbr = np.where(
-                same_level, color[nbr] > color[src], level[nbr] > level[src]
+                same_level, color_nbr > color_src, level_nbr > level_src
             )
-            oriented = ~tie
-            id_objects = np.array(ids, dtype=object)
-            tails = id_objects[nbr[oriented]].tolist()
-            heads = id_objects[np.where(towards_nbr, nbr, src)[oriented]].tolist()
-            b = [0, *np.cumsum(np.bincount(src[oriented], minlength=n)).tolist()]
-            col.outputs = {
-                v: dict(zip(tails[lo:hi], heads[lo:hi], strict=True))
-                for v, lo, hi in zip(ids, b, b[1:], strict=False)
-            }
+            out_degree = np.bincount(src[towards_nbr], minlength=n)
+            col.outputs = dict(zip(ids, out_degree.tolist(), strict=True))
             col.rounds = 1
 
         return run
 
 
-def _assemble_orientation(outputs: Mapping[Vertex, Dict[Vertex, Vertex]]) -> Dict:
-    direction = {}
-    for v, heads in outputs.items():
-        for u, head in heads.items():
-            direction[canonical_edge(v, u)] = head
-    return direction
+def key_heads(
+    graph: Graph,
+    level_of: Mapping[Vertex, int],
+    color_of: Optional[Mapping[Vertex, int]],
+    part_of: Optional[Mapping[Vertex, object]],
+) -> "np.ndarray":
+    """Heads (see :class:`~repro.types.Orientation`) of the edges a run
+    over ``level_of``'s vertices with ``part_of`` sees, each towards the
+    endpoint with the larger (level, ``color_of``) key, or (level, id)
+    when ``color_of`` is ``None``.
+
+    This is the rule every node applies locally after the exchange, as one
+    comparison over ``graph.csr()`` (:func:`~repro.types.heads_by_key` of
+    the packed keys): entries the run cannot see
+    (:func:`~repro.simulator.engines.label_codes`) and entries joining
+    equal keys stay 0.  Colours must be integers whose range times the
+    largest level fits an int64.
+    """
+    order = tuple(level_of)
+    rows, code = label_codes(graph, order, part_of)
+    k = len(order)
+    key = np.zeros(graph.n, dtype=np.int64)
+    if k:
+        level = np.fromiter(level_of.values(), np.int64, count=k)
+        if color_of is None:
+            second = rows  # index order is id order
+        else:
+            second = np.fromiter(map(color_of.__getitem__, order), np.int64, count=k)
+            second -= second.min()
+        key[rows] = level * (int(second.max()) + 1) + second
+    return heads_by_key(graph, key, code)
 
 
 def complete_orientation(
@@ -161,7 +190,8 @@ def complete_orientation(
     )
     rounds = hpartition.rounds + level_coloring.rounds + result.rounds
     return Orientation(
-        direction=_assemble_orientation(result.outputs),
+        network.graph,
+        key_heads(network.graph, hpartition.index, level_coloring.colors, part_of),
         rounds=rounds,
         algorithm="complete-orientation",
         params={
@@ -218,7 +248,8 @@ def partial_orientation(
     )
     rounds = hpartition.rounds + level_coloring.rounds + result.rounds
     return Orientation(
-        direction=_assemble_orientation(result.outputs),
+        network.graph,
+        key_heads(network.graph, hpartition.index, level_coloring.colors, part_of),
         rounds=rounds,
         algorithm="partial-orientation",
         params={
@@ -237,19 +268,14 @@ def complete_from_partial(graph: Graph, orientation: Orientation) -> Orientation
     """Extend an acyclic partial orientation to a complete acyclic one.
 
     Lemma 3.1: topologically sort the oriented sub-DAG and orient every
-    unoriented edge towards the endpoint appearing *later*.  Centralized
-    utility (the distributed algorithms never need the completion — only
-    the arboricity argument does).
+    edge towards the endpoint appearing *later*, which keeps every
+    already-oriented edge as it was.  Centralized utility (the distributed
+    algorithms never need the completion — only the arboricity argument
+    does).
     """
-    order = _topological_order(graph, orientation)
-    pos = {v: i for i, v in enumerate(order)}
-    direction = dict(orientation.direction)
-    for (u, v) in graph.edges:
-        e = canonical_edge(u, v)
-        if e not in direction:
-            direction[e] = v if pos[v] > pos[u] else u
-    return Orientation(
-        direction=direction,
+    return Orientation.from_order(
+        graph,
+        _topological_order(graph, orientation),
         rounds=orientation.rounds,
         algorithm=orientation.algorithm + "+completed",
         params=dict(orientation.params),

@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..types import Orientation, Vertex, canonical_edge
+from ..types import Orientation, Vertex
 from .graph import Graph
 
 
@@ -96,12 +96,7 @@ def degeneracy_orientation(graph: Graph) -> Orientation:
     the degeneracy property each vertex has at most ``k`` of them.
     """
     _k, order = degeneracy(graph)
-    pos = {v: i for i, v in enumerate(order)}
-    direction = {}
-    for (u, v) in graph.edges:
-        head = v if pos[v] > pos[u] else u
-        direction[canonical_edge(u, v)] = head
-    return Orientation(direction=direction, algorithm="degeneracy-orientation")
+    return Orientation.from_order(graph, order, algorithm="degeneracy-orientation")
 
 
 def nash_williams_lower_bound(graph: Graph) -> int:

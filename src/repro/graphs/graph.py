@@ -147,6 +147,7 @@ class Graph:
         "_verts",
         "_offsets",
         "_nbr",
+        "_src",
         "_index",
         "_vset",
         "_edges_cache",
@@ -211,6 +212,7 @@ class Graph:
         self._verts = verts  # None for contiguous graphs until first use
         self._offsets = offsets
         self._nbr = nbr
+        self._src = None
         self._index = None
         self._vset = None
         self._edges_cache = None
@@ -296,7 +298,7 @@ class Graph:
         cache = self._edges_cache
         if cache is None:
             nbr = self._nbr
-            src = _np.repeat(_np.arange(self._n), _np.diff(self._offsets))
+            src = self.row_sources()
             upper = nbr > src  # each edge once, from its lower endpoint
             per_row = _np.bincount(src[upper], minlength=self._n)
             # both endpoints reuse the vertex tuple's int objects
@@ -390,6 +392,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        if self is other:
+            return True
         if self._n != other._n or len(self._nbr) != len(other._nbr):
             return False
         return (
@@ -433,6 +437,19 @@ class Graph:
         ``.tolist()`` first.
         """
         return self._offsets, self._nbr
+
+    def row_sources(self) -> _np.ndarray:
+        """The row of every CSR entry: ``neighbors[k]`` is a neighbour of
+        the vertex at index ``row_sources()[k]`` (read-only int64, built on
+        first use and cached, like :meth:`csr`'s arrays)."""
+        src = self._src
+        if src is None:
+            src = _np.repeat(
+                _np.arange(self._n, dtype=_np.int64), _np.diff(self._offsets)
+            )
+            src.flags.writeable = False
+            self._src = src
+        return src
 
     # ------------------------------------------------------------------
     # pickling (drop derived caches)
@@ -597,7 +614,7 @@ class Graph:
         mask = _np.zeros(n, dtype=bool)
         mask[keep_idx] = True
         nbr = self._nbr
-        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(self._offsets))
+        src = self.row_sources()
         sel = mask[src] & mask[nbr]
         remap = _np.full(n, -1, dtype=_np.int64)
         remap[keep_idx] = _np.arange(k, dtype=_np.int64)

@@ -12,7 +12,10 @@ The column engine runs whole rounds as numpy array operations over all
 nodes at once: per-node state lives in flat int64/bool columns, and
 neighbourhood interactions are CSR-segmented reductions over the run's
 visible graph (the graph's own ``csr()`` arrays on full runs, no copy; the
-masked CSR on subset runs).
+masked CSR on subset runs).  Each entry of the run's CSR knows its position
+in the graph's (``ColumnRun.positions``), so data aligned with the graph's
+entries, such as an :class:`~repro.types.Orientation`'s ``heads``, reaches
+a kernel with one gather.
 
 Kernel contract
 ---------------
@@ -46,11 +49,12 @@ Fallback semantics
 ``participants=``/``part_of=`` runs alike: a restricted run hands its
 kernel the masked CSR the run builds once
 (:meth:`~repro.simulator.engines.EngineRun.visible_csr`), renumbered into
-slot space.  Only two cases fall back, whole, to the event engine — same
-results, just scalar execution: a program without a kernel (or whose
-``column_kernel`` returns ``None`` for this configuration), and a run
-observed by a per-message sink (a telemetry sink with ``wants_messages``,
-such as a :class:`~repro.simulator.tracing.MessageTrace`).  An empty run
+slot space, with each kept entry's CSR position.  Only two cases fall
+back, whole, to the event engine — same results, just scalar execution:
+a program without a kernel (or whose ``column_kernel`` returns ``None``
+for this configuration), and a run observed by a per-message sink (a
+telemetry sink with ``wants_messages``, such as a
+:class:`~repro.simulator.tracing.MessageTrace`).  An empty run
 goes to the event engine without a probe.  On a fallback the probe's
 prototype becomes slot 0's program, so the factory runs exactly once per
 participant on every path.  Telemetry reports the engine that actually
@@ -67,12 +71,10 @@ dense and event.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Callable, Dict, Optional
 
 import numpy as _np
 
-from ..types import NeighborSelector
 from .engines import Engine, EngineRun, gather_rows, get_engine, register_engine
 
 
@@ -84,9 +86,13 @@ class ColumnRun:
     ``offsets``/``neighbors`` are the run's visible graph as an int64 CSR
     over slots: for full runs without ``part_of`` the graph's own read-only
     arrays (zero-copy; slot == graph index), otherwise the run's masked CSR
-    with its kept entries renumbered to slots.  Kernels read per-node
-    inputs through ``ids``, key outputs by them, and name ``ids[slot]`` in
-    error messages.  The object also collects the kernel's results and
+    with its kept entries renumbered to slots.  ``positions[j]`` is entry
+    ``j``'s position in ``graph.csr()`` (``None`` when the run's CSR is
+    the graph's own), so per-entry data aligned with the graph's CSR, such
+    as :attr:`~repro.types.Orientation.heads`, reaches the run's entries
+    with one gather (:meth:`at_entries`).  Kernels read per-node inputs
+    through ``ids``, key outputs by them, and name ``ids[slot]`` in error
+    messages.  The object also collects the kernel's results and
     accounting.
     """
 
@@ -100,8 +106,8 @@ class ColumnRun:
         "count_bytes",
         "offsets",
         "neighbors",
+        "positions",
         "_degrees",
-        "_rows",
         "_telemetry",
         "_last_round",
         "outputs",
@@ -120,15 +126,18 @@ class ColumnRun:
         self.globals = run.gp
         self.round_limit = run.round_limit
         self.count_bytes = run.count_bytes
+        self.positions: Optional[_np.ndarray] = None
         if run.full and run.part_of is None:
             self.offsets, self.neighbors = graph.csr()
         else:
-            rows, self.offsets, kept = run.visible_csr()
-            slot_of = _np.full(graph.n, -1, dtype=_np.int64)
-            slot_of[rows] = _np.arange(run.S, dtype=_np.int64)
-            self.neighbors = slot_of[kept]
+            rows, self.offsets, kept, self.positions = run.visible_csr()
+            if run.full:  # every vertex participates: slot == graph index
+                self.neighbors = kept
+            else:
+                slot_of = _np.full(graph.n, -1, dtype=_np.int64)
+                slot_of[rows] = _np.arange(run.S, dtype=_np.int64)
+                self.neighbors = slot_of[kept]
         self._degrees = None
-        self._rows = run.visible_rows
         self._telemetry = run.telemetry
         self._last_round = -1
         self.outputs: Dict[Any, Any] = {}
@@ -146,10 +155,18 @@ class ColumnRun:
         return self._degrees
 
     def row_sources(self) -> "_np.ndarray":
-        """CSR expansion: ``src[k]`` is the row owning ``neighbors[k]``."""
-        return _np.repeat(
-            _np.arange(self.n, dtype=_np.int64), self.degrees
-        )
+        """CSR expansion: ``src[k]`` is the row owning ``neighbors[k]``
+        (the graph's cached, read-only column when the run's CSR is the
+        graph's own)."""
+        if self.positions is None:
+            return self.graph.row_sources()
+        return _np.repeat(_np.arange(self.n, dtype=_np.int64), self.degrees)
+
+    def at_entries(self, values: "_np.ndarray") -> "_np.ndarray":
+        """``values``, one per entry of ``graph.csr()``, at the run's
+        entries: ``values[positions]``, or ``values`` itself when the run's
+        CSR is the graph's own."""
+        return values if self.positions is None else values[self.positions]
 
     def neighbor_slices(self, mask: "_np.ndarray") -> "_np.ndarray":
         """All neighbour entries of the masked rows, concatenated.
@@ -158,21 +175,6 @@ class ColumnRun:
         the per-row Python loop (see :func:`gather_rows`).
         """
         return gather_rows(self.offsets, self.neighbors, _np.flatnonzero(mask))[0]
-
-    def entry_mask(self, select: NeighborSelector) -> "_np.ndarray":
-        """Per-entry bool mask of a ``(node, visible_neighbors)`` callback.
-
-        ``select`` is called once per participant, in slot order, with the
-        node's id and its visible neighbourhood (the same tuple a scalar
-        program sees as ``ctx.neighbors``); entry ``j`` of the node's row
-        is set iff the row's ``j``-th id is among the returned ids.  Ids
-        outside the row select nothing.
-        """
-        flags = chain.from_iterable(
-            map(set(select(v, row)).__contains__, row)
-            for v, row in zip(self.ids, self._rows(), strict=True)
-        )
-        return _np.fromiter(flags, dtype=bool, count=len(self.neighbors))
 
     # -- byte accounting helpers --------------------------------------
     @staticmethod

@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import os
 import warnings
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -219,42 +219,33 @@ class EngineRun:
             programs += [program_factory() for _ in range(self.S - 1)]
         return contexts, programs
 
-    def visible_csr(self) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+    def visible_csr(
+        self,
+    ) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray, _np.ndarray]:
         """The restricted run's masked CSR, built once and cached.
 
-        Returns ``(rows, bounds, kept)``: the participants' graph indices
-        in slot order, the int64 row bounds (``S + 1`` entries), and the
-        kept entries as graph indices.  ``u`` is visible to ``v`` iff ``u``
-        participates and carries a ``part_of`` label equal to ``v``'s.
-        Labels are interned to int64 codes (non-participants get -1), the
-        participants' CSR rows are gathered in one segmented pass, and an
-        entry survives iff its code equals its row's code.  Rows keep the
-        CSR's ascending order.
+        Returns ``(rows, bounds, kept, positions)``: the participants'
+        graph indices in slot order, the int64 row bounds (``S + 1``
+        entries), the kept entries as graph indices, and each kept entry's
+        position in ``graph.csr()``.  An entry survives iff its code equals
+        its row's (:func:`label_codes`), compared over the whole CSR
+        through the graph's cached
+        :meth:`~repro.graphs.graph.Graph.row_sources`: a non-participant's
+        code is its own, so none of its entries survives and no
+        participant keeps it.  Rows keep the CSR's ascending order.
         """
         if self._visible is not None:
             return self._visible
         graph = self.graph
-        order = self.order
-        k = len(order)
-        if graph.ids_contiguous:
-            rows = _np.array(order, dtype=_np.int64)
-        else:
-            rows = _np.fromiter(map(graph.index_of, order), _np.int64, count=k)
-        part_of = self.part_of
-        if part_of is None:
-            labels = _np.zeros(k, dtype=_np.int64)
-        else:
-            names = list(map(part_of.get, order))
-            codes = {name: i for i, name in enumerate(dict.fromkeys(names))}
-            labels = _np.fromiter(map(codes.__getitem__, names), _np.int64, count=k)
-        code = _np.full(graph.n, -1, dtype=_np.int64)
-        code[rows] = labels
-        entries, lens = gather_rows(*graph.csr(), rows)
-        row_of = _np.repeat(_np.arange(k, dtype=_np.int64), lens)
-        keep = code[entries] == labels[row_of]
-        bounds = _np.zeros(k + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(row_of[keep], minlength=k), out=bounds[1:])
-        self._visible = (rows, bounds, entries[keep])
+        offsets, nbr = graph.csr()
+        rows, code = label_codes(graph, self.order, self.part_of)
+        positions = _np.flatnonzero(code[nbr] == code[graph.row_sources()])
+        # rows ascend, so a row's kept entries start where the kept
+        # positions pass its CSR offset
+        bounds = _np.empty(len(rows) + 1, dtype=_np.int64)
+        bounds[:-1] = _np.searchsorted(positions, offsets[rows])
+        bounds[-1] = len(positions)
+        self._visible = (rows, bounds, nbr[positions], positions)
         return self._visible
 
     def visible_rows(self) -> List[Tuple[Vertex, ...]]:
@@ -267,13 +258,42 @@ class EngineRun:
         graph = self.graph
         if self.full and self.part_of is None:
             return list(map(graph.neighbors, self.order))
-        _rows, bounds, kept = self.visible_csr()
+        _rows, bounds, kept, _positions = self.visible_csr()
         b = bounds.tolist()
         kept = kept.tolist()
         if not graph.ids_contiguous:
             kept = list(map(graph.vertices.__getitem__, kept))
         flat = tuple(kept)
         return [flat[b[i] : b[i + 1]] for i in range(self.S)]
+
+
+def label_codes(
+    graph, order: Sequence[Vertex], part_of: Optional[Mapping[Vertex, Any]]
+) -> Tuple[_np.ndarray, _np.ndarray]:
+    """The visibility rule of a run over the participants ``order``.
+
+    Returns ``order``'s graph indices and one integer code per graph index,
+    such that ``u`` is visible to ``v`` iff ``code[u] == code[v]``: a
+    participant's code is its interned ``part_of`` label (unlabelled
+    participants share the ``None`` part), and each non-participant gets
+    its own negative code.  Engines and the orientation builders in
+    :mod:`repro.core` read visibility from here alone.
+    """
+    k = len(order)
+    if graph.ids_contiguous:
+        rows = _np.array(order, dtype=_np.int64)
+    else:
+        rows = _np.fromiter(map(graph.index_of, order), _np.int64, count=k)
+    # the smallest signed dtype holding -n: the gathers of ``code`` over
+    # the CSR are the biggest temporaries of a run's set-up
+    code = -1 - _np.arange(graph.n, dtype=_np.min_scalar_type(-1 - graph.n))
+    if part_of is None:
+        code[rows] = 0
+    else:
+        names = list(map(part_of.get, order))
+        codes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+        code[rows] = _np.fromiter(map(codes.__getitem__, names), _np.int64, count=k)
+    return rows, code
 
 
 def gather_rows(
@@ -609,4 +629,5 @@ __all__ = [
     "EventEngine",
     "ProgramFactory",
     "gather_rows",
+    "label_codes",
 ]

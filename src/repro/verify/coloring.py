@@ -13,6 +13,7 @@ from ..errors import VerificationError
 from ..graphs.arboricity import degeneracy, nash_williams_lower_bound
 from ..graphs.graph import Graph
 from ..types import Orientation, Vertex
+from .orientation import check_orientation_edges_exist
 
 
 def check_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> None:
@@ -96,13 +97,14 @@ def check_arbdefective_coloring(
     """Assert every color class has arboricity ≤ ``max_arbdefect``.
 
     With an orientation *witness* (the acyclic orientation the algorithm
-    used) the check is exact: restrict the orientation to each class and
+    used, which must be over ``graph``) the check is exact: restrict the orientation to each class and
     count out-degrees plus unoriented incident edges — by Lemmas 3.1 + 2.5
     the class arboricity is at most that maximum.  Without a witness we
     fall back to the Nash–Williams lower bound, which detects violations
     but can under-approximate.
     """
     if orientation is not None:
+        check_orientation_edges_exist(graph, orientation)
         for c, sub in color_class_subgraphs(graph, colors).items():
             for v in sub.vertices:
                 nbrs = sub.neighbors(v)

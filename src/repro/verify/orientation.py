@@ -53,12 +53,13 @@ def check_orientation_complete(graph: Graph, orientation: Orientation) -> None:
 
 
 def check_orientation_edges_exist(graph: Graph, orientation: Orientation) -> None:
-    """Assert the orientation only mentions edges of the graph."""
-    for (u, v) in orientation.direction:
-        if not graph.has_edge(u, v):
-            raise VerificationError(
-                f"orientation mentions ({u}, {v}), not an edge of the graph"
-            )
+    """Assert the orientation only mentions edges of the graph: it is over
+    ``graph`` (same ids, same CSR), since its entries are that graph's."""
+    if orientation.graph != graph:
+        raise VerificationError(
+            f"orientation is over another graph ({orientation.graph!r}, "
+            f"checked against {graph!r})"
+        )
 
 
 def _toposort(

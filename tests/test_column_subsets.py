@@ -25,6 +25,7 @@ from repro.core.recolor import RecolorProgram, compute_recolor_schedule
 from repro.errors import RoundLimitExceeded, SimulationError
 from repro.graphs import forest_union
 from repro.obs import RoundTelemetry
+from repro.types import Orientation
 
 
 def _graphs():
@@ -90,19 +91,23 @@ def _acyclic_parents(graph):
     # acyclic and partial: edges point to the larger id unless the
     # endpoints' positions sum to a multiple of 3
     pos = _position(graph)
-    return lambda v, nbrs: [u for u in nbrs if u > v and (pos[u] + pos[v]) % 3]
+    return Orientation.from_direction(
+        graph, {(u, v): v for u, v in graph.edges if (pos[u] + pos[v]) % 3}
+    )
 
 
 def _simple_arbdefective(graph):
-    parents_of = _acyclic_parents(graph)
-    return lambda: _SimpleArbdefectiveProgram(parents_of, 3)
+    orientation = _acyclic_parents(graph)
+    return lambda: _SimpleArbdefectiveProgram(orientation, 3)
 
 
 def _orientation_greedy(graph):
     # Lemma 2.2(1): one more colour than any node has parents
-    parents_of = _acyclic_parents(graph)
-    k = 1 + max(len(parents_of(v, graph.neighbors(v))) for v in graph.vertices)
-    return lambda: _SimpleArbdefectiveProgram(parents_of, k, legal=True)
+    orientation = _acyclic_parents(graph)
+    k = 1 + max(
+        len(orientation.parents_of(v, graph.neighbors(v))) for v in graph.vertices
+    )
+    return lambda: _SimpleArbdefectiveProgram(orientation, k, legal=True)
 
 
 def _greedy_inputs(graph):
@@ -165,20 +170,6 @@ def test_run_result_matches_dense(program, graph_name, kind):
     assert column == dense
     if kind != "empty":
         assert column.messages and column.message_bytes
-
-
-def test_exchange_outputs_reuse_participant_id_objects():
-    """Kernel outputs hold the participants' own id objects, as the scalar
-    program's do: fresh ints per entry would grow every orientation."""
-    graph = GRAPHS["relabeled"]
-    participants = [int(str(v)) for v in graph.vertices]  # new objects
-    same = {v: v for v in participants}
-    result = SynchronousNetwork(graph, scheduler="column").run(
-        _exchange(partial=True)(graph), participants=participants
-    )
-    pairs = [(v, u, h) for v, heads in result.outputs.items() for u, h in heads.items()]
-    assert pairs
-    assert all(x is same[x] for triple in pairs for x in triple)
 
 
 def test_recolor_from_ids_beyond_int64_runs_scalar():
@@ -270,8 +261,8 @@ def test_exhausted_palette_error_matches_scalar_engines(graph_name, kind):
     """Lemma 2.2(1) with too few colours: every engine names the same
     node, the first in slot order of the first round that runs out."""
     graph = GRAPHS[graph_name]
-    parents_of = _acyclic_parents(graph)
-    factory = lambda: _SimpleArbdefectiveProgram(parents_of, 2, legal=True)
+    orientation = _acyclic_parents(graph)
+    factory = lambda: _SimpleArbdefectiveProgram(orientation, 2, legal=True)
     kwargs = {} if kind == "full" else _restriction(graph, kind)
     dense = _raised(graph, "dense", factory, **kwargs)
     event = _raised(graph, "event", factory, **kwargs)
@@ -285,19 +276,33 @@ def test_exhausted_palette_error_matches_scalar_engines(graph_name, kind):
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_cyclic_parents_exceed_round_limit_like_dense(graph_name):
-    """Every neighbour a parent: each edge is a 2-cycle, so only isolated
-    nodes ever decide and the rest wait out the round limit."""
-    graph = GRAPHS[graph_name]
-    factory = lambda: _SimpleArbdefectiveProgram(lambda v, nbrs: list(nbrs), 3)
-    kwargs = {**_restriction(graph, "participants"), "round_limit": 12}
-    dense = _raised(graph, "dense", factory, **kwargs)
-    column = _raised(graph, "column", factory, **kwargs)
-    assert type(column) is type(dense) is RoundLimitExceeded
-    assert (column.limit, column.still_running) == (
-        dense.limit,
-        dense.still_running,
-    )
-    assert str(column) == str(dense)
+    """A ring oriented one way round, with pendant vertices: the ring and
+    the pendants whose parent is on it wait out the round limit, while the
+    pendants the ring points to decide at once.  Checked on a full run and
+    on a subset run keeping the ring and every third pendant, two of each
+    kind."""
+    ids = GRAPHS[graph_name].vertices[:30]
+    ring, pendants = ids[:20], ids[20:]
+    direction = {
+        (ring[i], ring[(i + 1) % 20]): ring[(i + 1) % 20] for i in range(20)
+    }
+    for j, p in enumerate(pendants):
+        direction[(p, ring[j])] = ring[j] if j % 2 else p
+    graph = Graph(ids, direction)
+    orientation = Orientation.from_direction(graph, direction)
+    factory = lambda: _SimpleArbdefectiveProgram(orientation, 3)
+    for participants, waiting in ((None, 25), ([*ring, *pendants[::3]], 22)):
+        kwargs = {"round_limit": 12, "participants": participants}
+        dense = _raised(graph, "dense", factory, **kwargs)
+        tel = RoundTelemetry()
+        column = _raised(graph, "column", factory, telemetry=tel, **kwargs)
+        assert tel.scheduler == "column"
+        assert type(column) is type(dense) is RoundLimitExceeded
+        assert (column.limit, column.still_running) == (
+            dense.limit,
+            dense.still_running,
+        ) == (12, waiting)
+        assert str(column) == str(dense)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))

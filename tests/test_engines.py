@@ -1,14 +1,17 @@
 """The engine registry and the column engine's dispatch semantics."""
 
+import pickle
+
 import pytest
 
 import repro
-from repro import SynchronousNetwork
+from repro import Graph, SynchronousNetwork
 from repro.core.color_reduction import _GreedyReductionProgram
 from repro.core.hpartition import HPartitionProgram, degree_threshold
 from repro.errors import SimulationError
 from repro.graphs import forest_union
 from repro.obs import RoundTelemetry
+from repro.types import Orientation
 from repro.simulator import (
     Engine,
     MessageTrace,
@@ -254,6 +257,54 @@ class TestColumnDispatch:
         )
         assert engines
         assert set(engines) == {"column"}
+
+    @pytest.mark.parametrize("a", [4, 16])
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["be08", "cor46", "delta_plus_one", "mis_arboricity", "oneshot", "thm43"],
+    )
+    def test_column_path_reads_no_orientation_per_node(
+        self, algorithm, a, monkeypatch
+    ):
+        """Simple-Arbdefective's kernel gathers its parents from the
+        orientation's heads: with the per-node readers patched to raise,
+        every run of these trials still takes the column path and the
+        trial still verifies."""
+
+        def refuse(*args):
+            raise AssertionError("per-node orientation read on the column path")
+
+        monkeypatch.setattr(Orientation, "parents_of", refuse)
+        monkeypatch.setattr(Orientation, "head", refuse)
+        monkeypatch.setattr(Orientation, "direction", property(refuse), raising=False)
+        self.test_flagship_trials_run_only_on_column(algorithm, a, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "over,engine", [("pickled copy", "column"), ("another graph", "event")]
+    )
+    def test_simple_arbdefective_orientation_graph(self, over, engine):
+        """An orientation over an equal graph object feeds the kernel; one
+        over another graph declines it, and the scalar path reads its
+        parents.  Both runs match dense."""
+        from repro.core.arbdefective import _SimpleArbdefectiveProgram
+
+        graph = forest_union(90, 3, seed=13).graph
+        if over == "pickled copy":
+            base = pickle.loads(pickle.dumps(graph))
+            assert base == graph and base is not graph
+        else:
+            base = Graph(graph.vertices, graph.edges[1:])
+        orientation = Orientation.from_order(base, base.vertices[::-1])
+        factory = lambda: _SimpleArbdefectiveProgram(orientation, 3)
+        dense = SynchronousNetwork(graph, scheduler="dense").run(
+            factory, count_bytes=True
+        )
+        tel = RoundTelemetry()
+        column = SynchronousNetwork(graph, scheduler="column").run(
+            factory, count_bytes=True, telemetry=tel
+        )
+        assert tel.scheduler == engine
+        assert column == dense
 
 
 class TestSchedulerKnob:

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.errors import VerificationError
 from repro.graphs import forest_union
+from repro.types import Orientation
 from repro.verify import (
     check_arbdefective_coloring,
     check_forests_decomposition,
@@ -101,7 +102,7 @@ class TestOrientationCorruption:
             corrupted = dict(co.direction)
             u, v = e
             corrupted[e] = u if head == v else v
-            bad = type(co)(direction=corrupted)
+            bad = Orientation.from_direction(gen.graph, corrupted)
             try:
                 check_orientation_acyclic(gen.graph, bad)
                 check_orientation_out_degree(
@@ -119,7 +120,9 @@ class TestOrientationCorruption:
         corrupted = dict(co.direction)
         corrupted.pop(next(iter(corrupted)))
         with pytest.raises(VerificationError):
-            check_orientation_complete(gen.graph, type(co)(direction=corrupted))
+            check_orientation_complete(
+                gen.graph, Orientation.from_direction(gen.graph, corrupted)
+            )
 
 
 class TestForestsCorruption:

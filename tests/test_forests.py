@@ -70,6 +70,21 @@ class TestForestsDecomposition:
         )
         check_forests_decomposition(forest_graph.graph, fd)
 
+    def test_subset_run_orients_only_labelled_edges(self, forest_graph, forest_net):
+        """A whole-graph H-partition with a participants run: the
+        orientation covers exactly the edges the run labelled."""
+        hp = compute_hpartition(forest_net, forest_graph.arboricity_bound)
+        g = forest_graph.graph
+        subset = g.vertices[::2]
+        fd = forests_decomposition(
+            forest_net,
+            forest_graph.arboricity_bound,
+            participants=subset,
+            hpartition=hp,
+        )
+        assert len(fd.forest_of) == g.induced_subgraph(subset).m
+        assert set(fd.orientation.direction) == set(fd.forest_of)
+
 
 class TestHPartitionOrientation:
     def test_acyclic_and_bounded(self, forest_graph, forest_net):

@@ -1,9 +1,12 @@
 """Orientations: Complete-Orientation (L3.3), Partial-Orientation (T3.5),
 topological completion (L3.1), greedy coloring along orientations (App. A)."""
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro import SynchronousNetwork
+from repro import Graph, SynchronousNetwork
 from repro.analysis import (
     complete_orientation_length_bound,
     partial_orientation_length_bound,
@@ -11,11 +14,21 @@ from repro.analysis import (
 from repro.core import (
     complete_from_partial,
     complete_orientation,
+    compute_hpartition,
+    forests_decomposition,
+    hpartition_orientation,
     orientation_greedy_coloring,
     partial_orientation,
 )
+from repro.core.orientation import _OrientationExchangeProgram
 from repro.errors import InvalidParameterError
-from repro.graphs import forest_union
+from repro.graphs import (
+    degeneracy_orientation,
+    forest_union,
+    planar_triangulation,
+    preferential_attachment,
+)
+from repro.types import Orientation
 from repro.verify import (
     check_legal_coloring,
     check_orientation_acyclic,
@@ -162,3 +175,149 @@ class TestLongestPath:
         assert len(path) - 1 == orientation_length(g, po)
         for u, v in zip(path, path[1:], strict=False):
             assert po.head(u, v) == v
+
+
+#: the engine-equivalence suite's three instances
+INSTANCES = {
+    "forest_union": lambda: forest_union(150, 3, seed=21),
+    "planar": lambda: planar_triangulation(110, seed=22),
+    "preferential": lambda: preferential_attachment(130, 3, seed=23),
+}
+
+
+def _restriction(graph, kind):
+    """``participants``/``part_of`` keyword arguments for one kind of run:
+    a third of the vertices left out, and a partial labeling whose
+    unlabelled third shares the ``None`` part."""
+    ids = graph.vertices
+    subset = [v for i, v in enumerate(ids) if i % 3 != 1]
+    labels = {v: i % 2 for i, v in enumerate(ids) if i % 3 != 0}
+    return {
+        "full": {},
+        "participants": {"participants": subset},
+        "part_of": {"part_of": labels},
+        "both": {"participants": subset, "part_of": labels},
+    }[kind]
+
+
+def _entries(graph):
+    """Each CSR entry's endpoints as vertex ids, and its reverse entry."""
+    offsets, nbr = graph.csr()
+    src = np.repeat(np.arange(graph.n), np.diff(offsets))
+    codes = src * graph.n + nbr
+    reverse = np.searchsorted(codes, nbr * graph.n + src)
+    ids = np.array(graph.vertices)
+    return ids[src], ids[nbr], reverse
+
+
+PRODUCERS = {
+    "complete": lambda net, a, **kw: complete_orientation(net, a, **kw),
+    "partial": lambda net, a, **kw: partial_orientation(net, a, t=2, **kw),
+}
+
+
+class TestHeadsArray:
+    """``Orientation.heads``: one int8 per CSR entry, built by
+    Complete-Orientation and Partial-Orientation from the keys they hand
+    the exchange program."""
+
+    @pytest.mark.parametrize("kind", ["full", "participants", "part_of", "both"])
+    @pytest.mark.parametrize("instance", sorted(INSTANCES))
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    def test_heads_follow_the_exchanged_keys(self, producer, instance, kind):
+        gen = INSTANCES[instance]()
+        graph, a = gen.graph, gen.arboricity_bound
+        kwargs = _restriction(graph, kind)
+        exchanges = {}
+
+        def recording(engine):
+            class Recording(SynchronousNetwork):
+                def run(self, program_factory, **kw):
+                    result = super().run(program_factory, **kw)
+                    program = program_factory()
+                    if isinstance(program, _OrientationExchangeProgram):
+                        exchanges[engine] = (program._key_of, result.outputs)
+                    return result
+
+            return Recording(graph, scheduler=engine)
+
+        runs = {
+            engine: PRODUCERS[producer](recording(engine), a, **kwargs)
+            for engine in ("dense", "event", "column")
+        }
+        o = runs["column"]
+        assert runs["dense"] == runs["event"] == o
+        heads = o.heads
+        assert heads.dtype == np.int8
+        assert not heads.flags.writeable
+        tail, head, reverse = _entries(graph)
+        assert np.array_equal(heads[reverse], -heads)  # antisymmetric
+
+        participants = set(kwargs.get("participants", graph.vertices))
+        labels = kwargs.get("part_of", {})
+        visible = np.array(
+            [
+                u in participants
+                and v in participants
+                and labels.get(u) == labels.get(v)
+                for u, v in zip(tail.tolist(), head.tolist(), strict=True)
+            ]
+        )
+        assert not heads[~visible].any()
+        key_of = exchanges["column"][0]
+        for u, v, s in zip(
+            tail[visible].tolist(),
+            head[visible].tolist(),
+            heads[visible].tolist(),
+            strict=True,
+        ):
+            expected = (key_of(v) > key_of(u)) - (key_of(v) < key_of(u))
+            assert s == expected, (u, v)
+        if producer == "complete":
+            assert heads[visible].all()
+
+        tails, counts = np.unique(tail[heads > 0], return_counts=True)
+        out_degrees = dict(zip(tails.tolist(), counts.tolist(), strict=True))
+        for engine, (_key_of, outputs) in exchanges.items():
+            assert outputs == {v: out_degrees.get(v, 0) for v in outputs}, engine
+
+    @pytest.mark.parametrize("kind", ["full", "both"])
+    @pytest.mark.parametrize(
+        "producer",
+        ["complete", "partial", "hpartition", "forests", "degeneracy", "completed"],
+    )
+    @pytest.mark.parametrize("ids", ["contiguous", "relabeled"])
+    def test_from_direction_round_trips(self, producer, kind, ids):
+        gen = INSTANCES["forest_union"]()
+        graph = gen.graph
+        if ids == "relabeled":  # non-contiguous, some ids negative
+            relabel = lambda v: 41 * v - 200
+            graph = Graph(
+                map(relabel, graph.vertices),
+                [(relabel(u), relabel(v)) for u, v in graph.edges],
+            )
+        net = SynchronousNetwork(graph)
+        a = gen.arboricity_bound
+        kwargs = _restriction(graph, kind)
+        if producer in PRODUCERS:
+            o = PRODUCERS[producer](net, a, **kwargs)
+        elif producer == "hpartition":
+            o = hpartition_orientation(graph, compute_hpartition(net, a, **kwargs))
+        elif producer == "forests":
+            o = forests_decomposition(net, a, **kwargs).orientation
+        elif producer == "degeneracy":
+            o = degeneracy_orientation(graph)
+        else:
+            o = complete_from_partial(graph, partial_orientation(net, a, t=1))
+        rebuilt = Orientation.from_direction(
+            graph,
+            o.direction,
+            rounds=o.rounds,
+            algorithm=o.algorithm,
+            params=o.params,
+        )
+        assert rebuilt == o
+        assert o.direction  # something was oriented
+        # the cached read-only view does not travel; the array stays read-only
+        copy = pickle.loads(pickle.dumps(o))
+        assert copy == o and not copy.heads.flags.writeable

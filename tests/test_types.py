@@ -1,7 +1,6 @@
 """Result types: ColorAssignment, Orientation, decompositions."""
 
-import pytest
-
+from repro import Graph
 from repro.types import (
     ColorAssignment,
     Decomposition,
@@ -56,25 +55,17 @@ class TestColorAssignment:
 
 class TestOrientation:
     def test_head_and_is_oriented(self):
-        o = Orientation(direction={(0, 1): 1})
+        g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+        o = Orientation.from_direction(g, {(0, 1): 1})
         assert o.head(0, 1) == 1
         assert o.head(1, 0) == 1
         assert o.head(1, 2) is None
         assert o.is_oriented(1, 0)
         assert not o.is_oriented(2, 3)
 
-    def test_orient(self):
-        o = Orientation(direction={})
-        o.orient(3, 1, towards=1)
-        assert o.head(1, 3) == 1
-
-    def test_orient_rejects_non_endpoint(self):
-        o = Orientation(direction={})
-        with pytest.raises(ValueError):
-            o.orient(0, 1, towards=5)
-
     def test_parents_children_unoriented(self):
-        o = Orientation(direction={(0, 1): 1, (0, 2): 0})
+        g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+        o = Orientation.from_direction(g, {(0, 1): 1, (0, 2): 0})
         neighbors = [1, 2, 3]
         assert o.parents_of(0, neighbors) == [1]
         assert o.children_of(0, neighbors) == [2]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import VerificationError
-from repro.graphs import complete_graph, path, ring
+from repro.errors import InvalidParameterError, VerificationError
+from repro.graphs import Graph, complete_graph, path, ring
 from repro.types import ForestsDecomposition, HPartition, Orientation
 from repro.verify import (
     check_arbdefective_coloring,
@@ -77,12 +77,22 @@ class TestColoringCheckers:
             check_arbdefective_coloring(g, mono, 1)
 
     def test_arbdefective_with_witness(self, p4):
-        orientation = Orientation(direction={(0, 1): 1, (1, 2): 2, (2, 3): 3})
+        orientation = Orientation.from_direction(
+            p4, {(0, 1): 1, (1, 2): 2, (2, 3): 3}
+        )
         check_arbdefective_coloring(p4, {v: 0 for v in p4.vertices}, 1, orientation)
         with pytest.raises(VerificationError):
             check_arbdefective_coloring(
                 p4, {v: 0 for v in p4.vertices}, 0, orientation
             )
+
+    def test_arbdefective_witness_over_sparser_graph_rejected(self, p4):
+        """A witness over ``p4`` minus an edge would drop that edge from
+        the out-degrees; the check rejects it instead."""
+        sparser = Graph(p4.vertices, [(0, 1), (2, 3)])
+        witness = Orientation.from_direction(sparser, {(0, 1): 1, (2, 3): 3})
+        with pytest.raises(VerificationError, match="another graph"):
+            check_arbdefective_coloring(p4, {v: 0 for v in p4.vertices}, 1, witness)
 
     def test_palette(self):
         check_palette({0: 1, 1: 2}, 2)
@@ -93,40 +103,51 @@ class TestColoringCheckers:
 class TestOrientationCheckers:
     def test_acyclic_rejects_cycle(self):
         g = ring(3).graph
-        cyclic = Orientation(direction={(0, 1): 1, (1, 2): 2, (0, 2): 0})
+        cyclic = Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2, (0, 2): 0})
         with pytest.raises(VerificationError, match="cycle"):
             check_orientation_acyclic(g, cyclic)
 
     def test_complete_rejects_missing(self, p4):
-        partial = Orientation(direction={(0, 1): 1})
+        partial = Orientation.from_direction(p4, {(0, 1): 1})
         with pytest.raises(VerificationError, match="unoriented"):
             check_orientation_complete(p4, partial)
 
     def test_edges_exist_rejects_phantom(self, p4):
-        phantom = Orientation(direction={(0, 3): 3})
-        with pytest.raises(VerificationError):
-            check_orientation_edges_exist(p4, phantom)
+        """A phantom edge cannot enter an orientation, and the checker
+        rejects an orientation over another graph."""
+        with pytest.raises(InvalidParameterError, match="not an edge"):
+            Orientation.from_direction(p4, {(0, 3): 3})
+        with pytest.raises(InvalidParameterError, match="not an endpoint"):
+            Orientation.from_direction(p4, {(0, 1): 3})
+        check_orientation_edges_exist(p4, Orientation.from_direction(p4, {}))
+        other = ring(4).graph  # same ids, one more edge
+        with pytest.raises(VerificationError, match="another graph"):
+            check_orientation_edges_exist(p4, Orientation.from_direction(other, {}))
 
     def test_out_degree_bound(self, p4):
-        fan = Orientation(direction={(0, 1): 1, (1, 2): 2, (2, 3): 3})
+        fan = Orientation.from_direction(p4, {(0, 1): 1, (1, 2): 2, (2, 3): 3})
         check_orientation_out_degree(p4, fan, 1)
-        star_out = Orientation(direction={(0, 1): 0, (1, 2): 2, (2, 3): 2})
+        star_out = Orientation.from_direction(
+            p4, {(0, 1): 0, (1, 2): 2, (2, 3): 2}
+        )
         # vertex 1 points to 0? no: (0,1)->0 means tail 1; (1,2)->2 tail 1
         with pytest.raises(VerificationError):
             check_orientation_out_degree(p4, star_out, 1)
 
     def test_deficit_bound(self, p4):
-        partial = Orientation(direction={(0, 1): 1})
+        partial = Orientation.from_direction(p4, {(0, 1): 1})
         with pytest.raises(VerificationError):
             check_orientation_deficit(p4, partial, 0)
         check_orientation_deficit(p4, partial, 2)
 
     def test_length_on_directed_path(self, p4):
-        chain = Orientation(direction={(0, 1): 1, (1, 2): 2, (2, 3): 3})
+        chain = Orientation.from_direction(p4, {(0, 1): 1, (1, 2): 2, (2, 3): 3})
         assert orientation_length(p4, chain) == 3
         assert vertex_lengths(p4, chain) == {0: 3, 1: 2, 2: 1, 3: 0}
         assert longest_directed_path(p4, chain) == [0, 1, 2, 3]
-        alternating = Orientation(direction={(0, 1): 1, (1, 2): 1, (2, 3): 3})
+        alternating = Orientation.from_direction(
+            p4, {(0, 1): 1, (1, 2): 1, (2, 3): 3}
+        )
         assert orientation_length(p4, alternating) == 1
         assert vertex_lengths(p4, alternating) == {0: 1, 1: 0, 2: 1, 3: 0}
 
@@ -146,7 +167,7 @@ class TestDecompositionCheckers:
     def test_forests_rejects_unlabeled_edge(self, p4):
         fd = ForestsDecomposition(
             forest_of={(0, 1): 0},
-            orientation=Orientation(direction={(0, 1): 1}),
+            orientation=Orientation.from_direction(p4, {(0, 1): 1}),
             num_forests=1,
         )
         with pytest.raises(VerificationError, match="no forest label"):
@@ -156,7 +177,7 @@ class TestDecompositionCheckers:
         g = path(3).graph  # 0-1-2
         fd = ForestsDecomposition(
             forest_of={(0, 1): 0, (1, 2): 0},
-            orientation=Orientation(direction={(0, 1): 0, (1, 2): 2}),
+            orientation=Orientation.from_direction(g, {(0, 1): 0, (1, 2): 2}),
             num_forests=1,
         )
         # vertex 1 points to both 0 and 2 in forest 0
@@ -167,8 +188,8 @@ class TestDecompositionCheckers:
         g = ring(3).graph
         fd = ForestsDecomposition(
             forest_of={(0, 1): 0, (1, 2): 0, (0, 2): 0},
-            orientation=Orientation(
-                direction={(0, 1): 1, (1, 2): 2, (0, 2): 0}
+            orientation=Orientation.from_direction(
+                g, {(0, 1): 1, (1, 2): 2, (0, 2): 0}
             ),
             num_forests=1,
         )

@@ -30,7 +30,12 @@ import time
 
 import perf_record
 from conftest import run_once
-from legacy_graph import LegacyGraph, LegacySynchronousNetwork
+from legacy_graph import (
+    LegacyGraph,
+    LegacySynchronousNetwork,
+    legacy_check_hpartition,
+    legacy_check_mis,
+)
 from repro import SynchronousNetwork
 from repro.analysis import emit, render_table
 from repro.core import compute_hpartition
@@ -96,9 +101,8 @@ def _sweep_trial(n, edges, legacy):
     """One end-to-end sweep trial: build → decompose → verify → baseline.
 
     The legacy variant uses the seed graph, the seed simulator loop, and
-    the seed centralized helpers; the CSR variant uses the current library.
-    ``check_hpartition``/``check_mis`` dispatch internally (vectorized for
-    CSR graphs, the generic loop for the legacy graph).
+    the seed centralized helpers and verifiers; the CSR variant uses the
+    current library.
     """
     if legacy:
         g = LegacyGraph(range(n), edges)
@@ -107,14 +111,14 @@ def _sweep_trial(n, edges, legacy):
         g = Graph.from_edge_count(n, edges)
         net = SynchronousNetwork(g, scheduler="event")
     hp = compute_hpartition(net, A)
-    check_hpartition(g, hp)
+    (legacy_check_hpartition if legacy else check_hpartition)(g, hp)
     level_degrees = []
     for _lvl, vs in sorted(_levels_of(hp).items()):
         sub = _seed_induced(g, vs) if legacy else g.induced_subgraph(vs)
         level_degrees.append(sub.max_degree)
         assert sub.max_degree <= hp.degree_bound
     mis = _seed_greedy_mis(g) if legacy else greedy_mis_sequential(g)
-    check_mis(g, mis)
+    (legacy_check_mis if legacy else check_mis)(g, mis)
     return hp.index, level_degrees, mis, hp.rounds
 
 

@@ -7,14 +7,16 @@ instances through both implementations to measure the construction and
 end-to-end speedups, and to assert that the public id-based API (vertices /
 edges / neighbors / degree) is byte-identical.  It intentionally duplicates
 the old code rather than importing anything from ``repro.graphs`` — the
-baseline must not accelerate when the library does.
+baseline must not accelerate when the library does.  The same holds for the
+seed-era id-based verifiers below (``legacy_check_hpartition`` and
+``legacy_check_mis``), the checks the legacy graph has always run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, VerificationError
 from repro.types import Edge, Vertex, canonical_edge
 
 
@@ -97,6 +99,36 @@ class LegacyGraph:
 
     def __len__(self) -> int:
         return len(self._vertices)
+
+
+def legacy_check_hpartition(graph, hp) -> None:
+    """The seed-era H-partition check: one id-based loop per vertex."""
+    idx = hp.index
+    for v in graph.vertices:
+        if v not in idx:
+            raise VerificationError(f"vertex {v} has no H-index")
+    for v in graph.vertices:
+        higher = [u for u in graph.neighbors(v) if idx[u] >= idx[v]]
+        if len(higher) > hp.degree_bound:
+            raise VerificationError(
+                f"vertex {v} (level {idx[v]}) has {len(higher)} neighbours "
+                f"at its level or above (> {hp.degree_bound})"
+            )
+
+
+def legacy_check_mis(graph, members) -> None:
+    """The seed-era MIS check: id-based loops over edges and vertices."""
+    for (u, v) in graph.edges:
+        if u in members and v in members:
+            raise VerificationError(f"MIS contains both endpoints of edge ({u}, {v})")
+    for v in graph.vertices:
+        if v in members:
+            continue
+        if not any(u in members for u in graph.neighbors(v)):
+            raise VerificationError(
+                f"vertex {v} is outside the MIS but has no MIS neighbour "
+                "(not maximal)"
+            )
 
 
 class LegacySynchronousNetwork:

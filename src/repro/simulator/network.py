@@ -211,11 +211,16 @@ class SynchronousNetwork:
             order: Tuple[Vertex, ...] = graph.vertices
         else:
             active_set = set(participants)
-            for v in active_set:
-                if not graph.has_vertex(v):
-                    raise SimulationError(f"participant {v} is not a vertex")
-            # The deterministic activation order: ascending vertex id.
-            order = tuple(sorted(active_set))
+            if not graph.has_vertices(active_set):
+                for v in active_set:  # name the first offender
+                    if not graph.has_vertex(v):
+                        raise SimulationError(f"participant {v} is not a vertex")
+            # The deterministic activation order: ascending vertex id, which
+            # is the graph's own order when every vertex takes part.
+            if len(active_set) == graph.n:
+                order = graph.vertices
+            else:
+                order = tuple(sorted(active_set))
         if round_limit is None:
             round_limit = DEFAULT_ROUND_LIMIT_FACTOR * max(1, graph.n) + 1000
 

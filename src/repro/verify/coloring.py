@@ -7,7 +7,10 @@ observed quantity so benchmarks can report paper-bound vs. measured.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from itertools import count, repeat
+from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..errors import VerificationError
 from ..graphs.arboricity import degeneracy, nash_williams_lower_bound
@@ -16,16 +19,49 @@ from ..types import Orientation, Vertex
 from .orientation import check_orientation_edges_exist
 
 
+#: What the checks read for a key a result's mapping lacks: a value equal
+#: to nothing else.
+UNSET = object()
+
+
+def value_codes(
+    values: Iterable[object], size: int
+) -> Tuple[np.ndarray, Dict[object, int]]:
+    """Intern ``size`` values through a dict, so that they compare by
+    ``==`` as in Python, never by a numeric coercion (``np.fromiter``
+    would truncate 1.5 to 1 and parse ``"1"`` as 1).  Returns each value's
+    code (the position of its first appearance) and the dict from every
+    distinct value to its code."""
+    code: Dict[object, int] = {}
+    codes = np.fromiter(
+        map(code.setdefault, values, count()), np.min_scalar_type(size), count=size
+    )
+    return codes, code
+
+
 def check_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> None:
-    """Assert no edge is monochromatic and every vertex is colored."""
-    for v in graph.vertices:
-        if v not in colors:
-            raise VerificationError(f"vertex {v} is uncolored")
-    for (u, v) in graph.edges:
-        if colors[u] == colors[v]:
-            raise VerificationError(
-                f"edge ({u}, {v}) is monochromatic with color {colors[u]}"
-            )
+    """Assert every vertex is colored and no edge is monochromatic.
+
+    One pass over ``graph.csr()`` comparing the endpoints' colours, each
+    interned by :func:`value_codes`.  Names the first uncolored vertex (in
+    vertex order), else the first monochromatic edge (in ``graph.edges``
+    order)."""
+    verts = graph.vertices
+    own, code = value_codes(map(colors.get, verts, repeat(UNSET)), graph.n)
+    if UNSET in code:
+        v = verts[int(np.argmax(own == code[UNSET]))]
+        raise VerificationError(f"vertex {v} is uncolored")
+    nbr = graph.csr()[1]
+    src = graph.row_sources()
+    same = own[src] == own[nbr]
+    if same.any():
+        # an edge's entry in its lower endpoint's row comes first, so the
+        # first hit is the first monochromatic edge in graph.edges order
+        k = int(same.argmax())
+        u, v = verts[src[k]], verts[nbr[k]]
+        raise VerificationError(
+            f"edge ({u}, {v}) is monochromatic with color {colors[u]}"
+        )
 
 
 def is_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> bool:

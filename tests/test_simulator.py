@@ -1,5 +1,9 @@
 """The LOCAL-model round simulator: semantics, accounting, restrictions."""
 
+import re
+from enum import IntEnum
+
+import numpy as np
 import pytest
 
 from repro import Graph, NodeProgram, SynchronousNetwork
@@ -128,6 +132,61 @@ class TestVisibility:
     def test_unknown_participant_rejected(self, net):
         with pytest.raises(SimulationError):
             net.run(EchoIdProgram, participants=[7])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(range(4), [(0, 1), (1, 2), (2, 3)]),
+            Graph([40, 10, 30, 20], [(10, 20), (20, 30), (30, 40)]),
+        ],
+        ids=["contiguous", "relabelled"],
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda vs: [vs[0], float(vs[1])],
+            lambda vs: [vs[0], np.int64(vs[1])],
+            lambda vs: [True, vs[2]],
+            lambda vs: [vs[0], -1],
+            lambda vs: [vs[0], len(vs)],
+            lambda vs: [vs[0], max(vs) + 1],
+            lambda vs: [vs[0], "a"],
+            lambda vs: [IntEnum("Id", {"V": vs[1]}).V, vs[3]],
+            lambda vs: [vs[1], vs[0], vs[1]],
+            lambda vs: [*reversed(vs), vs[0]],
+            lambda vs: [*vs, -1],
+            lambda vs: [],
+        ],
+        ids=[
+            "float",
+            "np-int64",
+            "true",
+            "minus-one",
+            "n",
+            "past-max",
+            "str",
+            "int-enum",
+            "duplicates",
+            "everyone",
+            "everyone-and-stray",
+            "empty",
+        ],
+    )
+    def test_participants_validated_as_one_by_one(self, graph, make):
+        """The bulk participant check accepts exactly what ``has_vertex``
+        accepts one participant at a time, and names the same offender."""
+        participants = make(graph.vertices)
+        active = set(participants)
+        offender = next((v for v in active if not graph.has_vertex(v)), None)
+        net = SynchronousNetwork(graph)
+        if offender is None:
+            result = net.run(EchoIdProgram, participants=participants)
+            assert result.outputs == {v: v for v in active}
+            assert list(result.outputs) == sorted(active)
+        else:
+            message = f"participant {offender} is not a vertex"
+            with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+                net.run(EchoIdProgram, participants=participants)
 
     def test_part_of_isolates_parts(self):
         g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])

@@ -1,5 +1,7 @@
 """The verification layer itself: every checker must catch violations."""
 
+import re
+
 import pytest
 
 from repro.errors import InvalidParameterError, VerificationError
@@ -196,6 +198,31 @@ class TestDecompositionCheckers:
         with pytest.raises(VerificationError, match="cycle"):
             check_forests_decomposition(g, fd)
 
+    def test_forests_rejects_reversed_key(self):
+        g = path(3).graph  # 0-1-2
+        fd = ForestsDecomposition(
+            forest_of={(0, 1): 0, (1, 2): 0, (1, 0): 1},
+            orientation=Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2}),
+            num_forests=2,
+        )
+        # (1, 0) would put edge (0, 1) in a second forest
+        with pytest.raises(
+            VerificationError,
+            match=re.escape("forest label on non-canonical edge (1, 0)"),
+        ):
+            check_forests_decomposition(g, fd)
+
+    def test_forests_rejects_non_edge(self, p4):
+        fd = ForestsDecomposition(
+            forest_of={(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0},
+            orientation=Orientation.from_order(p4, [0, 1, 2, 3]),
+            num_forests=1,
+        )
+        with pytest.raises(
+            VerificationError, match=re.escape("forest label on non-edge (0, 3)")
+        ):
+            check_forests_decomposition(p4, fd)
+
     def test_partition_covers(self, p4):
         check_partition_covers(p4, {v: 0 for v in p4.vertices})
         with pytest.raises(VerificationError):
@@ -214,3 +241,10 @@ class TestMISChecker:
     def test_accepts(self, p4):
         check_mis(p4, {0, 2})
         check_mis(p4, {1, 3})
+
+    @pytest.mark.parametrize("stray", [99, -1])
+    def test_rejects_member_that_is_not_a_vertex(self, p4, stray):
+        with pytest.raises(
+            VerificationError, match=re.escape(f"MIS member {stray} is not a vertex")
+        ):
+            check_mis(p4, {0, 2, stray})

@@ -1,0 +1,303 @@
+"""The one-pass verifiers against brute-force references.
+
+Each case is a valid library result on a small random graph, with
+contiguous ids or the same graph relabelled to scattered ids, plus at most
+one corruption of a given class.  Every check must accept or reject
+exactly as the reference kept here does, naming the same witness.  The
+references are plain loops over ``graph.edges`` and ``graph.vertices``
+that follow the witness rules the checks document.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import Graph, SynchronousNetwork
+from repro.core import (
+    compute_hpartition,
+    forests_decomposition,
+    sequential_greedy_coloring,
+)
+from repro.core.mis import greedy_mis_sequential
+from repro.errors import VerificationError
+from repro.graphs import degeneracy, erdos_renyi
+from repro.types import ForestsDecomposition, HPartition, Orientation, canonical_edge
+from repro.verify import (
+    check_forests_decomposition,
+    check_hpartition,
+    check_legal_coloring,
+    check_mis,
+)
+
+PROFILE = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def small_graph(draw):
+    """G(n, p) on 1..14 vertices, half the time relabelled to scattered,
+    shuffled ids (negative ones included)."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    p = draw(st.floats(min_value=0.1, max_value=0.7))
+    graph = erdos_renyi(n, p, seed=draw(st.integers(0, 10**6))).graph
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(-40, 200), min_size=n, max_size=n, unique=True))
+        graph = Graph(ids, [(ids[u], ids[v]) for u, v in graph.edges])
+    return graph
+
+
+def _agree(check, reference, graph, result):
+    """``check`` accepts when ``reference`` returns None, and otherwise
+    raises exactly the message ``reference`` returns."""
+    expected = reference(graph, result)
+    if expected is None:
+        check(graph, result)
+    else:
+        with pytest.raises(VerificationError) as info:
+            check(graph, result)
+        assert str(info.value) == expected
+
+
+def _stray(graph, k):
+    """An integer id that is not a vertex of ``graph``."""
+    verts = graph.vertices
+    return (max(verts) + 1 + k) if k % 2 else (min(verts) - 1 - k)
+
+
+# ---------------------------------------------------------------------------
+# brute-force references
+# ---------------------------------------------------------------------------
+def reference_coloring(graph, colors):
+    for v in graph.vertices:
+        if v not in colors:
+            return f"vertex {v} is uncolored"
+    for u, v in graph.edges:
+        if colors[u] == colors[v]:
+            return f"edge ({u}, {v}) is monochromatic with color {colors[u]}"
+    return None
+
+
+def reference_mis(graph, members):
+    for u, v in graph.edges:
+        if u in members and v in members:
+            return f"MIS contains both endpoints of edge ({u}, {v})"
+    for v in graph.vertices:
+        if v not in members and not any(u in members for u in graph.neighbors(v)):
+            return (
+                f"vertex {v} is outside the MIS but has no MIS neighbour "
+                "(not maximal)"
+            )
+    for v in members:
+        if not graph.has_vertex(v):
+            return f"MIS member {v!r} is not a vertex"
+    return None
+
+
+def reference_hpartition(graph, hp):
+    for v in graph.vertices:
+        if v not in hp.index:
+            return f"vertex {v} has no H-index"
+    for v in graph.vertices:
+        higher = [u for u in graph.neighbors(v) if hp.index[u] >= hp.index[v]]
+        if len(higher) > hp.degree_bound:
+            return (
+                f"vertex {v} (level {hp.index[v]}) has {len(higher)} neighbours "
+                f"at its level or above (> {hp.degree_bound})"
+            )
+    return None
+
+
+def reference_forests(graph, fd):
+    edges = set(graph.edges)
+    for u, v in graph.edges:
+        if (u, v) not in fd.forest_of:
+            return f"edge ({u}, {v}) has no forest label"
+    for e in fd.forest_of:
+        if e not in edges:
+            kind = "non-canonical edge" if e[::-1] in edges else "non-edge"
+            return f"forest label on {kind} {e}"
+    forests = sorted(set(fd.forest_of.values()))
+    for f in forests:
+        if not 0 <= f < fd.num_forests:
+            return f"forest label {f} out of range"
+    for u, v in graph.edges:
+        if fd.orientation.head(u, v) is None:
+            return f"forest edge ({u}, {v}) unoriented"
+    for f in forests:
+        parents = {}
+        for (u, v), g in fd.forest_of.items():
+            if g == f:
+                tail = u if fd.orientation.head(u, v) == v else v
+                parents[tail] = parents.get(tail, 0) + 1
+        for v in sorted(parents):
+            if parents[v] > 1:
+                return f"vertex {v} has two parents in forest {f}"
+    for f in forests:
+        if _has_cycle([e for e, g in fd.forest_of.items() if g == f]):
+            return f"forest {f} contains a cycle"
+    return None
+
+
+def _has_cycle(edges):
+    """Union-find: an edge joining two connected vertices closes a cycle."""
+    root = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return True
+        root[ru] = rv
+    return False
+
+
+# ---------------------------------------------------------------------------
+# corruptions: each returns the corrupted result (or the valid one when the
+# graph offers no place for the corruption)
+# ---------------------------------------------------------------------------
+def _cycle(graph):
+    """The vertices of some cycle of ``graph`` in order, or None."""
+    for u, v in graph.edges:
+        # a path from u to v avoiding the edge (u, v) closes a cycle
+        came = {u: None}
+        frontier = [u]
+        while frontier and v not in came:
+            nxt = []
+            for x in frontier:
+                for y in graph.neighbors(x):
+                    if y not in came and (x, y) != (u, v):
+                        came[y] = x
+                        nxt.append(y)
+            frontier = nxt
+        if v in came:
+            path = [v]
+            while path[-1] != u:
+                path.append(came[path[-1]])
+            return path
+    return None
+
+
+def corrupt_forests(graph, fd, kind, k):
+    forest_of = dict(fd.forest_of)
+    orientation = fd.orientation
+    num_forests = fd.num_forests
+    keys = list(forest_of)
+    if kind == "missing" and keys:
+        del forest_of[keys[k % len(keys)]]
+    elif kind == "non-edge":
+        verts = graph.vertices
+        pairs = [
+            (u, v)
+            for i, u in enumerate(verts)
+            for v in verts[i + 1 :]
+            if not graph.has_edge(u, v)
+        ]
+        if pairs:
+            forest_of[pairs[k % len(pairs)]] = k % max(num_forests, 1)
+    elif kind == "reversed" and keys:
+        u, v = keys[k % len(keys)]
+        forest_of[(v, u)] = k % num_forests
+    elif kind == "out-of-range" and keys:
+        forest_of[keys[k % len(keys)]] = num_forests if k % 2 else -1
+    elif kind == "unoriented" and keys:
+        direction = dict(orientation.direction)
+        del direction[keys[k % len(keys)]]
+        orientation = Orientation.from_direction(graph, direction)
+    elif kind == "second-parent":
+        out = {}
+        for u, v in forest_of:
+            tail = u if orientation.head(u, v) == v else v
+            out.setdefault(tail, []).append((u, v))
+        crowded = [es for es in out.values() if len(es) > 1]
+        if crowded:
+            first, second = crowded[k % len(crowded)][:2]
+            forest_of[second] = forest_of[first]
+    elif kind == "cycle":
+        path = _cycle(graph)
+        if path is not None:
+            direction = dict(orientation.direction)
+            for x, y in zip(path, path[1:] + path[:1], strict=True):
+                direction[canonical_edge(x, y)] = y
+                forest_of[canonical_edge(x, y)] = num_forests
+            orientation = Orientation.from_direction(graph, direction)
+            num_forests += 1
+    return ForestsDecomposition(forest_of, orientation, num_forests)
+
+
+FOREST_KINDS = [
+    "none",
+    "missing",
+    "non-edge",
+    "reversed",
+    "out-of-range",
+    "unoriented",
+    "second-parent",
+    "cycle",
+]
+
+
+@PROFILE
+@pytest.mark.parametrize("kind", FOREST_KINDS)
+@given(graph=small_graph(), k=st.integers(0, 10**6))
+def test_forests_check_matches_reference(kind, graph, k):
+    a = max(1, degeneracy(graph)[0])
+    fd = forests_decomposition(SynchronousNetwork(graph), a)
+    bad = corrupt_forests(graph, fd, kind, k)
+    _agree(check_forests_decomposition, reference_forests, graph, bad)
+
+
+@PROFILE
+@pytest.mark.parametrize("kind", ["none", "uncolored", "monochromatic"])
+@given(graph=small_graph(), k=st.integers(0, 10**6))
+def test_coloring_check_matches_reference(kind, graph, k):
+    colors = dict(sequential_greedy_coloring(graph).colors)
+    verts = graph.vertices
+    edges = graph.edges
+    if kind == "uncolored":
+        del colors[verts[k % len(verts)]]
+    elif kind == "monochromatic" and edges:
+        u, v = edges[k % len(edges)]
+        colors[v] = colors[u]
+    _agree(check_legal_coloring, reference_coloring, graph, colors)
+
+
+@PROFILE
+@pytest.mark.parametrize("kind", ["none", "adjacent", "non-vertex", "uncovered"])
+@given(graph=small_graph(), k=st.integers(0, 10**6))
+def test_mis_check_matches_reference(kind, graph, k):
+    members = set(greedy_mis_sequential(graph))
+    if kind == "adjacent":
+        pairs = [(u, v) for u, v in graph.edges if u in members or v in members]
+        if pairs:
+            members |= set(pairs[k % len(pairs)])
+    elif kind == "non-vertex":
+        members.add(_stray(graph, k % 7))
+    elif kind == "uncovered":
+        members.discard(sorted(members)[k % len(members)])
+    _agree(check_mis, reference_mis, graph, members)
+
+
+@PROFILE
+@pytest.mark.parametrize("kind", ["none", "missing", "overfull"])
+@given(graph=small_graph(), k=st.integers(0, 10**6))
+def test_hpartition_check_matches_reference(kind, graph, k):
+    a = max(1, degeneracy(graph)[0])
+    hp = compute_hpartition(SynchronousNetwork(graph), a)
+    index = dict(hp.index)
+    bound = hp.degree_bound
+    if kind == "missing":
+        verts = graph.vertices
+        del index[verts[k % len(verts)]]
+    elif kind == "overfull":
+        worst = max(
+            sum(index[u] >= index[v] for u in graph.neighbors(v))
+            for v in graph.vertices
+        )
+        bound = worst - 1 - k % 2
+    _agree(check_hpartition, reference_hpartition, graph, HPartition(index, bound))

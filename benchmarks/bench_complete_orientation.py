@@ -4,10 +4,18 @@ Claim: complete acyclic orientation with out-degree ⌊(2+ε)a⌋ and length
 O(a log n).  Sweep a at fixed n: the measured length must grow ~linearly
 with a (the log n factor fixed), and the out-degree bound must hold
 exactly.
+
+The checks are timed against the procedure they check:
+``complete_orientation_verify_vs_run_speedup`` is the procedure's time
+over that of the four checks above on its result, gated in CI so the
+checks never again cost more than the orientation.
 """
 
+import time
 
+import perf_record
 from conftest import cached_forest_union, run_once
+from repro import SynchronousNetwork
 from repro.analysis import (
     complete_orientation_length_bound,
     emit,
@@ -15,6 +23,8 @@ from repro.analysis import (
     render_table,
 )
 from repro.core import complete_orientation
+from repro.graphs import forest_union
+from repro.types import Orientation
 from repro.verify import (
     check_orientation_acyclic,
     check_orientation_complete,
@@ -59,3 +69,66 @@ def test_length_linear_in_a(benchmark):
     slope = fit_loglog_slope([float(a) for a in SWEEP_A], [float(x) for x in lengths])
     assert 0.3 <= slope <= 1.6
     run_once(benchmark, lambda: _measure(SWEEP_A[-1]))
+
+
+def _best_of(k, fn):
+    """The last result of ``fn`` and its best-of-``k`` wall time."""
+    out, best = None, float("inf")
+    for _ in range(k):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def _check(graph, heads):
+    """The four checks of this bench on a fresh orientation of ``heads``
+    (nothing derived from an earlier check is reused); returns the
+    length and the out-degree."""
+    orientation = Orientation(graph, heads)
+    check_orientation_acyclic(graph, orientation)
+    check_orientation_complete(graph, orientation)
+    return (
+        orientation_length(graph, orientation),
+        orientation_max_out_degree(graph, orientation),
+    )
+
+
+def test_complete_orientation_verify_vs_run(benchmark):
+    """The checks must not outgrow the orientation they check.
+
+    Lemma 3.3 on ``forest_union(32000, 4, seed=4200)`` (the forests
+    gate's instance), best of 3, against the four checks of its result,
+    best of 3.  The ratio is recorded as
+    ``complete_orientation_verify_vs_run_speedup`` and gated against the
+    committed baseline.
+    """
+    n, a = 32_000, 4
+    graph = forest_union(n, a, seed=4200).graph
+    net = SynchronousNetwork(graph)
+    co, run_s = _best_of(3, lambda: complete_orientation(net, a))
+    (length, out), verify_s = _best_of(3, lambda: _check(graph, co.heads))
+    speedup = run_s / verify_s
+    row = [n, a, length, out, f"{run_s:.3f}", f"{verify_s:.4f}", f"{speedup:.1f}x"]
+    emit(
+        render_table(
+            "E03b — Complete-Orientation vs. its checks, n = 3.2·10^4",
+            ["n", "a", "length", "out-deg", "run s", "verify s", "run / verify"],
+            [row],
+            note="forest_union(n, a, seed=4200); both best of 3; the checks are "
+            "acyclic, complete, length and max out-degree",
+        ),
+        "e03_complete_orientation.txt",
+    )
+    perf_record.add_metrics(
+        "complete_orientation",
+        complete_orientation_verify_vs_run_speedup=round(speedup, 2),
+        complete_orientation_run_s=round(run_s, 4),
+        complete_orientation_verify_s=round(verify_s, 4),
+    )
+    # Acceptance: the checks cost at most half the orientation.
+    assert speedup >= 2.0, (
+        f"the orientation checks take {verify_s:.3f}s, over half of "
+        f"complete_orientation's {run_s:.3f}s"
+    )
+    run_once(benchmark, lambda: _check(graph, co.heads))

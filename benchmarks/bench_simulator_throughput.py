@@ -23,7 +23,8 @@ A second test guards the telemetry spine's overhead contract: the
 instrumented scheduler with telemetry *disabled* must stay within 3% of
 ``legacy_network.LegacySynchronousNetwork``, a frozen copy of the
 scheduler from before the telemetry hooks existed (the same A/B idiom as
-``legacy_graph`` for the CSR core).
+``legacy_graph`` for the CSR core).  The two sides run back to back in
+every repeat, and the gate reads the median of the per-repeat ratios.
 
 A third test runs the column engine at the scale the per-node engines
 cannot reach: the H-partition peel on a million-node forest union (built
@@ -40,6 +41,7 @@ faster (observed: about 7×; the committed baseline floor is gated in CI).
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import perf_record
@@ -52,6 +54,8 @@ from repro.core import greedy_reduction, luby_coloring, mis_arboricity
 from repro.obs import RoundTelemetry
 
 A = 3
+#: paired legacy/current repeats behind the telemetry overhead gate
+TELEMETRY_REPEATS = 15
 
 
 def _timed(fn):
@@ -284,70 +288,74 @@ def test_telemetry_overhead(benchmark):
     """Telemetry-disabled scheduler within 3% of the pre-telemetry copy.
 
     A/B against ``LegacySynchronousNetwork`` (frozen before the telemetry
-    hooks landed) on the sparse-sweep and dense-flood workloads; the gated
-    ratio is total legacy time over total current time with telemetry off.
-    Also records the enabled/disabled ratio for context (never gated).
+    hooks landed) on the sparse-sweep and dense-flood workloads.  Each of
+    ``TELEMETRY_REPEATS`` repeats runs every workload once per side, the
+    sides back to back in an order that flips from one repeat to the next,
+    so that both sides of a pair see the same machine state.  The gated
+    ratio is the median over repeats of legacy time over current time with
+    telemetry off (both summed over the workloads).  Also records the
+    enabled/disabled ratio, paired the same way, for context (never gated).
     """
     gen, _ = cached_forest_union(400, A, seed=3500)
     graph = gen.graph
     target = graph.max_degree + 1
-    workloads = [
-        (
-            "sweep",
-            lambda net: greedy_reduction(
-                net, {v: v for v in graph.vertices}, graph.n, target
-            ),
+    workloads = {
+        "sweep": lambda net: greedy_reduction(
+            net, {v: v for v in graph.vertices}, graph.n, target
         ),
-        ("flood", lambda net: luby_coloring(net, seed=4)),
+        "flood": lambda net: luby_coloring(net, seed=4),
+    }
+    networks = {
+        "legacy": lambda: LegacySynchronousNetwork(graph, scheduler="event"),
+        "disabled": lambda: SynchronousNetwork(graph, scheduler="event"),
+        "enabled": lambda: _with_telemetry(
+            SynchronousNetwork(graph, scheduler="event"), RoundTelemetry()
+        ),
+    }
+    # seconds[side][workload]: one time per repeat
+    seconds = {side: {name: [] for name in workloads} for side in networks}
+    for repeat in range(TELEMETRY_REPEATS):
+        order = list(networks)[:: 1 if repeat % 2 == 0 else -1]
+        for name, workload in workloads.items():
+            outputs = []
+            for side in order:
+                t0 = time.perf_counter()
+                outputs.append(workload(networks[side]()))
+                seconds[side][name].append(time.perf_counter() - t0)
+            assert all(out == outputs[0] for out in outputs), (
+                f"{name}: instrumented scheduler diverges from the frozen copy"
+            )
+
+    def paired_ratio(num, den, names=tuple(workloads)):
+        """Median over repeats of ``num``'s time over ``den``'s."""
+        totals = [
+            list(map(sum, zip(*(seconds[side][n] for n in names), strict=True)))
+            for side in (num, den)
+        ]
+        return statistics.median(a / b for a, b in zip(*totals, strict=True))
+
+    rows = [
+        [
+            name,
+            graph.n,
+            *(
+                f"{1e3 * statistics.median(seconds[side][name]):.1f}"
+                for side in networks
+            ),
+            f"{paired_ratio('legacy', 'disabled', (name,)):.3f}x",
+        ]
+        for name in workloads
     ]
-    rows = []
-    legacy_total = disabled_total = enabled_total = 0.0
-    for name, workload in workloads:
-        legacy_out, legacy_s = _best_of(
-            5,
-            lambda workload=workload: workload(
-                LegacySynchronousNetwork(graph, scheduler="event")
-            ),
-        )
-        disabled_out, disabled_s = _best_of(
-            5,
-            lambda workload=workload: workload(
-                SynchronousNetwork(graph, scheduler="event")
-            ),
-        )
-        enabled_out, enabled_s = _best_of(
-            5,
-            lambda workload=workload: workload(
-                _with_telemetry(
-                    SynchronousNetwork(graph, scheduler="event"), RoundTelemetry()
-                )
-            ),
-        )
-        assert legacy_out == disabled_out == enabled_out, (
-            f"{name}: instrumented scheduler diverges from the frozen copy"
-        )
-        legacy_total += legacy_s
-        disabled_total += disabled_s
-        enabled_total += enabled_s
-        rows.append(
-            [
-                name,
-                graph.n,
-                f"{1e3 * legacy_s:.1f}",
-                f"{1e3 * disabled_s:.1f}",
-                f"{1e3 * enabled_s:.1f}",
-                f"{legacy_s / disabled_s:.3f}x",
-            ]
-        )
-    disabled_ratio = legacy_total / disabled_total
-    enabled_ratio = disabled_total / enabled_total
+    disabled_ratio = paired_ratio("legacy", "disabled")
+    enabled_ratio = paired_ratio("disabled", "enabled")
     emit(
         render_table(
             "S4 — telemetry overhead: frozen pre-telemetry scheduler vs. current",
             ["workload", "n", "legacy ms", "disabled ms", "enabled ms", "ratio"],
             rows,
-            note="ratio = legacy/disabled best-of-5 wall time; the disabled "
-            "path must stay within 3% of the frozen copy (floor 0.97)",
+            note=f"medians of {TELEMETRY_REPEATS} alternating repeats; ratio = "
+            "median of per-repeat legacy/disabled wall time; the disabled path "
+            "must stay within 3% of the frozen copy (floor 0.97)",
         ),
         "s4_telemetry_overhead.txt",
     )

@@ -11,7 +11,7 @@
   all in O(log n) rounds.  This is the paper's key new tool: trading a
   little deficit for an exponentially shorter orientation.
 * :func:`complete_from_partial` — Lemma 3.1: any acyclic partial
-  orientation extends to a complete acyclic one via a topological sort
+  orientation extends to a complete acyclic one along its layers by length
   (centralized utility, used in the arboricity-certification argument).
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -267,44 +267,25 @@ def partial_orientation(
 def complete_from_partial(graph: Graph, orientation: Orientation) -> Orientation:
     """Extend an acyclic partial orientation to a complete acyclic one.
 
-    Lemma 3.1: topologically sort the oriented sub-DAG and orient every
-    edge towards the endpoint appearing *later*, which keeps every
-    already-oriented edge as it was.  Centralized utility (the distributed
-    algorithms never need the completion — only the arboricity argument
-    does).
+    Lemma 3.1 along the peel of :meth:`~repro.types.Orientation.lengths`:
+    every edge points at its endpoint of smaller length, ties at the larger
+    graph index.  An oriented edge's tail is longer than its head, so it
+    keeps its head.  Centralized utility (the distributed algorithms never
+    need the completion — only the arboricity argument does).
     """
-    return Orientation.from_order(
+    if orientation.graph != graph:
+        raise InvalidParameterError(
+            "complete_from_partial: the orientation is over another graph"
+        )
+    length = orientation.lengths()
+    if (length < 0).any():
+        raise SimulationError("orientation contains a directed cycle")
+    n = graph.n
+    key = (length.max(initial=0) - length) * n + np.arange(n, dtype=np.int64)
+    return Orientation(
         graph,
-        _topological_order(graph, orientation),
+        heads_by_key(graph, key),
         rounds=orientation.rounds,
         algorithm=orientation.algorithm + "+completed",
         params=dict(orientation.params),
     )
-
-
-def _topological_order(graph: Graph, orientation: Orientation) -> List[Vertex]:
-    """Kahn's algorithm on the oriented sub-DAG; raises on a cycle."""
-    indeg = {v: 0 for v in graph.vertices}
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
-    for e, head in orientation.direction.items():
-        u, v = e
-        tail = u if head == v else v
-        # tail -> head
-        children[tail].append(head)
-        indeg[head] += 1
-    frontier = sorted(v for v, d in indeg.items() if d == 0)
-    order: List[Vertex] = []
-    import heapq
-
-    heap = list(frontier)
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for u in children[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(heap, u)
-    if len(order) != graph.n:
-        raise SimulationError("orientation contains a directed cycle")
-    return order

@@ -31,14 +31,6 @@ from .generators import (
     star,
 )
 from .graph import Graph
-from .partition import (
-    check_is_partition,
-    cross_part_edges,
-    dense_relabel,
-    part_subgraphs,
-    parts_of,
-    refine_partition,
-)
 
 __all__ = [
     "Graph",
@@ -67,10 +59,4 @@ __all__ = [
     "pseudoarboricity",
     "arboricity_bounds",
     "is_forest",
-    "refine_partition",
-    "dense_relabel",
-    "parts_of",
-    "part_subgraphs",
-    "check_is_partition",
-    "cross_part_edges",
 ]

@@ -111,37 +111,17 @@ def nash_williams_lower_bound(graph: Graph) -> int:
     n = graph.n
     if n < 2:
         return 0
-    best = math.ceil(graph.m / (n - 1))
     _k, order = degeneracy(graph)
-    if graph.ids_contiguous:
-        # Vectorized over the CSR arrays: one C pass over the batched
-        # neighbour array instead of a Python loop per edge.
-        off, nbr = graph.csr()
-        pos = np.empty(n, dtype=np.int64)
-        pos[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        ps, pn = pos[src], pos[nbr]
-        mins = ps[ps < pn]  # each undirected edge counted exactly once
-        suffix_m = np.bincount(mins, minlength=n)
-        totals = suffix_m[::-1].cumsum()[::-1]  # edges inside order[i:]
-        n_h = n - np.arange(n, dtype=np.int64)
-        valid = n_h >= 2
-        if bool(valid.any()):
-            vals = -(-totals[valid] // (n_h[valid] - 1))  # ceil division
-            best = max(best, int(vals.max()))
-        return best
-    pos_d = {v: i for i, v in enumerate(order)}
-    # m_i = number of edges fully inside the suffix order[i:]
-    suffix_m_l = [0] * (n + 1)
-    for (u, v) in graph.edges:
-        suffix_m_l[min(pos_d[u], pos_d[v])] += 1
-    total = 0
-    for i in range(n - 1, -1, -1):
-        total += suffix_m_l[i]
-        n_h = n - i
-        if n_h >= 2:
-            best = max(best, math.ceil(total / (n_h - 1)))
-    return best
+    # each edge counted once, at its endpoint earlier in the order, then
+    # suffix sums of those counts (the first suffix is the whole graph)
+    rows = order if graph.ids_contiguous else map(graph.index_of, order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.fromiter(rows, np.int64, count=n)] = np.arange(n, dtype=np.int64)
+    ps, pn = pos[graph.row_sources()], pos[graph.csr()[1]]
+    suffix_m = np.bincount(ps[ps < pn], minlength=n)
+    totals = suffix_m[::-1].cumsum()[::-1]  # edges inside order[i:]
+    n_h = n - np.arange(n - 1, dtype=np.int64)  # suffixes of >= 2 vertices
+    return int((-(-totals[: n - 1] // (n_h - 1))).max())  # ceil division
 
 
 # ----------------------------------------------------------------------

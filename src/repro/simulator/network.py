@@ -101,18 +101,6 @@ class RunResult:
     message_bytes: int
     max_message_bytes: int = 0
 
-    def merged_with(self, other: "RunResult") -> "RunResult":
-        """Combine two runs executed sequentially (rounds add)."""
-        outputs = dict(self.outputs)
-        outputs.update(other.outputs)
-        return RunResult(
-            outputs=outputs,
-            rounds=self.rounds + other.rounds,
-            messages=self.messages + other.messages,
-            message_bytes=self.message_bytes + other.message_bytes,
-            max_message_bytes=max(self.max_message_bytes, other.max_message_bytes),
-        )
-
 
 def refine_parts(
     part_of: Optional[Mapping[Vertex, Any]], labels: Mapping[Vertex, Any]

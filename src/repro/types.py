@@ -133,8 +133,8 @@ class Orientation:
     * a *parent* of ``v`` is a neighbour ``u`` with the edge oriented
       ``v -> u`` (towards ``u``);
     * the *deficit* of a vertex is the number of incident unoriented edges;
-    * the *length* of a vertex is the longest directed path leaving it, and
-      the length of the orientation is the maximum over vertices.
+    * the *length* of a vertex is the longest directed path leaving it
+      (:meth:`lengths`); the orientation's length is their maximum.
     """
 
     graph: "Graph"
@@ -230,43 +230,47 @@ class Orientation:
             self._direction = MappingProxyType(dict(zip(edges, head, strict=True)))
         return self._direction
 
-    def _neighbors_where(
-        self, v: Vertex, neighbors: Iterable[Vertex], sign: Callable[[int], bool]
-    ) -> List[Vertex]:
-        """The ``neighbors`` of ``v`` whose entry in ``v``'s row passes
-        ``sign``: one slice of ``heads``."""
-        graph = self.graph
-        i = graph.index_of(v)
-        offsets = graph.csr()[0]
-        signs = self.heads[offsets[i] : offsets[i + 1]].tolist()
-        chosen = {
-            u for u, s in zip(graph.neighbors(v), signs, strict=True) if sign(s)
-        }
-        return [u for u in neighbors if u in chosen]
-
     def head(self, u: Vertex, v: Vertex) -> Optional[Vertex]:
         """Return the head of edge ``(u, v)``, or ``None`` if unoriented."""
         e = _entry(self.graph, u, v)
         sign = 0 if e is None else self.heads[e]
         return None if sign == 0 else (v if sign > 0 else u)
 
-    def is_oriented(self, u: Vertex, v: Vertex) -> bool:
-        """True when the edge ``(u, v)`` carries an orientation."""
-        return self.head(u, v) is not None
-
     def parents_of(self, v: Vertex, neighbors: Iterable[Vertex]) -> List[Vertex]:
-        """Parents of ``v`` among ``neighbors`` (edges oriented away from v)."""
-        return self._neighbors_where(v, neighbors, lambda s: s > 0)
+        """Parents of ``v`` among ``neighbors`` (edges oriented away from
+        v): one slice of ``heads``."""
+        graph = self.graph
+        i = graph.index_of(v)
+        offsets = graph.csr()[0]
+        signs = self.heads[offsets[i] : offsets[i + 1]].tolist()
+        parents = {u for u, s in zip(graph.neighbors(v), signs, strict=True) if s > 0}
+        return [u for u in neighbors if u in parents]
 
-    def children_of(self, v: Vertex, neighbors: Iterable[Vertex]) -> List[Vertex]:
-        """Children of ``v`` among ``neighbors`` (edges oriented into v)."""
-        return self._neighbors_where(v, neighbors, lambda s: s < 0)
+    def lengths(self) -> np.ndarray:
+        """len(v) for every graph index, or -1 for a vertex that reaches a
+        directed cycle: a level-synchronous peel.  Layer 0 is the vertices
+        with no out-edge; peeling a layer frees the tails of its rows' -1
+        entries, and a vertex whose last head is peeled goes in the next
+        layer, so its layer is its length.  One pass per layer, over the
+        peeled rows only."""
+        from .simulator.engines import gather_rows  # it imports this module
 
-    def unoriented_neighbors(
-        self, v: Vertex, neighbors: Iterable[Vertex]
-    ) -> List[Vertex]:
-        """Neighbours of ``v`` joined by an unoriented edge."""
-        return self._neighbors_where(v, neighbors, lambda s: s == 0)
+        graph, heads = self.graph, self.heads
+        n = graph.n
+        offsets, nbr = graph.csr()
+        left = np.bincount(graph.row_sources()[heads > 0], minlength=n)
+        tail = np.where(heads < 0, nbr, n)  # n: the entry is no edge into its row
+        length = np.full(n, -1, dtype=np.int64)
+        layer = np.flatnonzero(left == 0)
+        depth = 0
+        while len(layer):
+            length[layer] = depth
+            freed = gather_rows(offsets, tail, layer)[0]
+            freed, times = np.unique(freed[freed < n], return_counts=True)
+            left[freed] -= times
+            layer = freed[left[freed] == 0]
+            depth += 1
+        return length
 
 
 def heads_by_key(

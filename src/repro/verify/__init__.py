@@ -19,7 +19,6 @@ from .decomposition import (
     check_forests_decomposition,
     check_hpartition,
     check_mis,
-    check_partition_covers,
 )
 from .orientation import (
     check_orientation_acyclic,
@@ -48,7 +47,6 @@ __all__ = [
     "check_hpartition",
     "check_forests_decomposition",
     "check_mis",
-    "check_partition_covers",
     "check_orientation_acyclic",
     "check_orientation_complete",
     "check_orientation_deficit",

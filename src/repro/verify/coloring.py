@@ -39,6 +39,20 @@ def value_codes(
     return codes, code
 
 
+def _same_colored(
+    graph: Graph, colors: Mapping[Vertex, int]
+) -> Tuple[np.ndarray, Dict[object, int], np.ndarray]:
+    """Every vertex's colour code and the codes (:func:`value_codes`, in
+    vertex order), and per entry of ``graph.csr()`` whether it joins two
+    equal colours.  Names the first uncolored vertex."""
+    verts = graph.vertices
+    own, code = value_codes(map(colors.get, verts, repeat(UNSET)), graph.n)
+    if UNSET in code:
+        v = verts[int(np.argmax(own == code[UNSET]))]
+        raise VerificationError(f"vertex {v} is uncolored")
+    return own, code, own[graph.row_sources()] == own[graph.csr()[1]]
+
+
 def check_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> None:
     """Assert every vertex is colored and no edge is monochromatic.
 
@@ -46,19 +60,13 @@ def check_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> None:
     interned by :func:`value_codes`.  Names the first uncolored vertex (in
     vertex order), else the first monochromatic edge (in ``graph.edges``
     order)."""
-    verts = graph.vertices
-    own, code = value_codes(map(colors.get, verts, repeat(UNSET)), graph.n)
-    if UNSET in code:
-        v = verts[int(np.argmax(own == code[UNSET]))]
-        raise VerificationError(f"vertex {v} is uncolored")
-    nbr = graph.csr()[1]
-    src = graph.row_sources()
-    same = own[src] == own[nbr]
+    same = _same_colored(graph, colors)[2]
     if same.any():
         # an edge's entry in its lower endpoint's row comes first, so the
         # first hit is the first monochromatic edge in graph.edges order
         k = int(same.argmax())
-        u, v = verts[src[k]], verts[nbr[k]]
+        u = graph.vertex_at(int(graph.row_sources()[k]))
+        v = graph.vertex_at(int(graph.csr()[1][k]))
         raise VerificationError(
             f"edge ({u}, {v}) is monochromatic with color {colors[u]}"
         )
@@ -73,32 +81,44 @@ def is_legal_coloring(graph: Graph, colors: Mapping[Vertex, int]) -> bool:
     return True
 
 
+def _defects(
+    graph: Graph, colors: Mapping[Vertex, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vertex's number of same-colored neighbours, and the
+    same-colour mask over ``graph.csr()`` it counts."""
+    same = _same_colored(graph, colors)[2]
+    return np.bincount(graph.row_sources()[same], minlength=graph.n), same
+
+
 def coloring_defect(graph: Graph, colors: Mapping[Vertex, int]) -> int:
     """The defect: max over vertices of same-colored neighbours."""
-    worst = 0
-    for v in graph.vertices:
-        same = sum(1 for u in graph.neighbors(v) if colors[u] == colors[v])
-        worst = max(worst, same)
-    return worst
+    return int(_defects(graph, colors)[0].max(initial=0))
 
 
 def check_defective_coloring(
     graph: Graph, colors: Mapping[Vertex, int], max_defect: int
 ) -> None:
-    """Assert the coloring is ``max_defect``-defective."""
-    for v in graph.vertices:
-        same = [u for u in graph.neighbors(v) if colors[u] == colors[v]]
-        if len(same) > max_defect:
-            raise VerificationError(
-                f"vertex {v} has {len(same)} same-colored neighbours "
-                f"(> {max_defect}): {same[:6]}"
-            )
+    """Assert the coloring is ``max_defect``-defective.  Names the first
+    uncolored vertex, else the first vertex (in vertex order) with too
+    many same-colored neighbours and up to 6 of them."""
+    defects, same = _defects(graph, colors)
+    over = defects > max_defect
+    if over.any():
+        i = int(over.argmax())
+        offsets, nbr = graph.csr()
+        row = slice(offsets[i], offsets[i + 1])
+        witnesses = list(map(graph.vertex_at, nbr[row][same[row]][:6].tolist()))
+        raise VerificationError(
+            f"vertex {graph.vertex_at(i)} has {defects[i]} same-colored "
+            f"neighbours (> {max_defect}): {witnesses}"
+        )
 
 
 def color_class_subgraphs(
     graph: Graph, colors: Mapping[Vertex, int]
 ) -> Dict[int, Graph]:
     """The subgraph induced by every color class."""
+    _same_colored(graph, colors)  # names an uncolored vertex
     classes: Dict[int, list] = {}
     for v in graph.vertices:
         classes.setdefault(colors[v], []).append(v)
@@ -133,24 +153,28 @@ def check_arbdefective_coloring(
     """Assert every color class has arboricity ≤ ``max_arbdefect``.
 
     With an orientation *witness* (the acyclic orientation the algorithm
-    used, which must be over ``graph``) the check is exact: restrict the orientation to each class and
-    count out-degrees plus unoriented incident edges — by Lemmas 3.1 + 2.5
-    the class arboricity is at most that maximum.  Without a witness we
-    fall back to the Nash–Williams lower bound, which detects violations
-    but can under-approximate.
+    used, which must be over ``graph``) the check is exact: restrict the
+    orientation to each class and count out-degrees plus unoriented
+    incident edges — by Lemmas 3.1 + 2.5 the class arboricity is at most
+    that maximum.  One masked ``bincount`` counts every class at once, and
+    names the lowest vertex of the first class (in order of appearance).
+    Without a witness we fall back to the Nash–Williams lower bound, which
+    detects violations but can under-approximate.  An uncolored vertex is
+    named first.
     """
     if orientation is not None:
         check_orientation_edges_exist(graph, orientation)
-        for c, sub in color_class_subgraphs(graph, colors).items():
-            for v in sub.vertices:
-                nbrs = sub.neighbors(v)
-                out = len(orientation.parents_of(v, nbrs))
-                out += len(orientation.unoriented_neighbors(v, nbrs))
-                if out > max_arbdefect:
-                    raise VerificationError(
-                        f"class {c}: vertex {v} has witness out-degree "
-                        f"{out} > {max_arbdefect}"
-                    )
+        own, code, same = _same_colored(graph, colors)
+        src = graph.row_sources()
+        out = np.bincount(src[same & (orientation.heads >= 0)], minlength=graph.n)
+        over = np.flatnonzero(out > max_arbdefect)
+        if len(over):
+            i = int(over[own[over].argmin()])
+            c = list(code)[own[i]]
+            raise VerificationError(
+                f"class {c}: vertex {graph.vertex_at(i)} has witness "
+                f"out-degree {out[i]} > {max_arbdefect}"
+            )
         return
     lower, _upper = coloring_arbdefect_bounds(graph, colors)
     if lower > max_arbdefect:

@@ -9,7 +9,7 @@ with several defects, each docstring says which one is named."""
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -177,12 +177,3 @@ def check_mis(graph: Graph, members: Set[Vertex]) -> None:
         for v in members:
             if v not in vertices:
                 raise VerificationError(f"MIS member {v!r} is not a vertex")
-
-
-def check_partition_covers(
-    graph: Graph, label: Mapping[Vertex, object]
-) -> None:
-    """Assert a vertex labeling covers the whole vertex set."""
-    for v in graph.vertices:
-        if v not in label:
-            raise VerificationError(f"vertex {v} has no part label")

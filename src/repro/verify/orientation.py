@@ -3,53 +3,22 @@
 Out-degree, deficit, completeness, acyclicity, and *length* (the longest
 consistently-directed path) — the quantities Theorems 3.2/3.5 and Lemma 3.3
 bound.
+
+Every function first checks that the orientation is over ``graph``, then
+reads ``heads`` in one numpy pass, or in the peel of
+:meth:`~repro.types.Orientation.lengths`.  A failing check names the first
+witness in ``graph.vertices`` / ``graph.edges`` order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
+
+import numpy as np
 
 from ..errors import VerificationError
 from ..graphs.graph import Graph
-from ..types import Orientation, Vertex, canonical_edge
-
-
-def orientation_out_degrees(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
-    """Out-degree of every vertex under the (partial) orientation."""
-    out = {v: 0 for v in graph.vertices}
-    for (u, v), head in orientation.direction.items():
-        tail = u if head == v else v
-        out[tail] += 1
-    return out
-
-
-def orientation_max_out_degree(graph: Graph, orientation: Orientation) -> int:
-    """The orientation's out-degree (max over vertices)."""
-    degrees = orientation_out_degrees(graph, orientation)
-    return max(degrees.values(), default=0)
-
-
-def orientation_deficits(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
-    """Number of unoriented incident edges per vertex."""
-    deficit = {v: 0 for v in graph.vertices}
-    for (u, v) in graph.edges:
-        if canonical_edge(u, v) not in orientation.direction:
-            deficit[u] += 1
-            deficit[v] += 1
-    return deficit
-
-
-def orientation_max_deficit(graph: Graph, orientation: Orientation) -> int:
-    """The orientation's deficit (max over vertices)."""
-    deficits = orientation_deficits(graph, orientation)
-    return max(deficits.values(), default=0)
-
-
-def check_orientation_complete(graph: Graph, orientation: Orientation) -> None:
-    """Assert every edge of the graph is oriented."""
-    for (u, v) in graph.edges:
-        if canonical_edge(u, v) not in orientation.direction:
-            raise VerificationError(f"edge ({u}, {v}) is unoriented")
+from ..types import Orientation, Vertex
 
 
 def check_orientation_edges_exist(graph: Graph, orientation: Orientation) -> None:
@@ -62,93 +31,110 @@ def check_orientation_edges_exist(graph: Graph, orientation: Orientation) -> Non
         )
 
 
-def _toposort(
-    graph: Graph, orientation: Orientation
-) -> Tuple[List[Vertex], Dict[Vertex, List[Vertex]]]:
-    """Topological order of the oriented sub-DAG and its children lists;
-    raises on a cycle."""
-    indeg = {v: 0 for v in graph.vertices}
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in graph.vertices}
-    for (u, v), head in orientation.direction.items():
-        tail = u if head == v else v
-        children[tail].append(head)
-        indeg[head] += 1
-    stack = [v for v, d in indeg.items() if d == 0]
-    order: List[Vertex] = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in children[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                stack.append(u)
-    if len(order) != graph.n:
+def _count_entries(graph: Graph, orientation: Orientation, sign: int) -> np.ndarray:
+    """Per graph index, the entries of its row whose head sign is ``sign``."""
+    check_orientation_edges_exist(graph, orientation)
+    rows = graph.row_sources()[orientation.heads == sign]
+    return np.bincount(rows, minlength=graph.n)
+
+
+def _by_vertex(graph: Graph, values: np.ndarray) -> Dict[Vertex, int]:
+    return dict(zip(graph.vertices, values.tolist(), strict=True))
+
+
+def _check_at_most(graph: Graph, counts: np.ndarray, bound: int, what: str) -> None:
+    over = counts > bound
+    if over.any():
+        i = int(over.argmax())
+        v, d = graph.vertex_at(i), int(counts[i])
+        raise VerificationError(f"vertex {v} has {what} {d} > bound {bound}")
+
+
+def orientation_out_degrees(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
+    """Out-degree of every vertex under the (partial) orientation."""
+    return _by_vertex(graph, _count_entries(graph, orientation, 1))
+
+
+def orientation_max_out_degree(graph: Graph, orientation: Orientation) -> int:
+    """The orientation's out-degree (max over vertices)."""
+    return int(_count_entries(graph, orientation, 1).max(initial=0))
+
+
+def orientation_deficits(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
+    """Number of unoriented incident edges per vertex."""
+    return _by_vertex(graph, _count_entries(graph, orientation, 0))
+
+
+def orientation_max_deficit(graph: Graph, orientation: Orientation) -> int:
+    """The orientation's deficit (max over vertices)."""
+    return int(_count_entries(graph, orientation, 0).max(initial=0))
+
+
+def check_orientation_complete(graph: Graph, orientation: Orientation) -> None:
+    """Assert every edge of the graph is oriented."""
+    check_orientation_edges_exist(graph, orientation)
+    nbr = graph.csr()[1]
+    src = graph.row_sources()
+    upper = np.flatnonzero(nbr > src)  # each edge once, in graph.edges order
+    unoriented = orientation.heads[upper] == 0
+    if unoriented.any():
+        k = upper[int(unoriented.argmax())]
+        u, v = graph.vertex_at(int(src[k])), graph.vertex_at(int(nbr[k]))
+        raise VerificationError(f"edge ({u}, {v}) is unoriented")
+
+
+def _lengths(graph: Graph, orientation: Orientation) -> np.ndarray:
+    """len(v) per graph index; raises on a directed cycle."""
+    check_orientation_edges_exist(graph, orientation)
+    length = orientation.lengths()
+    if (length < 0).any():
         raise VerificationError("orientation contains a directed cycle")
-    return order, children
+    return length
 
 
 def check_orientation_acyclic(graph: Graph, orientation: Orientation) -> None:
     """Assert the oriented edges form a DAG."""
-    _toposort(graph, orientation)
-
-
-def _longest_paths(
-    graph: Graph, orientation: Orientation
-) -> Tuple[Dict[Vertex, int], Dict[Vertex, Vertex]]:
-    """len(v), the longest path *leaving* v, and the next vertex on one such
-    path: one DP in reverse topological order (heads before their tails)."""
-    order, children = _toposort(graph, orientation)
-    length = {v: 0 for v in graph.vertices}
-    best_child: Dict[Vertex, Vertex] = {}
-    for v in reversed(order):
-        for u in children[v]:
-            if 1 + length[u] > length[v]:
-                length[v] = 1 + length[u]
-                best_child[v] = u
-    return length, best_child
+    _lengths(graph, orientation)
 
 
 def orientation_length(graph: Graph, orientation: Orientation) -> int:
-    """len(σ): the longest consistently-directed path (DP over the DAG)."""
-    return max(_longest_paths(graph, orientation)[0].values(), default=0)
+    """len(σ): the longest consistently-directed path."""
+    return int(_lengths(graph, orientation).max(initial=0))
 
 
 def vertex_lengths(graph: Graph, orientation: Orientation) -> Dict[Vertex, int]:
     """len(v) for every vertex (used by Figure-1-style analyses)."""
-    return _longest_paths(graph, orientation)[0]
+    return _by_vertex(graph, _lengths(graph, orientation))
 
 
-def longest_directed_path(
-    graph: Graph, orientation: Orientation
-) -> List[Vertex]:
-    """An actual longest consistently-directed path (Figure 1 material)."""
-    length, best_child = _longest_paths(graph, orientation)
-    if not length:
+def longest_directed_path(graph: Graph, orientation: Orientation) -> List[Vertex]:
+    """An actual longest consistently-directed path (Figure 1 material):
+    from the first vertex of maximum length, each step goes to the first
+    neighbour (in row order) one layer below."""
+    length = _lengths(graph, orientation)
+    if not len(length):
         return []
-    start = max(length, key=lambda v: length[v])
-    path = [start]
-    while path[-1] in best_child:
-        path.append(best_child[path[-1]])
-    return path
+    offsets, nbr = graph.csr()
+    heads = orientation.heads
+    i = int(length.argmax())
+    path = [i]
+    while length[i]:
+        row = slice(offsets[i], offsets[i + 1])
+        nxt = (heads[row] > 0) & (length[nbr[row]] == length[i] - 1)
+        i = int(nbr[row][nxt.argmax()])
+        path.append(i)
+    return list(map(graph.vertex_at, path))
 
 
 def check_orientation_out_degree(
     graph: Graph, orientation: Orientation, bound: int
 ) -> None:
     """Assert every vertex has out-degree at most ``bound``."""
-    for v, d in orientation_out_degrees(graph, orientation).items():
-        if d > bound:
-            raise VerificationError(
-                f"vertex {v} has out-degree {d} > bound {bound}"
-            )
+    _check_at_most(graph, _count_entries(graph, orientation, 1), bound, "out-degree")
 
 
 def check_orientation_deficit(
     graph: Graph, orientation: Orientation, bound: int
 ) -> None:
     """Assert every vertex has deficit at most ``bound``."""
-    for v, d in orientation_deficits(graph, orientation).items():
-        if d > bound:
-            raise VerificationError(
-                f"vertex {v} has deficit {d} > bound {bound}"
-            )
+    _check_at_most(graph, _count_entries(graph, orientation, 0), bound, "deficit")

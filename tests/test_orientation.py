@@ -21,7 +21,7 @@ from repro.core import (
     partial_orientation,
 )
 from repro.core.orientation import _OrientationExchangeProgram
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.graphs import (
     degeneracy_orientation,
     forest_union,
@@ -126,6 +126,22 @@ class TestCompleteFromPartial:
         # the completion preserves already-oriented edges
         for e, head in po.direction.items():
             assert completed.direction[e] == head
+
+    def test_completion_rule(self):
+        """Unoriented edges point at the shorter endpoint, ties at the
+        larger id; a cycle or another graph is rejected."""
+        g = Graph([2, 4, 6, 8], [(2, 4), (4, 6), (6, 8), (2, 8)])
+        po = Orientation.from_direction(g, {(2, 4): 4, (4, 6): 6})
+        # lengths 2, 1, 0, 0: (6, 8) ties and goes to 8, (2, 8) goes to 8
+        done = complete_from_partial(g, po)
+        assert dict(done.direction) == {(2, 4): 4, (2, 8): 8, (4, 6): 6, (6, 8): 8}
+        cyclic = Orientation.from_direction(
+            g, {(2, 4): 4, (4, 6): 6, (6, 8): 8, (2, 8): 2}
+        )
+        with pytest.raises(SimulationError, match="directed cycle"):
+            complete_from_partial(g, cyclic)
+        with pytest.raises(InvalidParameterError, match="another graph"):
+            complete_from_partial(Graph([2, 4, 6, 8], [(2, 4)]), po)
 
     def test_out_degree_grows_at_most_by_deficit(self, forest_graph, forest_net):
         a = forest_graph.arboricity_bound

@@ -241,14 +241,6 @@ class TestAccounting:
         assert result.message_bytes > 0
         assert result.max_message_bytes >= 1
 
-    def test_merged_with(self, net):
-        r1 = net.run(SumNeighborsProgram)
-        r2 = net.run(EchoIdProgram)
-        merged = r1.merged_with(r2)
-        assert merged.rounds == r1.rounds + r2.rounds
-        assert merged.messages == r1.messages
-        assert merged.outputs == r2.outputs  # second run overwrites
-
     def test_payload_size(self):
         assert payload_size(None) == 0
         assert payload_size(True) == 1

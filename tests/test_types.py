@@ -60,16 +60,30 @@ class TestOrientation:
         assert o.head(0, 1) == 1
         assert o.head(1, 0) == 1
         assert o.head(1, 2) is None
-        assert o.is_oriented(1, 0)
-        assert not o.is_oriented(2, 3)
+        assert o.head(2, 3) is None
 
     def test_parents_children_unoriented(self):
         g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
         o = Orientation.from_direction(g, {(0, 1): 1, (0, 2): 0})
         neighbors = [1, 2, 3]
         assert o.parents_of(0, neighbors) == [1]
-        assert o.children_of(0, neighbors) == [2]
-        assert o.unoriented_neighbors(0, neighbors) == [3]
+        # vertex 0's row: parent 1, child 2, unoriented 3
+        assert o.heads[:3].tolist() == [1, -1, 0]
+
+    def test_lengths_peel(self):
+        g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        chain = Orientation.from_direction(
+            g, {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): 3}
+        )
+        assert chain.lengths().tolist() == [3, 2, 1, 0, 0]
+        # 0 -> 1 -> 2 -> 3 -> 0 is a cycle, and 4 -> 3 reaches it
+        cyclic = Orientation.from_direction(
+            g, {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): 0, (3, 4): 3}
+        )
+        assert cyclic.lengths().tolist() == [-1, -1, -1, -1, -1]
+        assert Orientation.from_direction(g, {}).lengths().tolist() == [0] * 5
+        empty = Graph([], [])
+        assert Orientation.from_direction(empty, {}).lengths().tolist() == []
 
 
 class TestHPartition:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.errors import InvalidParameterError, VerificationError
-from repro.graphs import Graph, complete_graph, path, ring
+from repro.graphs import Graph, complete_graph, path, ring, star
 from repro.types import ForestsDecomposition, HPartition, Orientation
 from repro.verify import (
     check_arbdefective_coloring,
@@ -20,13 +20,16 @@ from repro.verify import (
     check_orientation_edges_exist,
     check_orientation_out_degree,
     check_palette,
-    check_partition_covers,
     color_class_subgraphs,
     coloring_arbdefect_bounds,
     coloring_defect,
     is_legal_coloring,
     longest_directed_path,
+    orientation_deficits,
     orientation_length,
+    orientation_max_deficit,
+    orientation_max_out_degree,
+    orientation_out_degrees,
     vertex_lengths,
 )
 
@@ -96,6 +99,45 @@ class TestColoringCheckers:
         with pytest.raises(VerificationError, match="another graph"):
             check_arbdefective_coloring(p4, {v: 0 for v in p4.vertices}, 1, witness)
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda g, colors, w: check_arbdefective_coloring(g, colors, 1, w),
+            lambda g, colors, w: check_arbdefective_coloring(g, colors, 1),
+            lambda g, colors, w: check_defective_coloring(g, colors, 1),
+            lambda g, colors, w: coloring_defect(g, colors),
+            lambda g, colors, w: coloring_arbdefect_bounds(g, colors),
+        ],
+        ids=["arbdefect-witness", "arbdefect", "defective", "defect", "bounds"],
+    )
+    def test_uncolored_vertex_named(self, p4, check):
+        witness = Orientation.from_direction(p4, {(0, 1): 1, (1, 2): 2, (2, 3): 3})
+        with pytest.raises(VerificationError, match="^vertex 3 is uncolored$"):
+            check(p4, {0: 0, 1: 0, 2: 0}, witness)
+
+    def test_defective_checker_lists_six_neighbours(self):
+        g = star(9).graph  # hub 0 with leaves 1..8, all one colour
+        with pytest.raises(
+            VerificationError,
+            match=re.escape(
+                "vertex 0 has 8 same-colored neighbours (> 2): [1, 2, 3, 4, 5, 6]"
+            ),
+        ):
+            check_defective_coloring(g, {v: 0 for v in g.vertices}, 2)
+
+    def test_arbdefect_witness_names_first_class_then_lowest_vertex(self):
+        g = Graph([3, 5, 7, 9], [(3, 5), (5, 7), (7, 9), (3, 9)])
+        witness = Orientation.from_direction(g, {(3, 5): 5, (7, 9): 7})
+        # class "b" (vertices 3, 5, 9) appears first; 3 has parent 5 and
+        # unoriented 9, 9 has unoriented 3; class "a" (7) is alone
+        colors = {3: "b", 5: "b", 7: "a", 9: "b"}
+        with pytest.raises(
+            VerificationError,
+            match=re.escape("class b: vertex 3 has witness out-degree 2 > 1"),
+        ):
+            check_arbdefective_coloring(g, colors, 1, witness)
+        check_arbdefective_coloring(g, colors, 2, witness)
+
     def test_palette(self):
         check_palette({0: 1, 1: 2}, 2)
         with pytest.raises(VerificationError):
@@ -141,6 +183,31 @@ class TestOrientationCheckers:
         with pytest.raises(VerificationError):
             check_orientation_deficit(p4, partial, 0)
         check_orientation_deficit(p4, partial, 2)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            orientation_out_degrees,
+            orientation_max_out_degree,
+            orientation_deficits,
+            orientation_max_deficit,
+            check_orientation_complete,
+            check_orientation_acyclic,
+            orientation_length,
+            vertex_lengths,
+            longest_directed_path,
+            pytest.param(
+                lambda g, o: check_orientation_out_degree(g, o, 5), id="out-bound"
+            ),
+            pytest.param(
+                lambda g, o: check_orientation_deficit(g, o, 5), id="deficit-bound"
+            ),
+        ],
+    )
+    def test_orientation_over_another_graph_rejected(self, p4, measure):
+        other = Orientation.from_direction(ring(4).graph, {(0, 3): 3})
+        with pytest.raises(VerificationError, match="another graph"):
+            measure(p4, other)
 
     def test_length_on_directed_path(self, p4):
         chain = Orientation.from_direction(p4, {(0, 1): 1, (1, 2): 2, (2, 3): 3})
@@ -222,11 +289,6 @@ class TestDecompositionCheckers:
             VerificationError, match=re.escape("forest label on non-edge (0, 3)")
         ):
             check_forests_decomposition(p4, fd)
-
-    def test_partition_covers(self, p4):
-        check_partition_covers(p4, {v: 0 for v in p4.vertices})
-        with pytest.raises(VerificationError):
-            check_partition_covers(p4, {0: 0})
 
 
 class TestMISChecker:

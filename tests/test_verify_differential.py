@@ -6,26 +6,52 @@ one corruption of a given class.  Every check must accept or reject
 exactly as the reference kept here does, naming the same witness.  The
 references are plain loops over ``graph.edges`` and ``graph.vertices``
 that follow the witness rules the checks document.
+
+The orientation checks and measurements get random orientations instead
+(every edge towards either end or unoriented, half the cases with a
+forced directed cycle); their references are dict loops over
+``Orientation.direction`` and Kahn's algorithm.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Graph, SynchronousNetwork
 from repro.core import (
+    complete_from_partial,
     compute_hpartition,
     forests_decomposition,
     sequential_greedy_coloring,
 )
 from repro.core.mis import greedy_mis_sequential
-from repro.errors import VerificationError
-from repro.graphs import degeneracy, erdos_renyi
+from repro.errors import SimulationError, VerificationError
+from repro.graphs import (
+    degeneracy,
+    erdos_renyi,
+    forest_union,
+    nash_williams_lower_bound,
+)
 from repro.types import ForestsDecomposition, HPartition, Orientation, canonical_edge
 from repro.verify import (
+    check_arbdefective_coloring,
     check_forests_decomposition,
     check_hpartition,
     check_legal_coloring,
     check_mis,
+    check_orientation_acyclic,
+    check_orientation_complete,
+    check_orientation_deficit,
+    check_orientation_out_degree,
+    longest_directed_path,
+    orientation_deficits,
+    orientation_length,
+    orientation_max_deficit,
+    orientation_max_out_degree,
+    orientation_out_degrees,
+    vertex_lengths,
 )
 
 PROFILE = settings(
@@ -301,3 +327,256 @@ def test_hpartition_check_matches_reference(kind, graph, k):
         )
         bound = worst - 1 - k % 2
     _agree(check_hpartition, reference_hpartition, graph, HPartition(index, bound))
+
+
+# ---------------------------------------------------------------------------
+# orientations: random heads, half the cases with a forced directed cycle
+# ---------------------------------------------------------------------------
+@st.composite
+def oriented_graph(draw):
+    """A :func:`small_graph` with every edge towards its lower end, its
+    higher end, or unoriented, at random; half the time the edges of one
+    cycle of the graph (if it has one) then point around it."""
+    graph = draw(small_graph())
+    edges = graph.edges
+    signs = draw(
+        st.lists(st.sampled_from((-1, 0, 1)), min_size=len(edges), max_size=len(edges))
+    )
+    direction = {
+        (u, v): (v if s > 0 else u)
+        for (u, v), s in zip(edges, signs, strict=True)
+        if s
+    }
+    if draw(st.booleans()):
+        path = _cycle(graph)
+        if path is not None:
+            for x, y in zip(path, path[1:] + path[:1], strict=True):
+                direction[canonical_edge(x, y)] = y
+    return graph, Orientation.from_direction(graph, direction)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the message of the ``VerificationError`` it
+    raises."""
+    try:
+        return fn(*args)
+    except VerificationError as error:
+        return ("raised", str(error))
+
+
+def reference_out_degrees(graph, orientation):
+    out = {v: 0 for v in graph.vertices}
+    for (u, v), head in orientation.direction.items():
+        tail = u if head == v else v
+        out[tail] += 1
+    return out
+
+
+def reference_deficits(graph, orientation):
+    deficit = {v: 0 for v in graph.vertices}
+    for u, v in graph.edges:
+        if canonical_edge(u, v) not in orientation.direction:
+            deficit[u] += 1
+            deficit[v] += 1
+    return deficit
+
+
+def reference_complete(graph, orientation):
+    for u, v in graph.edges:
+        if canonical_edge(u, v) not in orientation.direction:
+            raise VerificationError(f"edge ({u}, {v}) is unoriented")
+
+
+def reference_at_most(counts, bound, what):
+    for v, d in counts.items():
+        if d > bound:
+            raise VerificationError(f"vertex {v} has {what} {d} > bound {bound}")
+
+
+def reference_longest_paths(graph, orientation):
+    """Kahn's algorithm, then len(v) and the next vertex on one longest
+    path by a DP in reverse topological order; raises on a cycle."""
+    indeg = {v: 0 for v in graph.vertices}
+    children = {v: [] for v in graph.vertices}
+    for (u, v), head in orientation.direction.items():
+        tail = u if head == v else v
+        children[tail].append(head)
+        indeg[head] += 1
+    stack = [v for v, d in indeg.items() if d == 0]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in children[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                stack.append(u)
+    if len(order) != graph.n:
+        raise VerificationError("orientation contains a directed cycle")
+    length = {v: 0 for v in graph.vertices}
+    best_child = {}
+    for v in reversed(order):
+        for u in children[v]:
+            if 1 + length[u] > length[v]:
+                length[v] = 1 + length[u]
+                best_child[v] = u
+    return length, best_child
+
+
+def reference_acyclic(graph, orientation):
+    try:
+        reference_longest_paths(graph, orientation)
+    except VerificationError:
+        return False
+    return True
+
+
+def reference_path(graph, orientation):
+    length, best_child = reference_longest_paths(graph, orientation)
+    if not length:
+        return []
+    start = max(length, key=lambda v: length[v])
+    path = [start]
+    while path[-1] in best_child:
+        path.append(best_child[path[-1]])
+    return path
+
+
+def reference_arbdefect(graph, colors, bound, orientation):
+    """Per class in order of first appearance, per vertex in vertex
+    order: its parents and unoriented neighbours inside the class."""
+    for v in graph.vertices:
+        if v not in colors:
+            raise VerificationError(f"vertex {v} is uncolored")
+    classes = {}
+    for v in graph.vertices:
+        classes.setdefault(colors[v], []).append(v)
+    for c, members in classes.items():
+        inside = set(members)
+        for v in members:
+            out = sum(
+                orientation.direction.get(canonical_edge(u, v), u) == u
+                for u in graph.neighbors(v)
+                if u in inside
+            )
+            if out > bound:
+                raise VerificationError(
+                    f"class {c}: vertex {v} has witness out-degree {out} > {bound}"
+                )
+
+
+@PROFILE
+@given(case=oriented_graph(), bound=st.integers(0, 4))
+def test_orientation_counts_match_reference(case, bound):
+    graph, o = case
+    out = reference_out_degrees(graph, o)
+    deficit = reference_deficits(graph, o)
+    assert orientation_out_degrees(graph, o) == out
+    assert orientation_deficits(graph, o) == deficit
+    assert orientation_max_out_degree(graph, o) == max(out.values())
+    assert orientation_max_deficit(graph, o) == max(deficit.values())
+    for check, reference in [
+        (check_orientation_complete, reference_complete),
+        (
+            lambda g, x: check_orientation_out_degree(g, x, bound),
+            lambda g, x: reference_at_most(out, bound, "out-degree"),
+        ),
+        (
+            lambda g, x: check_orientation_deficit(g, x, bound),
+            lambda g, x: reference_at_most(deficit, bound, "deficit"),
+        ),
+    ]:
+        assert _outcome(check, graph, o) == _outcome(reference, graph, o)
+
+
+@PROFILE
+@given(case=oriented_graph())
+def test_orientation_lengths_match_reference(case):
+    graph, o = case
+    lengths = _outcome(lambda g, x: reference_longest_paths(g, x)[0], graph, o)
+    cyclic = not reference_acyclic(graph, o)
+    assert _outcome(vertex_lengths, graph, o) == lengths
+    assert _outcome(check_orientation_acyclic, graph, o) == (
+        lengths if cyclic else None
+    )
+    assert _outcome(orientation_length, graph, o) == (
+        lengths if cyclic else max(lengths.values())
+    )
+    assert _outcome(longest_directed_path, graph, o) == _outcome(
+        reference_path, graph, o
+    )
+
+
+@PROFILE
+@given(
+    case=oriented_graph(),
+    palette=st.integers(1, 4),
+    bound=st.integers(0, 4),
+    uncolored=st.booleans(),
+    k=st.integers(0, 10**6),
+)
+def test_arbdefect_witness_matches_reference(case, palette, bound, uncolored, k):
+    graph, o = case
+    colors = {v: (v * 7 + k) % palette for v in graph.vertices}
+    if uncolored:
+        del colors[graph.vertices[k % graph.n]]
+    assert _outcome(check_arbdefective_coloring, graph, colors, bound, o) == (
+        _outcome(reference_arbdefect, graph, colors, bound, o)
+    )
+
+
+@PROFILE
+@given(case=oriented_graph())
+def test_complete_from_partial_keeps_every_oriented_edge(case):
+    graph, o = case
+    if not reference_acyclic(graph, o):
+        with pytest.raises(SimulationError, match="directed cycle"):
+            complete_from_partial(graph, o)
+        return
+    done = complete_from_partial(graph, o)
+    reference_complete(graph, done)
+    assert reference_acyclic(graph, done)
+    for e, head in o.direction.items():
+        assert done.direction[e] == head
+
+
+# ---------------------------------------------------------------------------
+# Nash-Williams: one numpy path for every id layout
+# ---------------------------------------------------------------------------
+def reference_nash_williams(graph):
+    """max ⌈m_H / (n_H − 1)⌉ over the suffixes of the degeneracy order
+    with at least two vertices, one edge at a time."""
+    n = graph.n
+    if n < 2:
+        return 0
+    order = degeneracy(graph)[1]
+    pos = {v: i for i, v in enumerate(order)}
+    suffix_m = [0] * n
+    for u, v in graph.edges:
+        suffix_m[min(pos[u], pos[v])] += 1
+    best = total = 0
+    for i in range(n - 1, -1, -1):
+        total += suffix_m[i]
+        if n - i >= 2:
+            best = max(best, math.ceil(total / (n - i - 1)))
+    return best
+
+
+@PROFILE
+@given(graph=small_graph())
+def test_nash_williams_matches_reference(graph):
+    assert nash_williams_lower_bound(graph) == reference_nash_williams(graph)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nash_williams_on_relabelled_classes(seed):
+    """Colour classes keep their ids (``induced_subgraph``), and a
+    shuffled relabelling scatters them: both take the numpy path."""
+    graph = forest_union(200, 3, seed=seed).graph
+    odd = graph.induced_subgraph(range(1, 200, 2))
+    assert not odd.ids_contiguous
+    ids = list(range(1000, 1200))
+    random.Random(seed).shuffle(ids)
+    shuffled = Graph(ids, [(ids[u], ids[v]) for u, v in graph.edges])
+    for g in (graph, odd, shuffled):
+        assert nash_williams_lower_bound(g) == reference_nash_williams(g)

@@ -24,12 +24,20 @@ from __future__ import annotations
 import math
 from functools import partial
 
+import numpy as np
+
 from ..errors import InvalidParameterError
-from ..simulator.network import SynchronousNetwork, refine_parts
+from ..simulator.engines import ids_at, members
+from ..simulator.network import (
+    SynchronousNetwork,
+    column_of,
+    partition,
+    refine_parts,
+)
 from ..types import ColorAssignment, Decomposition
 from .forests import hpartition_orientation
 from .hpartition import compute_hpartition
-from .legal import legal_coloring_corollary46, legal_coloring_theorem43
+from .legal import legal_coloring_corollary46, legal_coloring_theorem43, mixed_radix
 from .recolor import run_recoloring
 
 
@@ -61,9 +69,8 @@ def arb_kuhn_decomposition(
     if defect < 0:
         raise InvalidParameterError(f"arb_kuhn: defect must be >= 0, got {defect}")
     graph = network.graph
-    hp = compute_hpartition(
-        network, a, epsilon, participants=participants, part_of=part_of
-    )
+    part = partition(graph, participants, part_of)
+    hp = compute_hpartition(network, a, epsilon, part_of=part)
     orientation = hpartition_orientation(graph, hp)
     out_bound = hp.degree_bound
     recolored = run_recoloring(
@@ -71,8 +78,7 @@ def arb_kuhn_decomposition(
         conflict_degree=out_bound,
         defect_target=defect,
         conflict_set_of=orientation.parents_of,
-        participants=participants,
-        part_of=part_of,
+        part_of=part,
         algorithm_name="arb-kuhn",
     )
     total_rounds = hp.rounds + _LEVEL_EXCHANGE_ROUNDS + recolored.rounds
@@ -92,21 +98,21 @@ def arb_kuhn_decomposition(
 
 
 def _color_classes(
-    decomposition: Decomposition, color_class, part_of, algorithm: str, params
+    graph, decomposition: Decomposition, color_class, part, algorithm: str, params
 ) -> ColorAssignment:
-    """Colour every Arb-Kuhn class in parallel, each on its own palette.
-
-    ``color_class(participants=..., part_of=...)`` colours all classes in
-    one run; class ``c`` then moves to palette ``c``, of size (largest
-    colour used) + 1.
-    """
-    labels = decomposition.label
-    per_class = color_class(
-        participants=list(labels), part_of=refine_parts(part_of, labels)
-    )
-    palette = max(per_class.colors.values(), default=0) + 1
+    """Colour every Arb-Kuhn class in parallel, each on its own palette:
+    ``color_class(part_of=...)`` colours all classes of ``part`` refined by
+    the labels at once; class ``c`` then moves to palette ``c``, of size
+    (largest colour used) + 1."""
+    labels = column_of(graph, part, decomposition.label.values())
+    per_class = color_class(part_of=refine_parts(part, labels))
+    rows = members(part, graph.n)
+    # Python ints: a class's legal colours are exact at any size
+    psi = np.fromiter(per_class.colors.values(), object, count=len(rows))
+    palette = max(psi, default=0) + 1
+    colors = mixed_radix(labels[rows], palette, psi)
     return ColorAssignment(
-        colors={v: labels[v] * palette + per_class.colors[v] for v in labels},
+        colors=dict(zip(ids_at(graph, rows), colors.tolist(), strict=True)),
         rounds=decomposition.rounds + per_class.rounds,
         algorithm=algorithm,
         params=params,
@@ -133,16 +139,17 @@ def theorem52_fast_coloring(
     """
     if d < 1:
         raise InvalidParameterError(f"theorem52: d must be >= 1, got {d}")
+    part = partition(network.graph, participants, part_of)
     decomposition = arb_kuhn_decomposition(
-        network, a, defect=d, epsilon=epsilon,
-        participants=participants, part_of=part_of,
+        network, a, defect=d, epsilon=epsilon, part_of=part
     )
     return _color_classes(
+        network.graph,
         decomposition,
         partial(
             legal_coloring_corollary46, network, max(1, d), eta=eta, epsilon=epsilon
         ),
-        part_of,
+        part,
         "fast-coloring (Theorem 5.2)",
         {
             "a": a,
@@ -174,14 +181,15 @@ def theorem53_tradeoff(
     if t < 1 or t > a:
         raise InvalidParameterError(f"theorem53: need 1 <= t <= a, got t={t}, a={a}")
     alpha = max(1, math.ceil(a / t))
+    part = partition(network.graph, participants, part_of)
     decomposition = arb_kuhn_decomposition(
-        network, a, defect=alpha, epsilon=epsilon,
-        participants=participants, part_of=part_of,
+        network, a, defect=alpha, epsilon=epsilon, part_of=part
     )
     return _color_classes(
+        network.graph,
         decomposition,
         partial(legal_coloring_theorem43, network, alpha, mu=mu, epsilon=epsilon),
-        part_of,
+        part,
         "tradeoff-coloring (Theorem 5.3)",
         {
             "a": a,

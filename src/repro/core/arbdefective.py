@@ -30,7 +30,7 @@ from typing import Dict
 
 from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, partition
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Decomposition, Orientation, Vertex
 from .orientation import partial_orientation
@@ -253,9 +253,8 @@ def arbdefective_coloring(
     """
     if a < 1:
         raise InvalidParameterError(f"arbdefective_coloring: a must be >= 1, got {a}")
-    orientation = partial_orientation(
-        network, a, t, epsilon, participants=participants, part_of=part_of
-    )
+    part = partition(network.graph, participants, part_of)
+    orientation = partial_orientation(network, a, t, epsilon, part_of=part)
     out_bound = int(orientation.params["out_degree_bound"])
     deficit = int(orientation.params["deficit_bound"])
     decomposition = simple_arbdefective(
@@ -264,8 +263,7 @@ def arbdefective_coloring(
         k,
         out_degree_bound=out_bound,
         deficit_bound=deficit,
-        participants=participants,
-        part_of=part_of,
+        part_of=part,
     )
     total_rounds = orientation.rounds + decomposition.rounds
     return Decomposition(

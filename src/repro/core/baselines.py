@@ -22,7 +22,7 @@ from typing import Dict, Optional, Set
 from ..errors import InvalidParameterError
 from ..graphs.graph import Graph
 from ..simulator.context import NodeContext
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, partition
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Vertex
 from .arbdefective import orientation_greedy_coloring
@@ -44,17 +44,10 @@ def be08_coloring(
     waiting for parents down directed paths of length Θ(a log n) — is
     exactly the bottleneck the paper's partial orientations remove.
     """
-    orientation = complete_orientation(
-        network, a, epsilon, participants=participants, part_of=part_of
-    )
+    part = partition(network.graph, participants, part_of)
+    orientation = complete_orientation(network, a, epsilon, part_of=part)
     out_bound = int(orientation.params["out_degree_bound"])
-    greedy = orientation_greedy_coloring(
-        network,
-        orientation,
-        out_bound,
-        participants=participants,
-        part_of=part_of,
-    )
+    greedy = orientation_greedy_coloring(network, orientation, out_bound, part_of=part)
     return ColorAssignment(
         colors=greedy.colors,
         rounds=orientation.rounds + greedy.rounds,

@@ -25,12 +25,21 @@ simpler.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping
+from typing import Dict, Mapping, Union
+
+import numpy as np
 
 from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
+from ..simulator.column import NodeInput, VertexColumn
 from ..simulator.context import NodeContext
-from ..simulator.engines import gather_rows
-from ..simulator.network import SynchronousNetwork, refine_parts
+from ..simulator.engines import gather_rows, members
+from ..simulator.network import (
+    RunResult,
+    SynchronousNetwork,
+    column_of,
+    partition,
+    refine_parts,
+)
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, Vertex
 from .linial import linial_coloring
@@ -45,7 +54,7 @@ class _GreedyReductionProgram(NodeProgram):
     the input guarantees no two neighbours are processed in the same round.
     """
 
-    def __init__(self, color_of: Callable[[Vertex], int], m: int, target: int):
+    def __init__(self, color_of: NodeInput, m: int, target: int):
         self._color_of = color_of
         self._m = m
         self._target = target
@@ -95,9 +104,11 @@ class _GreedyReductionProgram(NodeProgram):
     def column_kernel(self, col):
         """The class-by-class sweep as numpy columns.
 
-        Round 0 broadcasts every input colour; then each class present
-        ``≥ target``, in descending order, acts at round ``m − class``
-        (empty classes and the event engine's delivery-only rounds are
+        The input colours are gathered at the run's slots
+        (:meth:`~repro.simulator.column.ColumnRun.gather`).  Round 0
+        broadcasts every input colour; then each class present ``≥
+        target``, in descending order, acts at round ``m − class`` (empty
+        classes and the event engine's delivery-only rounds are
         fast-forwarded).  Its nodes take the ``argmin`` of a (node ×
         colour) "used" table over their neighbours' colours, read from the
         colour column as it stood before the round; the last column means
@@ -108,9 +119,7 @@ class _GreedyReductionProgram(NodeProgram):
         m = self._m
         target = self._target
         try:
-            colors = np.fromiter(
-                map(int, map(self._color_of, col.ids)), np.int64, count=col.n
-            )
+            colors = col.gather(self._color_of)
         except OverflowError:
             return None
         if colors.min() < -(2**62) or colors.max() >= 2**62:
@@ -164,9 +173,19 @@ class _GreedyReductionProgram(NodeProgram):
         return run
 
 
+def _greedy_run(network, colors: np.ndarray, m: int, target: int, part) -> RunResult:
+    """One greedy sweep of the colour column ``colors`` over ``part``."""
+    source = VertexColumn(network.graph, colors)
+    return network.run(
+        lambda: _GreedyReductionProgram(source, m, target),
+        part_of=part,
+        global_params={"m": m, "target": target},
+    )
+
+
 def greedy_reduction(
     network: SynchronousNetwork,
-    colors: Mapping[Vertex, int],
+    colors: Union[Mapping[Vertex, int], np.ndarray],
     num_colors: int,
     target: int,
     *,
@@ -175,8 +194,9 @@ def greedy_reduction(
 ) -> ColorAssignment:
     """Reduce a legal ``num_colors``-coloring to ``target`` colors greedily.
 
-    ``target`` must exceed the maximum degree of the (visible) graph, or a
-    processed vertex may find no free color, which raises a
+    ``colors``: a ``Mapping`` or a column over graph indices.  ``target``
+    must exceed the maximum degree of the (visible) graph, or a processed
+    vertex may find no free color, which raises a
     :class:`~repro.errors.SimulationError`.
     Costs ``num_colors − c`` rounds, where ``c`` is the smallest input color
     ``≥ target`` (0 rounds when there is none), so at most
@@ -184,12 +204,10 @@ def greedy_reduction(
     """
     if target < 1:
         raise InvalidParameterError("greedy_reduction: target must be >= 1")
-    result = network.run(
-        lambda: _GreedyReductionProgram(lambda v: colors[v], num_colors, target),
-        participants=participants,
-        part_of=part_of,
-        global_params={"m": num_colors, "target": target},
-    )
+    graph = network.graph
+    part = partition(graph, participants, part_of)
+    colors = column_of(graph, part, colors)
+    result = _greedy_run(network, colors, num_colors, target, part)
     return ColorAssignment(
         colors=dict(result.outputs),
         rounds=result.rounds,
@@ -200,7 +218,7 @@ def greedy_reduction(
 
 def kuhn_wattenhofer_reduction(
     network: SynchronousNetwork,
-    colors: Mapping[Vertex, int],
+    colors: Union[Mapping[Vertex, int], np.ndarray],
     num_colors: int,
     degree_bound: int,
     *,
@@ -213,46 +231,37 @@ def kuhn_wattenhofer_reduction(
     ``2·(degree_bound+1)``; the blocks induce vertex-disjoint subgraphs, so
     each block's greedy reduction runs in parallel; a sweep halves the
     palette at the cost of ``degree_bound + 1`` rounds.  Total
-    O(Δ log(m/Δ)) rounds.
+    O(Δ log(m/Δ)) rounds.  A ``Mapping`` ``colors`` runs on its vertices
+    among the participants.  The sweeps keep ``block``, ``local`` and
+    ``current`` as int64 columns over graph indices.
     """
     if degree_bound < 0:
         raise InvalidParameterError("kuhn_wattenhofer: degree_bound must be >= 0")
+    graph = network.graph
+    if not isinstance(colors, np.ndarray):
+        keep = None if participants is None else set(participants)
+        participants = [v for v in colors if keep is None or v in keep]
+    part = partition(graph, participants, part_of)
+    current = column_of(graph, part, colors)
+    rows = members(part, graph.n)
     target = degree_bound + 1
     block_size = 2 * target
-    keep = None if participants is None else set(participants)
-    current: Dict[Vertex, int] = {
-        v: int(c) for v, c in colors.items() if keep is None or v in keep
-    }
     m = num_colors
     total_rounds = 0
     while m > block_size:
         num_blocks = math.ceil(m / block_size)
-        block = {v: c // block_size for v, c in current.items()}
-        local = {v: c % block_size for v, c in current.items()}
-        step = greedy_reduction(
-            network,
-            local,
-            block_size,
-            target,
-            participants=current.keys(),
-            part_of=refine_parts(part_of, block),
+        block, local = np.divmod(current, block_size)
+        step = _greedy_run(
+            network, local, block_size, target, refine_parts(part, block)
         )
         total_rounds += step.rounds
-        current = {
-            v: block[v] * target + step.colors[v] for v in current
-        }
+        current = block * target
+        current[rows] += np.fromiter(step.outputs.values(), np.int64, count=len(rows))
         m = num_blocks * target
-    final = greedy_reduction(
-        network,
-        current,
-        m,
-        target,
-        participants=current.keys(),
-        part_of=part_of,
-    )
+    final = _greedy_run(network, current, m, target, part)
     total_rounds += final.rounds
     return ColorAssignment(
-        colors=final.colors,
+        colors=dict(final.outputs),
         rounds=total_rounds,
         algorithm="kuhn-wattenhofer-reduction",
         params={"m": num_colors, "degree_bound": degree_bound},
@@ -277,28 +286,17 @@ def delta_plus_one_coloring(
     """
     if reduction not in ("kw", "greedy"):
         raise InvalidParameterError(f"unknown reduction {reduction!r}")
-    linial = linial_coloring(
-        network, degree_bound, participants=participants, part_of=part_of
-    )
+    graph = network.graph
+    part = partition(graph, participants, part_of)
+    linial = linial_coloring(network, degree_bound, part_of=part)
     m = int(linial.params["final_color_space"])
+    colors = column_of(graph, part, linial.colors.values())
     if reduction == "kw":
         reduced = kuhn_wattenhofer_reduction(
-            network,
-            linial.colors,
-            m,
-            degree_bound,
-            participants=participants,
-            part_of=part_of,
+            network, colors, m, degree_bound, part_of=part
         )
     else:
-        reduced = greedy_reduction(
-            network,
-            linial.colors,
-            m,
-            degree_bound + 1,
-            participants=participants,
-            part_of=part_of,
-        )
+        reduced = greedy_reduction(network, colors, m, degree_bound + 1, part_of=part)
     return ColorAssignment(
         colors=reduced.colors,
         rounds=linial.rounds + reduced.rounds,

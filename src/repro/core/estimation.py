@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..errors import InvalidParameterError, RoundLimitExceeded
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, partition
 from ..types import ColorAssignment, HPartition
 from .hpartition import HPartitionProgram, degree_threshold, expected_num_levels
 from .legal import legal_coloring_corollary46
@@ -87,13 +87,11 @@ def estimate_arboricity_bound(
     candidates ≥ a always succeed because the average degree argument of
     Lemma 2.3 applies).
     """
+    part = partition(network.graph, participants, part_of)
     total_rounds = 0
     candidate = 1
     while candidate <= max(1, network.graph.n):
-        hp, rounds = try_hpartition(
-            network, candidate, epsilon,
-            participants=participants, part_of=part_of,
-        )
+        hp, rounds = try_hpartition(network, candidate, epsilon, part_of=part)
         total_rounds += rounds
         if hp is not None:
             return candidate, hp, total_rounds
@@ -116,12 +114,10 @@ def legal_coloring_auto(
     Total cost O(log a · log n) rounds — the estimation phase is the same
     order as the coloring itself, so not knowing a is asymptotically free.
     """
-    bound, _hp, est_rounds = estimate_arboricity_bound(
-        network, epsilon, participants=participants, part_of=part_of
-    )
+    part = partition(network.graph, participants, part_of)
+    bound, _hp, est_rounds = estimate_arboricity_bound(network, epsilon, part_of=part)
     coloring = legal_coloring_corollary46(
-        network, bound, eta=eta, epsilon=epsilon,
-        participants=participants, part_of=part_of,
+        network, bound, eta=eta, epsilon=epsilon, part_of=part
     )
     return ColorAssignment(
         colors=coloring.colors,

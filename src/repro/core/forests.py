@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
-from ..simulator.network import SynchronousNetwork
+from ..simulator.network import SynchronousNetwork, column_of, partition
 from ..simulator.program import NodeProgram
 from ..types import (
     ForestsDecomposition,
@@ -138,9 +138,10 @@ def hpartition_orientation(
     H-partition, over every edge joining two of its vertices (centralized
     assembly of locally-determined directions,
     :func:`~repro.core.orientation.key_heads`)."""
+    part = partition(graph, hpartition.index.keys())
     return Orientation(
         graph,
-        key_heads(graph, hpartition.index, None, None),
+        key_heads(graph, part, column_of(graph, part, hpartition.index), None),
         algorithm="hpartition-orientation",
         params={"degree_bound": hpartition.degree_bound},
     )
@@ -160,14 +161,13 @@ def forests_decomposition(
     Lemma 2.2(2): O(a) forests in O(log n) rounds.  An existing H-partition
     may be supplied to avoid recomputing it.
     """
+    graph = network.graph
+    part = partition(graph, participants, part_of)
     if hpartition is None:
-        hpartition = compute_hpartition(
-            network, a, epsilon, participants=participants, part_of=part_of
-        )
+        hpartition = compute_hpartition(network, a, epsilon, part_of=part)
     result = network.run(
         lambda: _ForestLabelProgram(hpartition.index),
-        participants=participants,
-        part_of=part_of,
+        part_of=part,
         global_params={"a": a, "epsilon": epsilon},
     )
     forest_of: Dict[Tuple[int, int], int] = {}
@@ -178,13 +178,9 @@ def forests_decomposition(
             forest_of[canonical_edge(v, head)] = f
             num_forests = max(num_forests, f + 1)
     # the heads of exactly the edges the labelling run saw
-    index = hpartition.index
-    if participants is not None:
-        index = {v: index[v] for v in participants}
-    graph = network.graph
     orientation = Orientation(
         graph,
-        key_heads(graph, index, None, part_of),
+        key_heads(graph, part, column_of(graph, part, hpartition.index), None),
         rounds=hpartition.rounds + result.rounds,
         algorithm="forests-decomposition-orientation",
         params={"a": a, "epsilon": epsilon},

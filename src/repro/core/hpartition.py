@@ -19,14 +19,12 @@ One round of the simulator corresponds exactly to one peeling iteration.
 from __future__ import annotations
 
 import math
-from typing import Dict
-
 from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
 from ..simulator.message import payload_size
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import HPartition, Vertex
+from ..types import HPartition
 
 #: message announcing that a vertex has joined the current level and left
 _LEAVING = "leaving"
@@ -164,9 +162,8 @@ def compute_hpartition(
             f"H-partition did not terminate within {exc.limit} rounds; the "
             f"arboricity bound a={a} is probably below the true arboricity"
         ) from exc
-    index: Dict[Vertex, int] = {v: int(level) for v, level in result.outputs.items()}
     return HPartition(
-        index=index,
+        index=dict(result.outputs),
         degree_bound=threshold,
         rounds=result.rounds,
         params={"a": a, "epsilon": epsilon},

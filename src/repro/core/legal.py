@@ -27,19 +27,35 @@ Parameterisations reproduced here:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from ..errors import InvalidParameterError
-from ..simulator.network import SynchronousNetwork, refine_parts
+from ..simulator.engines import ids_at, members
+from ..simulator.network import (
+    SynchronousNetwork,
+    column_of,
+    partition,
+    refine_parts,
+)
 from ..types import ColorAssignment, Vertex
 from .arbdefective import arbdefective_coloring, orientation_greedy_coloring
 from .color_reduction import greedy_reduction
 from .orientation import complete_orientation
 
 
+def mixed_radix(high: np.ndarray, radix: int, low: np.ndarray) -> np.ndarray:
+    """``high * radix + low`` for ``0 <= low < radix``, exactly: in int64
+    while it fits, in Python ints (an object column) past that."""
+    if (int(np.abs(high).max(initial=0)) + 1) * radix >= 2**63:
+        high = high.astype(object)
+    return high * radix + low
+
+
 def color_parts_legally(
     network: SynchronousNetwork,
-    labels: Mapping[Vertex, int],
+    labels: Union[Mapping[Vertex, int], np.ndarray],
     alpha: int,
     epsilon: float = 0.5,
     *,
@@ -50,26 +66,26 @@ def color_parts_legally(
     Every part has arboricity ≤ alpha; each is colored with
     A = ⌊(2+ε)·alpha⌋+1 colors via complete orientation + greedy (Lemma
     2.2(1)), all parts in parallel.  Vertex ``v`` gets the final color
-    ``label(v)·A + ψ(v)``.
+    ``label(v)·A + ψ(v)``.  ``labels``: a ``Mapping`` (its vertices take
+    part) or a column over graph indices, read at ``part_of``'s members.
     """
     alpha = max(1, alpha)
-    parts = refine_parts(part_of, labels)
-    participants = list(labels.keys())
-    orientation = complete_orientation(
-        network, alpha, epsilon, participants=participants, part_of=parts
-    )
+    graph = network.graph
+    keys = None if isinstance(labels, np.ndarray) else labels.keys()
+    part = partition(graph, keys, part_of)
+    labels = column_of(graph, part, labels)
+    parts = refine_parts(part, labels)
+    orientation = complete_orientation(network, alpha, epsilon, part_of=parts)
     out_bound = int(orientation.params["out_degree_bound"])
     local = orientation_greedy_coloring(
-        network,
-        orientation,
-        out_bound,
-        participants=participants,
-        part_of=parts,
+        network, orientation, out_bound, part_of=parts
     )
     palette = out_bound + 1
-    colors = {v: labels[v] * palette + local.colors[v] for v in labels}
+    rows = members(part, graph.n)
+    psi = np.fromiter(local.colors.values(), np.int64, count=len(rows))
+    colors = mixed_radix(labels[rows], palette, psi)
     return ColorAssignment(
-        colors=colors,
+        colors=dict(zip(ids_at(graph, rows), colors.tolist(), strict=True)),
         rounds=orientation.rounds + local.rounds,
         algorithm="color-parts-legally",
         params={"alpha": alpha, "palette_per_part": palette},
@@ -93,16 +109,14 @@ def oneshot_legal_coloring(
     if a < 1:
         raise InvalidParameterError(f"oneshot_legal_coloring: a must be >= 1")
     k = max(1, math.ceil(a ** (1.0 / 3.0)))
+    graph = network.graph
+    part = partition(graph, participants, part_of)
     decomposition = arbdefective_coloring(
-        network, a, k=k, t=k, epsilon=epsilon,
-        participants=participants, part_of=part_of,
+        network, a, k=k, t=k, epsilon=epsilon, part_of=part
     )
+    labels = column_of(graph, part, decomposition.label.values())
     final = color_parts_legally(
-        network,
-        decomposition.label,
-        decomposition.arboricity_bound,
-        epsilon,
-        part_of=part_of,
+        network, labels, decomposition.arboricity_bound, epsilon, part_of=part
     )
     return ColorAssignment(
         colors=final.colors,
@@ -132,27 +146,27 @@ def legal_coloring(
     Recursively decomposes the graph with Arbdefective-Coloring
     (k = t = p) until every part has arboricity ≤ p, then colors all parts
     in parallel with disjoint palettes.  See the module docstring for the
-    parameterisations and their guarantees.
+    parameterisations and their guarantees.  The labels are one column over
+    graph indices that refines the partition column each iteration.
     """
     if a < 1:
         raise InvalidParameterError(f"legal_coloring: a must be >= 1, got {a}")
     if p < 2:
         raise InvalidParameterError(f"legal_coloring: p must be >= 2, got {p}")
     graph = network.graph
-    if participants is None:
-        participants = list(graph.vertices)
-    labels: Dict[Vertex, int] = {v: 0 for v in participants}
+    part = partition(graph, participants, part_of)
+    labels = np.zeros(graph.n, dtype=np.int64)
     alpha = a
     total_rounds = 0
     iterations = 0
     while alpha > p:
-        parts = refine_parts(part_of, labels)
         decomposition = arbdefective_coloring(
             network, alpha, k=p, t=p, epsilon=epsilon,
-            participants=participants, part_of=parts,
+            part_of=refine_parts(part, labels),
         )
         total_rounds += decomposition.rounds
-        labels = {v: labels[v] * p + decomposition.label[v] for v in labels}
+        digits = column_of(graph, part, decomposition.label.values())
+        labels = mixed_radix(labels, p, digits)
         iterations += 1
         if decomposition.arboricity_bound >= alpha:
             # p too small to make progress ((3+ε)/p ≥ 1); stop refining —
@@ -161,9 +175,7 @@ def legal_coloring(
             alpha = decomposition.arboricity_bound
             break
         alpha = max(1, decomposition.arboricity_bound)
-    final = color_parts_legally(
-        network, labels, alpha, epsilon, part_of=part_of
-    )
+    final = color_parts_legally(network, labels, alpha, epsilon, part_of=part)
     total_rounds += final.rounds
     return ColorAssignment(
         colors=final.colors,
@@ -312,10 +324,8 @@ def delta_plus_one_via_arboricity(
     """
     if max_degree is None:
         max_degree = network.graph.max_degree
-    base = legal_coloring_corollary46(
-        network, a, eta=nu, epsilon=epsilon,
-        participants=participants, part_of=part_of,
-    )
+    part = partition(network.graph, participants, part_of)
+    base = legal_coloring_corollary46(network, a, eta=nu, epsilon=epsilon, part_of=part)
     normalized = base.normalized()
     m = normalized.num_colors
     target = max_degree + 1
@@ -327,14 +337,7 @@ def delta_plus_one_via_arboricity(
             params={"a": a, "nu": nu, "pre_reduction_colors": m},
         )
         return result
-    reduced = greedy_reduction(
-        network,
-        normalized.colors,
-        m,
-        target,
-        participants=participants,
-        part_of=part_of,
-    )
+    reduced = greedy_reduction(network, normalized.colors, m, target, part_of=part)
     return ColorAssignment(
         colors=reduced.colors,
         rounds=base.rounds + reduced.rounds,

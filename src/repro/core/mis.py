@@ -15,13 +15,14 @@ are measured against.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Set
+from typing import Optional, Set
 
 from ..errors import RoundLimitExceeded
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
-from ..simulator.network import SynchronousNetwork
+from ..simulator.column import NodeInput, VertexColumn
+from ..simulator.network import SynchronousNetwork, column_of, partition
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, MISResult, Vertex
 from .legal import legal_coloring_theorem43
@@ -38,7 +39,7 @@ class _ColorClassMISProgram(NodeProgram):
     quiescent in any given round.
     """
 
-    def __init__(self, color_of: Callable[[Vertex], int]):
+    def __init__(self, color_of: NodeInput):
         self._color_of = color_of
 
     def _sleep_until_my_class(self, ctx: NodeContext) -> None:
@@ -81,9 +82,7 @@ class _ColorClassMISProgram(NodeProgram):
         def run() -> None:
             n = col.n
             deg = col.degrees
-            colors = np.fromiter(
-                (int(color_of(v)) for v in col.ids), np.int64, count=n
-            )
+            colors = col.gather(color_of)
             joined = np.zeros(n, dtype=bool)
             undecided = np.ones(n, dtype=bool)
             jsize = payload_size(_JOINED)
@@ -139,10 +138,12 @@ def mis_from_coloring(
     C−1 rounds (class 0 joins at round 0 for free).
     """
     normalized = coloring.normalized()
+    graph = network.graph
+    part = partition(graph, participants, part_of)
+    source = VertexColumn(graph, column_of(graph, part, normalized.colors))
     result = network.run(
-        lambda: _ColorClassMISProgram(lambda v: normalized.colors[v]),
-        participants=participants,
-        part_of=part_of,
+        lambda: _ColorClassMISProgram(source),
+        part_of=part,
         global_params={"num_colors": normalized.num_colors},
     )
     members = {v for v, joined in result.outputs.items() if joined}
@@ -168,12 +169,9 @@ def mis_arboricity(
     O(a)-coloring via Theorem 4.3, then the color-class sweep (O(a) more
     rounds since the coloring uses O(a) colors).
     """
-    coloring = legal_coloring_theorem43(
-        network, a, mu, epsilon, participants=participants, part_of=part_of
-    )
-    sweep = mis_from_coloring(
-        network, coloring, participants=participants, part_of=part_of
-    )
+    part = partition(network.graph, participants, part_of)
+    coloring = legal_coloring_theorem43(network, a, mu, epsilon, part_of=part)
+    sweep = mis_from_coloring(network, coloring, part_of=part)
     ledger = RoundLedger()
     ledger.add("coloring_thm43", coloring.rounds)
     ledger.add("color_class_sweep", sweep.rounds)

@@ -18,18 +18,23 @@
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import InvalidParameterError, SimulationError
 from ..graphs.graph import Graph
+from ..simulator.column import NodeInput, VertexColumn
 from ..simulator.context import NodeContext
-from ..simulator.engines import label_codes
-from ..simulator.network import SynchronousNetwork, refine_parts
+from ..simulator.engines import members
+from ..simulator.network import (
+    SynchronousNetwork,
+    column_of,
+    partition,
+    refine_parts,
+)
 from ..simulator.program import NodeProgram
-from ..types import HPartition, Orientation, Vertex, heads_by_key
+from ..types import ColorAssignment, HPartition, Orientation, heads_by_key
 from .color_reduction import delta_plus_one_coloring
 from .defective import kuhn_defective_coloring
 from .hpartition import compute_hpartition
@@ -47,7 +52,7 @@ class _OrientationExchangeProgram(NodeProgram):
     and bytes, and the error for an illegal level colouring.
     """
 
-    def __init__(self, key_of: Callable[[Vertex], Tuple[int, int]], partial: bool):
+    def __init__(self, key_of: NodeInput, partial: bool):
         self._key_of = key_of
         self._partial = partial
 
@@ -73,8 +78,10 @@ class _OrientationExchangeProgram(NodeProgram):
     def column_kernel(self, col):
         """The exchange as numpy columns: one comparison per CSR entry.
 
-        An entry points at its neighbour when the neighbour's key is larger,
-        level first, colour second.  Equal keys stay unoriented in partial
+        The (level, colour) keys are gathered at the run's slots
+        (:meth:`~repro.simulator.column.ColumnRun.gather`).  An entry
+        points at its neighbour when the neighbour's key is larger, level
+        first, colour second.  Equal keys stay unoriented in partial
         mode; in complete mode the first such entry in CSR order (the
         scalar engines' activation and inbox order) raises the scalar
         error.  Each node's output counts its row's entries that point at
@@ -88,10 +95,7 @@ class _OrientationExchangeProgram(NodeProgram):
             n = col.n
             ids = col.ids
             nbr = col.neighbors
-            keys = np.fromiter(
-                chain.from_iterable(map(key_of, ids)), np.int64, count=2 * n
-            )
-            level, color = keys[0::2], keys[1::2]
+            level, color = col.gather(key_of).T
             sizes = 0
             if col.count_bytes:  # a tuple costs its items plus one byte
                 sizes = col.int_payload_sizes(level) + col.int_payload_sizes(color) + 1
@@ -123,35 +127,62 @@ class _OrientationExchangeProgram(NodeProgram):
 
 def key_heads(
     graph: Graph,
-    level_of: Mapping[Vertex, int],
-    color_of: Optional[Mapping[Vertex, int]],
-    part_of: Optional[Mapping[Vertex, object]],
+    part: Optional[np.ndarray],
+    level: np.ndarray,
+    color: Optional[np.ndarray],
 ) -> "np.ndarray":
     """Heads (see :class:`~repro.types.Orientation`) of the edges a run
-    over ``level_of``'s vertices with ``part_of`` sees, each towards the
-    endpoint with the larger (level, ``color_of``) key, or (level, id)
-    when ``color_of`` is ``None``.
-
-    This is the rule every node applies locally after the exchange, as one
-    comparison over ``graph.csr()`` (:func:`~repro.types.heads_by_key` of
-    the packed keys): entries the run cannot see
-    (:func:`~repro.simulator.engines.label_codes`) and entries joining
-    equal keys stay 0.  Colours must be integers whose range times the
-    largest level fits an int64.
-    """
-    order = tuple(level_of)
-    rows, code = label_codes(graph, order, part_of)
-    k = len(order)
+    with ``part_of=part`` (``None``: the whole graph) sees, each towards
+    the endpoint with the larger (``level``, ``color``) key, or (level,
+    id) when ``color`` is ``None``; both are columns over graph indices.
+    This is the rule every node applies after the exchange, as one
+    comparison over ``graph.csr()`` (:func:`~repro.types.heads_by_key`,
+    ``part`` as the visibility code): entries the run cannot see and
+    entries joining equal keys stay 0.  Colours must be integers whose
+    range times the largest level fits an int64."""
+    rows = members(part, graph.n)
     key = np.zeros(graph.n, dtype=np.int64)
-    if k:
-        level = np.fromiter(level_of.values(), np.int64, count=k)
-        if color_of is None:
-            second = rows  # index order is id order
-        else:
-            second = np.fromiter(map(color_of.__getitem__, order), np.int64, count=k)
-            second -= second.min()
-        key[rows] = level * (int(second.max()) + 1) + second
-    return heads_by_key(graph, key, code)
+    if len(rows):
+        second = rows if color is None else color[rows] - color[rows].min()
+        key[rows] = level[rows] * (int(second.max()) + 1) + second
+    return heads_by_key(graph, key, part)
+
+
+def _orient_by_levels(
+    network: SynchronousNetwork,
+    global_params: Dict[str, object],
+    participants,
+    part_of,
+    hpartition: Optional[HPartition],
+    color_levels: Callable[..., ColorAssignment],
+    partial: bool,
+) -> Tuple[HPartition, ColorAssignment, np.ndarray, int]:
+    """The steps both procedures share, over one partition column: the
+    H-partition (computed from ``global_params``' ``a`` and ``epsilon``
+    unless given, when its vertices take part), ``color_levels(bound,
+    part_of=...)`` on every level in parallel, and the exchange of (level,
+    colour) keys.  Returns those two results, the heads the keys orient
+    and the rounds of all three steps."""
+    graph = network.graph
+    if hpartition is None:
+        part = partition(graph, participants, part_of)
+        a, epsilon = global_params["a"], global_params["epsilon"]
+        hpartition = compute_hpartition(network, a, epsilon, part_of=part)
+    else:
+        part = partition(graph, hpartition.index.keys(), part_of)
+    level = column_of(graph, part, hpartition.index)
+    level_coloring = color_levels(
+        hpartition.degree_bound, part_of=refine_parts(part, level)
+    )
+    color = column_of(graph, part, level_coloring.colors.values())
+    source = VertexColumn(graph, np.stack([level, color], axis=1))
+    result = network.run(
+        lambda: _OrientationExchangeProgram(source, partial=partial),
+        part_of=part,
+        global_params=global_params,
+    )
+    rounds = hpartition.rounds + level_coloring.rounds + result.rounds
+    return hpartition, level_coloring, key_heads(graph, part, level, color), rounds
 
 
 def complete_orientation(
@@ -170,28 +201,15 @@ def complete_orientation(
     per-level legal coloring (O(a log a + log* n) with our Δ+1 pipeline)
     plus one exchange round.
     """
-    if hpartition is None:
-        hpartition = compute_hpartition(
-            network, a, epsilon, participants=participants, part_of=part_of
-        )
+    hpartition, level_coloring, heads, rounds = _orient_by_levels(
+        network, {"a": a, "epsilon": epsilon}, participants, part_of, hpartition,
+        lambda bound, part_of: delta_plus_one_coloring(network, bound, part_of=part_of),
+        partial=False,
+    )
     threshold = hpartition.degree_bound
-    level_coloring = delta_plus_one_coloring(
-        network,
-        threshold,
-        participants=hpartition.index.keys(),
-        part_of=refine_parts(part_of, hpartition.index),
-    )
-    key_of = lambda v: (hpartition.index[v], level_coloring.colors[v])
-    result = network.run(
-        lambda: _OrientationExchangeProgram(key_of, partial=False),
-        participants=hpartition.index.keys(),
-        part_of=part_of,
-        global_params={"a": a, "epsilon": epsilon},
-    )
-    rounds = hpartition.rounds + level_coloring.rounds + result.rounds
     return Orientation(
         network.graph,
-        key_heads(network.graph, hpartition.index, level_coloring.colors, part_of),
+        heads,
         rounds=rounds,
         algorithm="complete-orientation",
         params={
@@ -226,37 +244,25 @@ def partial_orientation(
     """
     if t < 1:
         raise InvalidParameterError(f"partial_orientation: t must be >= 1, got {t}")
-    if hpartition is None:
-        hpartition = compute_hpartition(
-            network, a, epsilon, participants=participants, part_of=part_of
-        )
-    threshold = hpartition.degree_bound
     p = max(1, math.ceil((2.0 + epsilon) * t))
-    level_coloring = kuhn_defective_coloring(
-        network,
-        p,
-        max_degree=threshold,
-        participants=hpartition.index.keys(),
-        part_of=refine_parts(part_of, hpartition.index),
+    hpartition, level_coloring, heads, rounds = _orient_by_levels(
+        network, {"a": a, "t": t, "epsilon": epsilon}, participants, part_of,
+        hpartition,
+        lambda bound, part_of: kuhn_defective_coloring(
+            network, p, max_degree=bound, part_of=part_of
+        ),
+        partial=True,
     )
-    key_of = lambda v: (hpartition.index[v], level_coloring.colors[v])
-    result = network.run(
-        lambda: _OrientationExchangeProgram(key_of, partial=True),
-        participants=hpartition.index.keys(),
-        part_of=part_of,
-        global_params={"a": a, "t": t, "epsilon": epsilon},
-    )
-    rounds = hpartition.rounds + level_coloring.rounds + result.rounds
     return Orientation(
         network.graph,
-        key_heads(network.graph, hpartition.index, level_coloring.colors, part_of),
+        heads,
         rounds=rounds,
         algorithm="partial-orientation",
         params={
             "a": a,
             "t": t,
             "epsilon": epsilon,
-            "out_degree_bound": threshold,
+            "out_degree_bound": hpartition.degree_bound,
             "deficit_bound": a // t,
             "level_color_space": level_coloring.params.get("final_color_space"),
             "num_levels": hpartition.num_levels,

@@ -35,10 +35,11 @@ default.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameterError, SimulationError
 from ..families.polynomial import PolynomialFamily, select_family
+from ..simulator.column import NodeInput
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
@@ -147,9 +148,10 @@ class RecolorProgram(NodeProgram):
         The iterations, as returned by :func:`compute_recolor_schedule`.
         Identical at every node (computed from global parameters).
     initial_color_of:
-        Callable giving each node its starting color in ``[0, M₀)``.  The
-        default is the node id — the paper's "trivial legal n-coloring that
-        uses each vertex Id as its color".
+        Per-node input (:data:`~repro.simulator.column.NodeInput`) giving
+        each node its starting color in ``[0, M₀)``.  The default is the
+        node id — the paper's "trivial legal n-coloring that uses each
+        vertex Id as its color".
     conflict_set_of:
         Optional callable ``(node, visible_neighbors) -> neighbour ids``
         whose colors count as conflicts (the node's *parents* for
@@ -161,7 +163,7 @@ class RecolorProgram(NodeProgram):
     def __init__(
         self,
         schedule: Sequence[RecolorStep],
-        initial_color_of: Optional[Callable[[Vertex], int]] = None,
+        initial_color_of: Optional[NodeInput] = None,
         conflict_set_of: Optional[NeighborSelector] = None,
     ):
         self._schedule = schedule
@@ -233,11 +235,7 @@ class RecolorProgram(NodeProgram):
             if initial_color_of is None:
                 colors = np.array(ids, dtype=np.int64)
             else:
-                colors = np.fromiter(
-                    (int(initial_color_of(v)) for v in ids),
-                    np.int64,
-                    count=n,
-                )
+                colors = col.gather(initial_color_of)
             if not schedule:
                 col.note_round(0, n)
                 col.outputs = dict(zip(ids, colors.tolist(), strict=True))
@@ -356,7 +354,7 @@ def run_recoloring(
     conflict_degree: int,
     defect_target: int,
     initial_colors: Optional[int] = None,
-    initial_color_of: Optional[Callable[[Vertex], int]] = None,
+    initial_color_of: Optional[NodeInput] = None,
     conflict_set_of: Optional[NeighborSelector] = None,
     participants=None,
     part_of=None,

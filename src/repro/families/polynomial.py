@@ -19,6 +19,7 @@ statements).  See README, *Substitutions and ablations*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import InvalidParameterError
 from .primes import integer_nth_root, is_prime, next_prime
@@ -90,6 +91,7 @@ class PolynomialFamily:
         return divmod(color, self.q)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def select_family(
     num_colors: int,
     conflict_degree: int,
@@ -107,7 +109,9 @@ def select_family(
     The condition is ``|A| > k · (A_conf − d') / (d − d' + 1)`` with
     ``k = degree`` for polynomial families, plus ``q^(degree+1) ≥ M`` so
     every current color indexes a distinct function.  Among all degrees we
-    pick the one minimising q (and hence the new color count q²).
+    pick the one minimising q (and hence the new color count q²).  Memoized
+    (Linial and Kuhn schedules ask for the same few families in every level
+    colouring); errors are not cached, so invalid parameters always raise.
     """
     if num_colors < 1:
         raise InvalidParameterError("select_family: need at least one color")

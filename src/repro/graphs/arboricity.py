@@ -10,7 +10,7 @@ such bounds:
   Lemma 2.5), and conversely ``k ≤ 2a − 1``.
 * :func:`nash_williams_lower_bound` — the density bound
   ``a ≥ max_H ⌈m_H / (n_H − 1)⌉`` evaluated on the whole graph and on every
-  suffix of the degeneracy order (a strong family of witnesses in practice).
+  suffix of the degeneracy order (:func:`suffix_density_bound`).
 * :func:`pseudoarboricity` — the *exact* maximum density
   ``max_H ⌈m_H / n_H⌉`` via max-flow (Dinic), which sandwiches arboricity:
   ``p ≤ a ≤ p + 1``.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,13 +105,20 @@ def nash_williams_lower_bound(graph: Graph) -> int:
     Nash–Williams: ``a(G) = max_H ⌈m_H / (n_H − 1)⌉`` over subgraphs H with
     ``n_H ≥ 2``.  Maximising over *all* H is what :func:`pseudoarboricity`
     approximates; here we evaluate the bound on a useful family of witnesses:
-    the whole graph and every suffix of the degeneracy order (the "cores").
-    Any value returned is a true lower bound.
+    the whole graph and every suffix of the degeneracy order (the "cores",
+    :func:`suffix_density_bound`).  Any value returned is a true lower
+    bound.
     """
+    return suffix_density_bound(graph, degeneracy(graph)[1])
+
+
+def suffix_density_bound(graph: Graph, order: Sequence[Vertex]) -> int:
+    """The Nash–Williams bound ``max ⌈m_H / (n_H − 1)⌉`` over the suffixes
+    of ``order`` (every vertex of ``graph``) with ``n_H ≥ 2``, 0 below two
+    vertices: a true lower bound on the arboricity for any order."""
     n = graph.n
     if n < 2:
         return 0
-    _k, order = degeneracy(graph)
     # each edge counted once, at its endpoint earlier in the order, then
     # suffix sums of those counts (the first suffix is the whole graph)
     rows = order if graph.ids_contiguous else map(graph.index_of, order)
@@ -236,8 +243,8 @@ def arboricity_bounds(graph: Graph, exact_flow: bool = True) -> Tuple[int, int]:
     """
     if graph.m == 0:
         return 0, 0
-    k, _ = degeneracy(graph)
-    lower = nash_williams_lower_bound(graph)
+    k, order = degeneracy(graph)
+    lower = suffix_density_bound(graph, order)
     upper = max(1, k)
     if exact_flow:
         p = pseudoarboricity(graph)

@@ -40,16 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain, repeat
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NoReturn,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 import numpy as _np
 
@@ -385,18 +376,6 @@ class Graph:
         if self._contig:
             return isinstance(v, int) and 0 <= v < self._n
         return v in self._vertex_set()
-
-    def has_vertices(self, vertices: AbstractSet[Vertex]) -> bool:
-        """True when :meth:`has_vertex` holds for every member of the set
-        ``vertices``, decided in bulk: a subset test for non-contiguous
-        ids, the minimum and maximum for members of exact ``int`` or
-        ``bool`` type, and one member at a time only otherwise (``int``
-        subclasses, say)."""
-        if not self._contig:
-            return vertices <= self._vertex_set()
-        if set(map(type, vertices)) <= {int, bool}:
-            return not vertices or (min(vertices) >= 0 and max(vertices) < self._n)
-        return all(map(self.has_vertex, vertices))
 
     def _vertex_set(self) -> frozenset:
         """The vertex ids as a frozenset (non-contiguous graphs; built on

@@ -45,16 +45,17 @@ parametrised equivalence suite enforces this.
 Fallback semantics
 ------------------
 
-``column`` is the default engine, and the kernel path serves full and
-``participants=``/``part_of=`` runs alike: a restricted run hands its
-kernel the masked CSR the run builds once
+``column`` is the default engine, and the kernel path serves whole and
+partitioned runs alike: a run with a partition column hands its kernel
+the masked CSR the run builds once
 (:meth:`~repro.simulator.engines.EngineRun.visible_csr`), renumbered into
-slot space, with each kept entry's CSR position.  Only two cases fall
-back, whole, to the event engine — same results, just scalar execution:
-a program without a kernel (or whose ``column_kernel`` returns ``None``
-for this configuration), and a run observed by a per-message sink (a
-telemetry sink with ``wants_messages``, such as a
-:class:`~repro.simulator.tracing.MessageTrace`).  An empty run
+slot space, with each kept entry's CSR position and each slot's graph
+index, where per-node inputs are gathered (:meth:`ColumnRun.gather`).
+Only two cases fall back, whole, to the event engine — same results,
+just scalar execution: a program without a kernel (or whose
+``column_kernel`` returns ``None`` for this configuration), and a run
+observed by a per-message sink (a telemetry sink with ``wants_messages``,
+such as a :class:`~repro.simulator.tracing.MessageTrace`).  An empty run
 goes to the event engine without a probe.  On a fallback the probe's
 prototype becomes slot 0's program, so the factory runs exactly once per
 participant on every path.  Telemetry reports the engine that actually
@@ -71,27 +72,48 @@ dense and event.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as _np
 
 from .engines import Engine, EngineRun, gather_rows, get_engine, register_engine
 
 
+class VertexColumn:
+    """A per-node program input: ``values`` holds one integer (a row of a
+    2-D array: one tuple) per index of ``graph``.  Kernels gather it at
+    the run's slots (:meth:`ColumnRun.gather`); scalar programs call it
+    with a vertex id and read one shared ``tolist()`` copy, so payloads
+    and outputs stay Python ints."""
+
+    def __init__(self, graph, values: "_np.ndarray"):
+        self.graph = graph
+        self.values = values
+        self._list: Optional[list] = None
+
+    def __call__(self, v: Any) -> Any:
+        if self._list is None:
+            values = self.values.tolist()
+            self._list = values if self.values.ndim == 1 else list(map(tuple, values))
+        graph = self.graph
+        return self._list[v if graph.ids_contiguous else graph.index_of(v)]
+
+
 class ColumnRun:
     """The vectorized view of one run, handed to column kernels.
 
     Everything is in *slot* space: slot ``i`` is the ``i``-th participant
-    in ascending-id order, ``ids[i]`` its vertex id (``n`` participants).
-    ``offsets``/``neighbors`` are the run's visible graph as an int64 CSR
-    over slots: for full runs without ``part_of`` the graph's own read-only
-    arrays (zero-copy; slot == graph index), otherwise the run's masked CSR
-    with its kept entries renumbered to slots.  ``positions[j]`` is entry
-    ``j``'s position in ``graph.csr()`` (``None`` when the run's CSR is
-    the graph's own), so per-entry data aligned with the graph's CSR, such
-    as :attr:`~repro.types.Orientation.heads`, reaches the run's entries
-    with one gather (:meth:`at_entries`).  Kernels read per-node inputs
-    through ``ids``, key outputs by them, and name ``ids[slot]`` in error
+    in ascending-id order, ``ids[i]`` its vertex id and ``rows[i]`` its
+    graph index (``n`` participants; :meth:`gather` reads graph-aligned
+    inputs there).  ``offsets``/``neighbors`` are the run's visible graph
+    as an int64 CSR over slots: the graph's own read-only arrays for a
+    run of the whole graph in one part (slot == graph index), otherwise
+    the run's masked CSR with its kept entries renumbered to slots.
+    ``positions[j]`` is entry ``j``'s position in ``graph.csr()`` (``None``
+    when the run's CSR is the graph's own), so per-entry data aligned with
+    the graph's CSR, such as :attr:`~repro.types.Orientation.heads`,
+    reaches the run's entries with one gather (:meth:`at_entries`).
+    Kernels key outputs by ``ids`` and name ``ids[slot]`` in error
     messages.  The object also collects the kernel's results and
     accounting.
     """
@@ -101,6 +123,7 @@ class ColumnRun:
         "np",
         "n",
         "ids",
+        "rows",
         "globals",
         "round_limit",
         "count_bytes",
@@ -123,11 +146,12 @@ class ColumnRun:
         self.np = _np
         self.n = run.S
         self.ids = run.order
+        self.rows = run.rows
         self.globals = run.gp
         self.round_limit = run.round_limit
         self.count_bytes = run.count_bytes
         self.positions: Optional[_np.ndarray] = None
-        if run.full and run.part_of is None:
+        if run.part is None:
             self.offsets, self.neighbors = graph.csr()
         else:
             rows, self.offsets, kept, self.positions = run.visible_csr()
@@ -161,6 +185,14 @@ class ColumnRun:
         if self.positions is None:
             return self.graph.row_sources()
         return _np.repeat(_np.arange(self.n, dtype=_np.int64), self.degrees)
+
+    def gather(self, source: Any) -> "_np.ndarray":
+        """A per-node input at the run's slots, as int64: ``values[rows]``
+        for a :class:`VertexColumn` over the run's graph, else ``source``
+        called on every id (:class:`OverflowError` beyond int64)."""
+        if isinstance(source, VertexColumn) and source.graph is self.graph:
+            return source.values[self.rows]
+        return _np.array(list(map(source, self.ids)), dtype=_np.int64)
 
     def at_entries(self, values: "_np.ndarray") -> "_np.ndarray":
         """``values``, one per entry of ``graph.csr()``, at the run's
@@ -233,6 +265,9 @@ class ColumnRun:
         self._last_round = round_number
 
 
+#: A per-node input: a :class:`VertexColumn` or a callable on vertex ids.
+NodeInput = Union[VertexColumn, Callable[[Any], Any]]
+
 #: A column kernel: zero-arg callable executing the whole run.
 ColumnKernel = Callable[[], None]
 
@@ -262,4 +297,4 @@ class ColumnEngine(Engine):
         run.max_message_bytes = col.max_message_bytes
 
 
-__all__ = ["ColumnRun", "ColumnEngine", "ColumnKernel"]
+__all__ = ["ColumnRun", "ColumnEngine", "ColumnKernel", "NodeInput", "VertexColumn"]

@@ -1,12 +1,9 @@
 """The execution-engine registry and the two per-node program engines.
 
-:class:`~repro.simulator.network.SynchronousNetwork.run` no longer special-
-cases scheduler names: every engine is an :class:`Engine` registered under a
-name via :func:`register_engine`, and ``run`` dispatches to
-``get_engine(name)``.  Unknown names raise
-:class:`~repro.errors.SimulationError` listing whatever is registered *at
-that moment*, so third-party engines (registered the same way as the
-built-ins) appear in the error message automatically.
+Every engine is an :class:`Engine` registered under a name via
+:func:`register_engine`; ``SynchronousNetwork.run`` dispatches to
+``get_engine(name)``, whose error for an unknown name lists whatever is
+registered *at that moment*, third-party engines included.
 
 Built-in engines:
 
@@ -15,14 +12,14 @@ Built-in engines:
   order.  The model definition made literal.
 * ``"event"`` (:class:`EventEngine`) — the active-set fast path: nodes that
   declared quiescence are only activated on message delivery or a due
-  wakeup, and rounds with no activatable node are fast-forwarded in O(1).
+  wakeup, and rounds with no activatable node are fast-forwarded in O(1),
+  so sparse activity costs in proportion to the activity.
 * ``"column"`` (:class:`~repro.simulator.column.ColumnEngine`, registered
   by :mod:`repro.simulator.column`; the default) — bulk-synchronous numpy
   execution for programs that provide a vectorized kernel
-  (:meth:`~repro.simulator.program.NodeProgram.column_kernel`), on full
-  and ``participants``/``part_of`` runs alike; kernel-less programs and
-  runs observed by a ``wants_messages`` sink fall back to the event
-  engine.
+  (:meth:`~repro.simulator.program.NodeProgram.column_kernel`), on whole
+  and partitioned runs alike; kernel-less programs and runs observed by a
+  ``wants_messages`` sink fall back to the event engine.
 
 All engines must produce byte-identical :class:`RunResult`\\ s; the
 parametrised suite ``tests/test_scheduler_equivalence.py`` pins every
@@ -46,7 +43,7 @@ from __future__ import annotations
 import heapq
 import os
 import warnings
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as _np
 
@@ -134,23 +131,23 @@ def get_engine(name: str) -> Engine:
 
 
 class EngineRun:
-    """Engine-agnostic state for one ``SynchronousNetwork.run`` invocation.
-
-    Built once by ``run`` and handed to the selected engine: participant
-    order, the effective byte-counting flag, limits and telemetry.  Slot
-    ``i`` is the ``i``-th participant in ascending-id order.  Visibility
-    (:meth:`visible_csr`) is built on first use and cached; per-node
-    contexts and program instances are built only by engines that call
-    :meth:`build_contexts`, so the column engine's kernel path never
-    materialises n Python objects.
+    """Engine-agnostic state for one ``SynchronousNetwork.run`` invocation,
+    built once by ``run``: the partition column ``part`` (``None`` when
+    every vertex takes part in one part), participant order, byte-counting
+    flag, limits and telemetry.  Slot ``i`` is the ``i``-th participant in
+    ascending-id order: graph index ``rows[i]``, vertex id ``order[i]``.
+    Visibility (:meth:`visible_csr`) is built on first use and cached;
+    per-node contexts and programs only by engines that call
+    :meth:`build_contexts`, never on the column engine's kernel path.
     """
 
     __slots__ = (
         "graph",
         "program_factory",
         "prototype",
+        "part",
+        "rows",
         "order",
-        "part_of",
         "S",
         "full",
         "_visible",
@@ -170,8 +167,7 @@ class EngineRun:
         graph,
         program_factory: ProgramFactory,
         *,
-        order: Tuple[Vertex, ...],
-        part_of: Optional[Mapping[Vertex, Any]],
+        part: Optional[_np.ndarray],
         gp: Dict[str, Any],
         round_limit: int,
         count_bytes: bool,
@@ -183,14 +179,20 @@ class EngineRun:
         # engine's kernel probe); build_contexts makes it slot 0's program,
         # so the factory runs exactly once per participant.
         self.prototype: Optional[NodeProgram] = None
-        self.order = order
-        self.part_of = part_of
+        n = graph.n
+        self.rows = members(part, n)
+        self.order: Tuple[Vertex, ...] = graph.vertices
+        if part is not None:
+            self.order = ids_at(graph, self.rows)
+            if len(self.rows) == n and (not n or part.min() == part.max()):
+                part = None  # every vertex in one part: the graph itself
+        self.part = part
         self.gp = gp
         self.round_limit = round_limit
         self.count_bytes = count_bytes
         self.telemetry = telemetry
-        self.S = len(order)
-        self.full = len(order) == graph.n
+        self.S = len(self.order)
+        self.full = self.S == n
         self._visible: Optional[Tuple[_np.ndarray, ...]] = None
         # Result fields, filled by the engine.
         self.outputs: Dict[Vertex, Any] = {}
@@ -222,24 +224,27 @@ class EngineRun:
     def visible_csr(
         self,
     ) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray, _np.ndarray]:
-        """The restricted run's masked CSR, built once and cached.
+        """The partitioned run's masked CSR, built once and cached.
 
         Returns ``(rows, bounds, kept, positions)``: the participants'
         graph indices in slot order, the int64 row bounds (``S + 1``
         entries), the kept entries as graph indices, and each kept entry's
-        position in ``graph.csr()``.  An entry survives iff its code equals
-        its row's (:func:`label_codes`), compared over the whole CSR
+        position in ``graph.csr()``.  An entry survives iff both endpoints
+        share a code ``>= 0`` of :attr:`part`, compared over the whole CSR
         through the graph's cached
-        :meth:`~repro.graphs.graph.Graph.row_sources`: a non-participant's
-        code is its own, so none of its entries survives and no
-        participant keeps it.  Rows keep the CSR's ascending order.
+        :meth:`~repro.graphs.graph.Graph.row_sources`.  Rows keep the CSR's
+        ascending order.
         """
         if self._visible is not None:
             return self._visible
         graph = self.graph
         offsets, nbr = graph.csr()
-        rows, code = label_codes(graph, self.order, self.part_of)
-        positions = _np.flatnonzero(code[nbr] == code[graph.row_sources()])
+        part, rows = self.part, self.rows
+        code = part[graph.row_sources()]
+        keep = part[nbr] == code
+        keep &= code >= 0
+        del code
+        positions = _np.flatnonzero(keep)
         # rows ascend, so a row's kept entries start where the kept
         # positions pass its CSR offset
         bounds = _np.empty(len(rows) + 1, dtype=_np.int64)
@@ -251,49 +256,33 @@ class EngineRun:
     def visible_rows(self) -> List[Tuple[Vertex, ...]]:
         """Visible neighbours of every participant, in slot order.
 
-        Each row is an ascending tuple of Python int ids.  Full runs
-        without ``part_of`` reuse the graph's cached neighbour tuples;
-        restricted runs slice one flat tuple along :meth:`visible_csr`.
+        Each row is an ascending tuple of Python int ids.  Runs of the
+        whole graph reuse its cached neighbour tuples; partitioned runs
+        slice one flat tuple along :meth:`visible_csr`.
         """
         graph = self.graph
-        if self.full and self.part_of is None:
+        if self.part is None:
             return list(map(graph.neighbors, self.order))
         _rows, bounds, kept, _positions = self.visible_csr()
         b = bounds.tolist()
-        kept = kept.tolist()
-        if not graph.ids_contiguous:
-            kept = list(map(graph.vertices.__getitem__, kept))
-        flat = tuple(kept)
+        flat = ids_at(graph, kept)
         return [flat[b[i] : b[i + 1]] for i in range(self.S)]
 
 
-def label_codes(
-    graph, order: Sequence[Vertex], part_of: Optional[Mapping[Vertex, Any]]
-) -> Tuple[_np.ndarray, _np.ndarray]:
-    """The visibility rule of a run over the participants ``order``.
+def members(part: Optional[_np.ndarray], n: int) -> _np.ndarray:
+    """The graph indices of a partition column's members (its entries
+    ``>= 0``), ascending; every index of ``n`` when ``part`` is ``None``."""
+    if part is None:
+        return _np.arange(n, dtype=_np.int64)
+    return _np.flatnonzero(part >= 0)
 
-    Returns ``order``'s graph indices and one integer code per graph index,
-    such that ``u`` is visible to ``v`` iff ``code[u] == code[v]``: a
-    participant's code is its interned ``part_of`` label (unlabelled
-    participants share the ``None`` part), and each non-participant gets
-    its own negative code.  Engines and the orientation builders in
-    :mod:`repro.core` read visibility from here alone.
-    """
-    k = len(order)
+
+def ids_at(graph, indices: _np.ndarray) -> Tuple[Vertex, ...]:
+    """The vertex ids at the graph indices ``indices``, as a tuple."""
+    indices = indices.tolist()
     if graph.ids_contiguous:
-        rows = _np.array(order, dtype=_np.int64)
-    else:
-        rows = _np.fromiter(map(graph.index_of, order), _np.int64, count=k)
-    # the smallest signed dtype holding -n: the gathers of ``code`` over
-    # the CSR are the biggest temporaries of a run's set-up
-    code = -1 - _np.arange(graph.n, dtype=_np.min_scalar_type(-1 - graph.n))
-    if part_of is None:
-        code[rows] = 0
-    else:
-        names = list(map(part_of.get, order))
-        codes = {name: i for i, name in enumerate(dict.fromkeys(names))}
-        code[rows] = _np.fromiter(map(codes.__getitem__, names), _np.int64, count=k)
-    return rows, code
+        return tuple(indices)
+    return tuple(map(graph.vertices.__getitem__, indices))
 
 
 def gather_rows(
@@ -319,9 +308,9 @@ def gather_rows(
 def _execute_programs(run: EngineRun, event: bool) -> None:
     """The shared per-node-program loop: dense when ``event`` is false.
 
-    This is the original ``SynchronousNetwork.run`` body; the two engines
-    differ only in scheduling (who is activated when), never in delivery or
-    accounting, which is what keeps their results byte-identical.
+    The two engines differ only in scheduling (who is activated when),
+    never in delivery or accounting, which keeps their results
+    byte-identical.
     """
     S = run.S
     # All per-node state lives in flat lists indexed by slot — no id-keyed
@@ -629,5 +618,6 @@ __all__ = [
     "EventEngine",
     "ProgramFactory",
     "gather_rows",
-    "label_codes",
+    "ids_at",
+    "members",
 ]

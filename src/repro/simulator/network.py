@@ -15,72 +15,45 @@ Engines
 -------
 
 Execution engines live in a first-class registry
-(:mod:`repro.simulator.engines`): every engine is registered under a name
-via :func:`~repro.simulator.engines.register_engine` and selected with the
+(:mod:`repro.simulator.engines`, which documents the built-in ``"dense"``
+reference, the ``"event"`` active-set fast path and the default
+``"column"`` numpy engine) and are selected by name with the
 ``scheduler`` argument; unknown names raise
 :class:`~repro.errors.SimulationError` listing whatever is registered.
-Three engines ship built in, all producing byte-identical
-:class:`RunResult`\\ s:
-
-* ``"dense"`` — the reference implementation: every still-running node is
-  activated in every round, in ascending vertex order.  This is the model
-  definition made literal, and it is what validates the fast paths.
-* ``"event"`` — the active-set, event-driven fast path: the
-  deterministic activation order is precomputed once, and a node that has
-  declared quiescence (:meth:`~repro.simulator.context.NodeContext.
-  idle_until_message`, optionally bounded by
-  :meth:`~repro.simulator.context.NodeContext.wake_at`) is only activated
-  in rounds where it has pending inbox messages or a due self-wakeup.
-  Rounds in which *no* node is activatable are fast-forwarded in O(1),
-  so sparse-activity executions (ruling-set stalls, color-class sweeps,
-  recursive decompositions waiting on a deep part) cost proportional to
-  the activity, not to rounds × nodes.
-* ``"column"`` (default) — the bulk-synchronous numpy engine
-  (:mod:`repro.simulator.column`): programs that provide a vectorized
-  kernel (:meth:`~repro.simulator.program.NodeProgram.column_kernel`)
-  execute whole rounds as array operations over the run's CSR, on full
-  and ``participants``/``part_of`` runs alike.  The only fallbacks left,
-  to the event engine, are kernel-less programs and runs observed by a
-  ``wants_messages`` telemetry sink.
-
-The equivalence rests on the quiescence contract: an idle declaration
-promises that activating the node with an empty inbox would be a no-op.
-Programs that never declare idleness behave identically under both
-scalar engines by construction (same activation sequence, same delivery).
-Round, message, and byte accounting are shared, so the observable
-``RunResult`` — outputs, rounds, messages, bytes — is identical; the
-parametrised equivalence suite (``tests/test_scheduler_equivalence.py``)
-enforces this across the whole algorithm library for every registered
-engine.
-
-All engines also feed the same optional observation channel: a
-:class:`~repro.obs.telemetry.Telemetry` sink passed via ``telemetry=``
-receives per-round counters (active nodes, messages, bytes, wake/idle
-transitions) and fast-forward notifications.  The disabled path costs
-one hoisted check per round and nothing per message — the telemetry
-overhead gate in ``benchmarks/bench_simulator_throughput.py`` enforces
-this against the frozen pre-instrumentation scheduler.
+Every engine produces byte-identical :class:`RunResult`\\ s — outputs,
+rounds, messages, bytes — on every program that honours the quiescence
+contract (an idle declaration promises that activating the node with an
+empty inbox would be a no-op); ``tests/test_scheduler_equivalence.py``
+enforces this across the algorithm library for every registered engine.
+Every engine also feeds the same optional
+:class:`~repro.obs.telemetry.Telemetry` sink (``telemetry=``) with
+per-round counters; the disabled path costs one hoisted check per round,
+gated in ``benchmarks/bench_simulator_throughput.py``.
 
 Parallel composition on subgraphs
 ---------------------------------
 
 The paper's recursive procedures run "in parallel on all subgraphs" of a
-vertex partition.  :meth:`SynchronousNetwork.run` accepts a ``part_of``
-labeling; when given, each node only *sees* (and can only message) neighbours
-with the same label, i.e. the program executes on every induced subgraph
-simultaneously within a single global round loop — so the measured round
-count is the max over parts, exactly like real parallel execution.
+vertex partition.  :meth:`SynchronousNetwork.run` accepts the partition as
+``part_of``, one integer column over graph indices (:func:`partition`,
+refined per recursion level by :func:`refine_parts`); each node only *sees*
+(and can only message) neighbours in its own part, i.e. the program
+executes on every induced subgraph simultaneously within a single global
+round loop — so the measured round count is the max over parts, exactly
+like real parallel execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from ..errors import SimulationError
 from ..graphs.graph import Graph
 from ..types import Vertex
-from .engines import EngineRun, ProgramFactory, get_engine
+from .engines import EngineRun, ProgramFactory, get_engine, ids_at, members
 
 # Importing the column module registers the "column" engine; nothing in
 # this module calls into it directly.
@@ -102,29 +75,90 @@ class RunResult:
     max_message_bytes: int = 0
 
 
-def refine_parts(
-    part_of: Optional[Mapping[Vertex, Any]], labels: Mapping[Vertex, Any]
-) -> Dict[Vertex, Tuple[Any, Any]]:
-    """Refine a ``part_of`` labeling by ``labels``: ``v -> (outer, label)``.
+def partition(
+    graph: Graph,
+    participants: Optional[Iterable[Vertex]] = None,
+    part_of: Union[None, np.ndarray, Mapping[Vertex, Any]] = None,
+) -> Optional[np.ndarray]:
+    """A run's partition as one integer column over graph indices, in the
+    smallest signed dtype holding its codes (its gathers over the CSR are
+    a run's largest temporaries): entry ``>= 0`` is the vertex's part,
+    ``-1`` keeps it out.  A ``part_of`` column is checked and returned as
+    is (``participants`` must be ``None``).  Otherwise ``participants``
+    (default: every vertex) and a ``Mapping`` ``part_of`` are interned
+    once through a dict, so labels compare by ``==`` (``1``, ``1.0`` and
+    ``True`` are one part) and unlabelled participants share the ``None``
+    part.  ``None`` when both are ``None``: every vertex, one part."""
+    n = graph.n
+    if isinstance(part_of, np.ndarray):
+        ints = part_of.shape == (n,) and part_of.dtype.kind == "i"
+        if participants is not None or not ints or part_of.min(initial=0) < -1:
+            raise SimulationError(
+                "a part_of column names the participants (pass "
+                f"participants=None) with one integer >= -1 per vertex ({n}); "
+                f"got {part_of.dtype} of shape {part_of.shape}"
+            )
+        return part_of
+    if participants is None and part_of is None:
+        return None
+    order: Sequence[Vertex] = graph.vertices
+    if participants is not None:
+        active = set(participants)
+        for v in active:
+            if not graph.has_vertex(v):
+                raise SimulationError(f"participant {v} is not a vertex")
+        if len(active) < n:
+            order = sorted(active)
+    k = len(order)
+    rows = np.fromiter(map(graph.index_of, order), np.int64, count=k)
+    names = [None] * k if part_of is None else list(map(part_of.get, order))
+    codes = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    part = np.full(n, -1, dtype=np.min_scalar_type(-max(1, len(codes))))
+    part[rows] = np.fromiter(map(codes.__getitem__, names), np.int64, count=k)
+    return part
 
-    Keyed by the vertices in ``labels``; ``outer`` is ``part_of[v]``, or
-    ``None`` when there is no labeling or ``v`` is unlabelled.  Passed as a
-    run's ``part_of``, it runs the program on every ``labels`` part inside
-    every part of the caller's partition, in parallel.
-    """
-    outer = {} if part_of is None else part_of
-    return {v: (outer.get(v), label) for v, label in labels.items()}
+
+def column_of(
+    graph: Graph,
+    part: Optional[np.ndarray],
+    values: Union[np.ndarray, Mapping[Vertex, int], Iterable[int]],
+) -> np.ndarray:
+    """One integer per member of ``part`` as an int64 column over graph
+    indices, ``-1`` elsewhere: a column as is, a ``Mapping`` read at the
+    members' ids, or an iterable in slot order (a run's outputs)."""
+    if isinstance(values, np.ndarray):
+        return values
+    rows = members(part, graph.n)
+    if isinstance(values, Mapping):
+        values = map(values.__getitem__, ids_at(graph, rows))
+    column = np.full(graph.n, -1, dtype=np.int64)
+    column[rows] = np.fromiter(values, np.int64, count=len(rows))
+    return column
+
+
+def refine_parts(part: Optional[np.ndarray], labels: np.ndarray) -> np.ndarray:
+    """Refine the partition column ``part`` (``None``: one part) by the
+    column ``labels``, read at its members: members share a refined part
+    iff they share a part and a label.  Both sides are recoded densely
+    first (:func:`numpy.unique`), so ``outer * K + inner`` stays below
+    ``n**2`` whatever the labels' range, and so do the dense codes."""
+    rows = members(part, len(labels))
+    inner = np.unique(labels[rows], return_inverse=True)[1]
+    if part is not None:
+        outer = np.unique(part[rows], return_inverse=True)[1]
+        inner += outer * (int(inner.max(initial=0)) + 1)
+    dense, codes = np.unique(inner, return_inverse=True)
+    refined = np.full(len(labels), -1, dtype=np.min_scalar_type(-max(1, len(dense))))
+    refined[rows] = codes
+    return refined
 
 
 class SynchronousNetwork:
     """A network of processors, one per vertex of an undirected graph.
 
-    ``scheduler`` selects the default execution engine for every
-    :meth:`run` on this network (overridable per run) by registry name:
-    ``"column"`` (bulk-synchronous numpy kernels, falling back to the
-    event engine for kernel-less programs and ``wants_messages`` sinks;
-    the default), ``"event"`` (the scalar active-set fast path),
-    ``"dense"`` (the reference engine), or any engine registered via
+    ``scheduler`` names the default engine of every :meth:`run` on this
+    network (overridable per run): ``"column"`` (the default), ``"event"``,
+    ``"dense"`` or any engine registered via
     :func:`~repro.simulator.engines.register_engine`.
     """
 
@@ -140,7 +174,7 @@ class SynchronousNetwork:
         *,
         global_params: Optional[Mapping[str, Any]] = None,
         participants: Optional[Iterable[Vertex]] = None,
-        part_of: Optional[Mapping[Vertex, Any]] = None,
+        part_of: Union[None, np.ndarray, Mapping[Vertex, Any]] = None,
         round_limit: Optional[int] = None,
         count_bytes: bool = False,
         telemetry: Optional["Telemetry"] = None,
@@ -161,11 +195,13 @@ class SynchronousNetwork:
             participants neither run programs nor receive messages, and are
             invisible to participants' contexts.
         part_of:
-            Optional vertex labeling.  When given, a node only sees
-            neighbours with the same label — the program runs on every
-            induced part in parallel.  Labels must be hashable and are
-            compared by equality; unlabelled participants share the
-            ``None`` part.  Visibility is built once per run
+            The run's partition: a node only sees neighbours in its own
+            part, so the program runs on every induced part in parallel.
+            The library's drivers pass an integer column over graph
+            indices (``>= 0``: the vertex's part, ``-1``: out; passing
+            ``participants`` too raises); a ``Mapping`` of hashable labels
+            is interned once with ``participants`` into such a column
+            (:func:`partition`).  Visibility is built once per run
             (:meth:`~repro.simulator.engines.EngineRun.visible_csr`).
         round_limit:
             Maximum number of rounds before
@@ -195,20 +231,7 @@ class SynchronousNetwork:
         mode = scheduler if scheduler is not None else self.scheduler
         engine = get_engine(mode)
         graph = self.graph
-        if participants is None:
-            order: Tuple[Vertex, ...] = graph.vertices
-        else:
-            active_set = set(participants)
-            if not graph.has_vertices(active_set):
-                for v in active_set:  # name the first offender
-                    if not graph.has_vertex(v):
-                        raise SimulationError(f"participant {v} is not a vertex")
-            # The deterministic activation order: ascending vertex id, which
-            # is the graph's own order when every vertex takes part.
-            if len(active_set) == graph.n:
-                order = graph.vertices
-            else:
-                order = tuple(sorted(active_set))
+        part = partition(graph, participants, part_of)
         if round_limit is None:
             round_limit = DEFAULT_ROUND_LIMIT_FACTOR * max(1, graph.n) + 1000
 
@@ -222,8 +245,7 @@ class SynchronousNetwork:
         state = EngineRun(
             graph,
             program_factory,
-            order=order,
-            part_of=part_of,
+            part=part,
             gp=gp,
             round_limit=round_limit,
             count_bytes=count_bytes,

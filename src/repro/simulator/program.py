@@ -62,10 +62,10 @@ class NodeProgram:
         The column engine is the default, and calls this once on a
         *prototype* instance (never on per-node copies) with a
         :class:`~repro.simulator.column.ColumnRun` for every non-empty
-        run, full or ``participants``/``part_of`` alike.  Return a
-        zero-argument callable that executes the entire run in column form
-        — reading per-node inputs through ``col.ids``, filling
-        ``col.outputs``/``col.rounds`` keyed by those ids and accounting
+        run, whole or partitioned alike.  Return a zero-argument callable
+        that executes the entire run in column form — gathering per-node
+        inputs at the run's slots (``col.gather``), filling
+        ``col.outputs``/``col.rounds`` keyed by ``col.ids`` and accounting
         every round through ``col.note_round`` with results byte-identical
         to the scalar engines — or ``None`` (the default) to fall back to
         the event engine, where the prototype runs as the first

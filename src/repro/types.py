@@ -279,9 +279,9 @@ def heads_by_key(
     """:attr:`Orientation.heads` sending every edge of ``graph`` towards
     the endpoint with the larger ``key`` (one integer per graph index), in
     one comparison over ``graph.csr()``.  Entries joining equal keys stay
-    0, and so, when ``code`` (one integer per graph index) is given, do
-    entries whose endpoints' codes differ: the visibility rule of
-    :func:`~repro.simulator.engines.label_codes`."""
+    0, and so, when ``code`` (a partition column, one integer per graph
+    index) is given, do entries whose endpoints do not share a code
+    ``>= 0``: the visibility rule of a run with ``part_of=code``."""
     nbr = graph.csr()[1]
     src = graph.row_sources()
     # the narrowest dtype holding every key, and each pair of per-entry
@@ -295,7 +295,8 @@ def heads_by_key(
     heads -= towards < away
     del towards, away
     if code is not None:
-        heads *= code[nbr] == code[src]
+        code_src = code[src]
+        heads *= (code[nbr] == code_src) & (code_src >= 0)
     return heads
 
 

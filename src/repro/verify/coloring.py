@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import VerificationError
-from ..graphs.arboricity import degeneracy, nash_williams_lower_bound
+from ..graphs.arboricity import degeneracy, suffix_density_bound
 from ..graphs.graph import Graph
 from ..types import Orientation, Vertex
 from .orientation import check_orientation_edges_exist
@@ -132,15 +132,16 @@ def coloring_arbdefect_bounds(
 
     The arbdefect is the max arboricity over color classes; we sandwich it
     between the best Nash–Williams witness (lower) and the degeneracy
-    (upper) of each class.
+    (upper) of each class, both read from one degeneracy order per class.
     """
     lower = 0
     upper = 0
     for _c, sub in color_class_subgraphs(graph, colors).items():
         if sub.m == 0:
             continue
-        lower = max(lower, nash_williams_lower_bound(sub))
-        upper = max(upper, degeneracy(sub)[0])
+        k, order = degeneracy(sub)
+        lower = max(lower, suffix_density_bound(sub, order))
+        upper = max(upper, k)
     return lower, max(lower, upper)
 
 
@@ -170,7 +171,8 @@ def check_arbdefective_coloring(
         over = np.flatnonzero(out > max_arbdefect)
         if len(over):
             i = int(over[own[over].argmin()])
-            c = list(code)[own[i]]
+            # codes are positions of first appearance, not dense ranks
+            c = next(value for value, j in code.items() if j == own[i])
             raise VerificationError(
                 f"class {c}: vertex {graph.vertex_at(i)} has witness "
                 f"out-degree {out[i]} > {max_arbdefect}"

@@ -123,3 +123,29 @@ class TestSelectFamily:
         assert fam.size >= M
         # strict Lemma 5.1 inequality with d' = 0
         assert fam.q * (d + 1) > fam.degree * delta
+
+
+class TestSelectFamilyMemo:
+    """``select_family`` is memoized; the cache changes no answer and
+    swallows no error."""
+
+    def test_cached_equals_uncached_over_a_grid(self):
+        uncached = select_family.__wrapped__
+        grid = itertools.product(
+            [1, 2, 7, 50, 10**3, 10**6], [0, 1, 5, 40], [0, 1, 3], [0, 2, 7]
+        )
+        for M, delta, d_prev, d_new in grid:
+            if d_new < d_prev:
+                continue
+            for _ in range(2):  # the second call is answered from the cache
+                assert select_family(M, delta, d_prev, d_new) == uncached(
+                    M, delta, d_prev, d_new
+                )
+
+    @pytest.mark.parametrize(
+        "args", [(0, 5, 0, 0), (10, -1, 0, 0), (100, 5, 3, 2)]
+    )
+    def test_invalid_parameters_raise_on_every_call(self, args):
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError):
+                select_family(*args)

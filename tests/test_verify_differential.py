@@ -45,6 +45,8 @@ from repro.verify import (
     check_orientation_complete,
     check_orientation_deficit,
     check_orientation_out_degree,
+    color_class_subgraphs,
+    coloring_arbdefect_bounds,
     longest_directed_path,
     orientation_deficits,
     orientation_length,
@@ -580,3 +582,51 @@ def test_nash_williams_on_relabelled_classes(seed):
     shuffled = Graph(ids, [(ids[u], ids[v]) for u, v in graph.edges])
     for g in (graph, odd, shuffled):
         assert nash_williams_lower_bound(g) == reference_nash_williams(g)
+
+
+# ---------------------------------------------------------------------------
+# arbdefect bounds without a witness: one degeneracy order per colour class
+# ---------------------------------------------------------------------------
+def reference_arbdefect_bounds(graph, colors):
+    """The bounds as two separate computations per class: the Nash–Williams
+    suffix bound (which peels its own degeneracy order) and the degeneracy."""
+    lower = upper = 0
+    for sub in color_class_subgraphs(graph, colors).values():
+        if sub.m:
+            lower = max(lower, nash_williams_lower_bound(sub))
+            upper = max(upper, degeneracy(sub)[0])
+    return lower, max(lower, upper)
+
+
+@PROFILE
+@given(graph=small_graph(), palette=st.integers(1, 4), k=st.integers(0, 10**6))
+def test_arbdefect_bounds_match_reference(graph, palette, k):
+    colors = {v: (v * 7 + k) % palette for v in graph.vertices}
+    assert coloring_arbdefect_bounds(graph, colors) == reference_arbdefect_bounds(
+        graph, colors
+    )
+
+
+def test_arbdefect_bounds_peel_each_class_once(monkeypatch):
+    """One degeneracy order per non-empty class serves both bounds: a spy
+    on every module-level name of ``degeneracy`` counts the peels."""
+    from repro.graphs import arboricity as arboricity_module
+    from repro.verify import coloring as coloring_module
+
+    graph = erdos_renyi(60, 0.2, seed=5).graph
+    colors = {v: v % 4 for v in graph.vertices}
+    colors[graph.vertices[0]] = 9  # a class of one vertex: no edges
+    expected = reference_arbdefect_bounds(graph, colors)
+    calls = []
+
+    def spy(sub):
+        calls.append(sub.n)
+        return degeneracy(sub)
+
+    for module in (arboricity_module, coloring_module):
+        monkeypatch.setattr(module, "degeneracy", spy)
+    assert coloring_arbdefect_bounds(graph, colors) == expected
+    non_empty = [
+        sub for sub in color_class_subgraphs(graph, colors).values() if sub.m
+    ]
+    assert len(calls) == len(non_empty) == 4

@@ -14,24 +14,24 @@ out-degree O(a)).
 Distributed protocol after the H-partition: one round to exchange H-indices
 (each vertex then knows the orientation of its incident edges locally), one
 round for tails to announce the forest label of each out-edge to its head.
+:func:`forests_decomposition` reads the labels off the orientation's heads:
+rows ascend, so an out-edge's label is its rank among its row's ``+1``
+entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
+import numpy as np
+
+from ..simulator.column import NodeInput, VertexColumn
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
 from ..simulator.network import SynchronousNetwork, column_of, partition
 from ..simulator.program import NodeProgram
-from ..types import (
-    ForestsDecomposition,
-    HPartition,
-    Orientation,
-    Vertex,
-    canonical_edge,
-)
+from ..types import ForestsDecomposition, HPartition, Orientation
 from .hpartition import compute_hpartition
 from .orientation import key_heads
 
@@ -39,38 +39,33 @@ from .orientation import key_heads
 class _ForestLabelProgram(NodeProgram):
     """Exchange H-indices, then label out-edges with forest indices.
 
-    Round 1: learn neighbours' levels, fix out-edge labels, tell each head
-    its label.  Round 2: record the labels of in-edges (so *both* endpoints
-    know the forest of every incident edge, as the paper requires) and halt.
+    Round 1: learn neighbours' levels, label out-edges ``0, 1, ...`` in
+    ascending neighbour order, tell each head its label.  Round 2: receive
+    the labels of in-edges (so *both* endpoints know the forest of every
+    incident edge, as the paper requires) and halt.
 
-    Output per node: ``(level, out_labels, in_labels)`` where ``out_labels``
-    maps each out-neighbour to the forest label of that edge and
-    ``in_labels`` the same for in-edges.
+    Output per node: ``(level, out_degree)``; its labels are
+    ``0..out_degree-1``.
     """
 
-    def __init__(self, level_of: Dict[Vertex, int]):
-        self._level_of = level_of
-        self._labels: Dict[Vertex, int] = {}
+    def __init__(self, level: NodeInput):
+        self._level = level
+        self._out_degree = 0
 
     def on_start(self, ctx: NodeContext) -> None:
-        ctx.broadcast(self._level_of[ctx.node])
+        ctx.broadcast(self._level(ctx.node))
 
     def on_round(self, ctx: NodeContext) -> None:
         if ctx.round_number == 1:
-            my_key = (self._level_of[ctx.node], ctx.node)
+            my_key = (self._level(ctx.node), ctx.node)
             out_neighbors = sorted(
                 u for u, lvl in ctx.inbox.items() if (lvl, u) > my_key
             )
-            self._labels = {u: f for f, u in enumerate(out_neighbors)}
-            for u, f in self._labels.items():
+            for f, u in enumerate(out_neighbors):
                 ctx.send(u, ("forest", f))
+            self._out_degree = len(out_neighbors)
             return
-        in_labels = {
-            sender: payload[1]
-            for sender, payload in ctx.inbox.items()
-            if isinstance(payload, tuple) and payload[0] == "forest"
-        }
-        ctx.halt((self._level_of[ctx.node], self._labels, in_labels))
+        ctx.halt((self._level(ctx.node), self._out_degree))
 
     def column_kernel(self, col):
         """Vectorized orientation + labeling: two array passes, no rounds loop.
@@ -81,28 +76,18 @@ class _ForestLabelProgram(NodeProgram):
         matching the scalar program's ``sorted`` + ``enumerate``).
         """
         np = col.np
-        level_of = self._level_of
 
         def run() -> None:
             n = col.n
-            ids = col.ids
             nbr = col.neighbors
-            levels = np.fromiter((level_of[v] for v in ids), np.int64, count=n)
+            levels = col.gather(self._level)
             level_sizes = col.int_payload_sizes(levels) if col.count_bytes else 0
             col.note_round(0, n, col.degrees, level_sizes)
 
             src = col.row_sources()
             lv_n, lv_s = levels[nbr], levels[src]
-            out_mask = (lv_n > lv_s) | ((lv_n == lv_s) & (nbr > src))
-            sel = np.flatnonzero(out_mask)
-            tails = src[sel]
-            heads = nbr[sel]
-            counts = np.bincount(tails, minlength=n)
-            starts = np.cumsum(counts) - counts
-            # Rank of each out-edge within its (ascending-sorted) row ==
-            # the scalar program's enumerate over sorted out-neighbours.
-            labels = np.arange(len(sel), dtype=np.int64) - starts[tails]
-
+            out = (lv_n > lv_s) | ((lv_n == lv_s) & (nbr > src))
+            labels, out_degree = _out_ranks(out, col.offsets)
             # one ("forest", f) per out-edge: the tag adds a fixed overhead
             # to the label's int size
             label_sizes = 0
@@ -111,24 +96,22 @@ class _ForestLabelProgram(NodeProgram):
                 label_sizes = col.int_payload_sizes(labels) + tag_overhead
             col.note_round(1, n, np.ones_like(labels), label_sizes)
             col.note_round(2, n)
-
-            out_labels = [{} for _ in range(n)]
-            in_labels = [{} for _ in range(n)]
-            for t, h, f in zip(
-                tails.tolist(), heads.tolist(), labels.tolist(),
-                strict=True,
-            ):
-                out_labels[t][ids[h]] = f
-                in_labels[h][ids[t]] = f
-            col.outputs = {
-                v: (lv, out, inn)
-                for v, lv, out, inn in zip(
-                    ids, levels.tolist(), out_labels, in_labels, strict=True
-                )
-            }
+            outputs = zip(levels.tolist(), out_degree.tolist(), strict=True)
+            col.outputs = dict(zip(col.ids, outputs, strict=True))
             col.rounds = 2
 
         return run
+
+
+def _out_ranks(out: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each ``True`` entry's rank among its row's (in entry order, the
+    scalar program's ``sorted`` + ``enumerate``), and each row's count of
+    them, for a CSR with row ``offsets``: one cumsum over the entries."""
+    before = np.zeros(len(out) + 1, dtype=np.int64)
+    np.cumsum(out, out=before[1:])
+    starts = before[offsets]  # True entries before each row, and in all
+    counts = np.diff(starts)
+    return np.arange(starts[-1]) - np.repeat(starts[:-1], counts), counts
 
 
 def hpartition_orientation(
@@ -165,34 +148,35 @@ def forests_decomposition(
     part = partition(graph, participants, part_of)
     if hpartition is None:
         hpartition = compute_hpartition(network, a, epsilon, part_of=part)
+    level = column_of(graph, part, hpartition.index)
+    level_input = VertexColumn(graph, level)
     result = network.run(
-        lambda: _ForestLabelProgram(hpartition.index),
+        lambda: _ForestLabelProgram(level_input),
         part_of=part,
         global_params={"a": a, "epsilon": epsilon},
     )
-    forest_of: Dict[Tuple[int, int], int] = {}
-    num_forests = 0
-    for v, out in result.outputs.items():
-        _level, labels, _in_labels = out
-        for head, f in labels.items():
-            forest_of[canonical_edge(v, head)] = f
-            num_forests = max(num_forests, f + 1)
     # the heads of exactly the edges the labelling run saw
-    orientation = Orientation(
-        graph,
-        key_heads(graph, part, column_of(graph, part, hpartition.index), None),
-        rounds=hpartition.rounds + result.rounds,
-        algorithm="forests-decomposition-orientation",
-        params={"a": a, "epsilon": epsilon},
-    )
+    heads = key_heads(graph, part, level, None)
+    out = heads > 0
+    ranks, out_degree = _out_ranks(out, graph.csr()[0])
+    num_forests = int(out_degree.max(initial=0))
+    labels = np.full(len(heads), -1, dtype=np.min_scalar_type(-max(1, num_forests)))
+    labels[out] = ranks
+    rounds = hpartition.rounds + result.rounds
     ledger = RoundLedger()
     ledger.add("hpartition", hpartition.rounds)
     ledger.add_run("forest_labeling", result)
     return ForestsDecomposition(
-        forest_of=forest_of,
-        orientation=orientation,
-        num_forests=num_forests,
-        rounds=hpartition.rounds + result.rounds,
+        labels,
+        Orientation(
+            graph,
+            heads,
+            rounds=rounds,
+            algorithm="forests-decomposition-orientation",
+            params={"a": a, "epsilon": epsilon},
+        ),
+        num_forests,
+        rounds=rounds,
         params={"a": a, "epsilon": epsilon, "degree_bound": hpartition.degree_bound},
         ledger=ledger,
     )

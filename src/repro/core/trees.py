@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
 from ..errors import InvalidParameterError
 from ..graphs.graph import Graph
 from ..simulator.network import SynchronousNetwork
@@ -30,16 +32,19 @@ from .mis import mis_from_coloring
 def forest_parent_map(
     graph: Graph, fd: ForestsDecomposition, forest: int
 ) -> Dict[Vertex, Optional[Vertex]]:
-    """Parent pointers of one forest of a decomposition (None at roots)."""
+    """Parent pointers of one forest of a decomposition (None at roots):
+    the entries labelled ``forest`` are its edges' tails' entries."""
     if not (0 <= forest < max(1, fd.num_forests)):
         raise InvalidParameterError(
             f"forest index {forest} outside [0, {fd.num_forests})"
         )
     parent: Dict[Vertex, Optional[Vertex]] = {v: None for v in graph.vertices}
-    for (u, v) in fd.forest_edges(forest):
-        head = fd.orientation.head(u, v)
-        tail = u if head == v else v
-        parent[tail] = head
+    g = fd.orientation.graph
+    at = np.flatnonzero(fd.labels == forest)
+    ids = g.vertices
+    tails = g.row_sources()[at].tolist()
+    for t, h in zip(tails, g.csr()[1][at].tolist(), strict=True):
+        parent[ids[t]] = ids[h]
     return parent
 
 

@@ -52,7 +52,7 @@ from ..core import (
     theorem52_fast_coloring,
     theorem53_tradeoff,
 )
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, VerificationError
 from ..graphs import (
     GeneratedGraph,
     erdos_renyi,
@@ -265,11 +265,19 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
 
 
 def _verify_result(kind: str, graph, result) -> None:
-    """The ``verify`` stage: run the matching checker (raises on failure)."""
+    """The ``verify`` stage: run the matching checker (raises on failure),
+    and for a forests decomposition Lemma 2.2(2)'s bound of ⌊(2+ε)a⌋
+    forests, its ``degree_bound``."""
     if kind == "coloring":
         check_legal_coloring(graph, result.colors)
     elif kind == "decomposition":
         check_forests_decomposition(graph, result)
+        bound = result.params["degree_bound"]
+        if result.num_forests > bound:
+            raise VerificationError(
+                f"{result.num_forests} forests exceed Lemma 2.2(2)'s bound "
+                f"⌊(2+ε)a⌋ = {bound}"
+            )
     elif kind == "mis":
         check_mis(graph, result.members)
     else:  # pragma: no cover - registry invariant

@@ -4,14 +4,16 @@ The algorithms in :mod:`repro.core` return small immutable-ish dataclasses
 rather than bare dictionaries so that results carry their own metadata
 (parameters used, rounds consumed) and offer convenience accessors.  They
 store vertex-indexed mappings as plain ``dict`` objects keyed by the vertex
-ids of the input graph, except :class:`Orientation`, which keeps one int8
-per entry of its graph's CSR.
+ids of the input graph, except :class:`Orientation` and
+:class:`ForestsDecomposition`, which keep one small int per entry of their
+graph's CSR.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -113,8 +115,29 @@ class ColorAssignment:
         )
 
 
+class _ByInitFields:
+    """Equality and pickling over a dataclass's init fields, arrays by
+    value; derived caches (the other fields) are left out."""
+
+    __hash__ = None
+
+    def _init_values(self) -> Tuple[object, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in zip(self._init_values(), other._init_values(), strict=True)
+        )
+
+    def __reduce__(self):
+        return type(self), self._init_values()
+
+
 @dataclass(eq=False)
-class Orientation:
+class Orientation(_ByInitFields):
     """A (possibly partial) orientation of the edges of ``graph``.
 
     ``heads`` holds one read-only int8 per entry of ``graph.csr()`` — the
@@ -192,23 +215,6 @@ class Orientation:
         pos[rows] = np.arange(graph.n, dtype=np.int64)
         return cls(graph, heads_by_key(graph, pos), **meta)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and np.array_equal(self.heads, other.heads)
-            and self.rounds == other.rounds
-            and self.algorithm == other.algorithm
-            and self.params == other.params
-        )
-
-    def __reduce__(self):
-        return (
-            type(self),
-            (self.graph, self.heads, self.rounds, self.algorithm, self.params),
-        )
-
     @property
     def direction(self) -> Mapping[Edge, Vertex]:
         """Read-only ``{canonical edge: head}`` view of every oriented edge,
@@ -220,12 +226,7 @@ class Orientation:
             heads = self.heads
             once = (heads != 0) & (nbr > src)  # each edge from its lower end
             lo, hi = src[once], nbr[once]
-            head = np.where(heads[once] > 0, hi, lo)
-            if graph.ids_contiguous:
-                lo, hi, head = lo.tolist(), hi.tolist(), head.tolist()
-            else:
-                at = graph.vertices.__getitem__
-                lo, hi, head = (list(map(at, a.tolist())) for a in (lo, hi, head))
+            lo, hi, head = _ids(graph, lo, hi, np.where(heads[once] > 0, hi, lo))
             edges = zip(lo, hi, strict=True)
             self._direction = MappingProxyType(dict(zip(edges, head, strict=True)))
         return self._direction
@@ -300,6 +301,14 @@ def heads_by_key(
     return heads
 
 
+def _ids(graph: "Graph", *columns: np.ndarray) -> List[List[Vertex]]:
+    """Each column of graph indices as a list of vertex ids."""
+    if graph.ids_contiguous:
+        return [c.tolist() for c in columns]
+    at = graph.vertices.__getitem__
+    return [list(map(at, c.tolist())) for c in columns]
+
+
 def _entry(graph: "Graph", u: Vertex, v: Vertex) -> Optional[int]:
     """Position in ``graph.csr()`` of ``v`` in ``u``'s row, or ``None``
     for a non-edge."""
@@ -343,16 +352,21 @@ class HPartition:
         return out
 
 
-@dataclass
-class ForestsDecomposition:
+@dataclass(eq=False)
+class ForestsDecomposition(_ByInitFields):
     """An edge-disjoint decomposition of E into oriented forests.
 
-    ``forest_of`` maps each canonical edge to a forest index in
-    ``0..num_forests-1``; ``orientation`` orients every edge towards the
-    parent endpoint (so each vertex has at most one parent per forest).
+    ``orientation`` orients every edge towards its parent endpoint, and
+    ``labels`` holds one read-only signed int per entry of its graph's
+    ``csr()``, laid out like :attr:`Orientation.heads`: an edge's forest,
+    in ``0..num_forests-1``, sits at its tail's (``+1``) entry, and every
+    other entry holds ``-1``.  A vertex's parent in forest ``f`` is the
+    neighbour at its row's entry labelled ``f``.  :meth:`from_forest_of`
+    builds one from a ``{(u, v): forest}`` dict, and :attr:`forest_of` is
+    that dict, derived on first use.
     """
 
-    forest_of: Dict[Edge, int]
+    labels: np.ndarray
     orientation: Orientation
     num_forests: int
     rounds: int = 0
@@ -361,20 +375,90 @@ class ForestsDecomposition:
     #: (a :class:`~repro.simulator.ledger.RoundLedger`; typed loosely to
     #: avoid a types ↔ simulator import cycle).
     ledger: Optional[object] = None
+    #: What ``labels`` cannot hold of a :meth:`from_forest_of` dict, as its
+    #: ``(key, label)`` items in dict order: a key that is not an edge in
+    #: ``(min, max)`` form, an unoriented edge, a negative label.
+    unplaced: Tuple[Tuple[Edge, int], ...] = ()
+    _forest_of: Optional[Mapping[Edge, int]] = field(
+        default=None, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        shape = self.orientation.heads.shape
+        if self.labels.dtype.kind != "i" or self.labels.shape != shape:
+            raise InvalidParameterError(
+                f"labels must be signed ints of shape {shape}, got "
+                f"{self.labels.dtype} of shape {self.labels.shape}"
+            )
+        self.labels.flags.writeable = False
+
+    @classmethod
+    def from_forest_of(
+        cls,
+        forest_of: Mapping[Edge, int],
+        orientation: Orientation,
+        num_forests: int,
+        **meta: object,
+    ) -> "ForestsDecomposition":
+        """The decomposition labelling each edge ``(u, v)`` (``u < v``) of
+        ``forest_of`` at its tail's entry under ``orientation``; ``meta``
+        fills ``rounds``, ``params`` and ``ledger``.  The rest of the dict
+        goes to :attr:`unplaced`, so a corrupted dict still reaches the
+        check, and :attr:`forest_of` is a read-only copy of the dict."""
+        graph = orientation.graph
+        heads = orientation.heads
+        labels = np.full(len(heads), -1, dtype=np.int64)
+        unplaced = []
+        for (u, v), f in forest_of.items():
+            f = operator.index(f)
+            uv = _entry(graph, u, v) if u < v else None
+            sign = 0 if uv is None else heads[uv]
+            if sign == 0 or f < 0:
+                unplaced.append(((u, v), f))
+            else:
+                labels[uv if sign > 0 else _entry(graph, v, u)] = f
+        labels = labels.astype(np.min_scalar_type(-1 - int(labels.max(initial=0))))
+        fd = cls(labels, orientation, num_forests, unplaced=tuple(unplaced), **meta)
+        fd._forest_of = MappingProxyType(dict(forest_of))
+        return fd
+
+    @property
+    def forest_of(self) -> Mapping[Edge, int]:
+        """Read-only ``{canonical edge: forest}`` view of every labelled
+        edge, in the graph's edge order (built on first access)."""
+        if self._forest_of is None:
+            self._forest_of = MappingProxyType(self._view(self.labels != -1))
+        return self._forest_of
 
     def parent_in_forest(
         self, v: Vertex, forest: int, neighbors: Iterable[Vertex]
     ) -> Optional[Vertex]:
-        """The parent of ``v`` in the given forest, or ``None`` for a root."""
-        for u in neighbors:
-            e = canonical_edge(v, u)
-            if self.forest_of.get(e) == forest and self.orientation.head(v, u) == u:
-                return u
-        return None
+        """The parent of ``v`` in the given forest among ``neighbors``, or
+        ``None`` for a root: one slice of ``labels``."""
+        graph = self.orientation.graph
+        i = graph.index_of(v)
+        offsets = graph.csr()[0]
+        row = self.labels[offsets[i] : offsets[i + 1]].tolist()
+        parents = {
+            u for u, f in zip(graph.neighbors(v), row, strict=True) if f == forest >= 0
+        }
+        return next((u for u in neighbors if u in parents), None)
 
     def forest_edges(self, forest: int) -> List[Edge]:
-        """All edges assigned to the given forest."""
-        return [e for e, f in self.forest_of.items() if f == forest]
+        """All edges of the given forest, in the graph's edge order."""
+        return list(self._view(self.labels == forest)) if forest >= 0 else []
+
+    def _view(self, mask: np.ndarray) -> Dict[Edge, int]:
+        """``{canonical edge: label}`` of the entries in ``mask``, in the
+        graph's edge order."""
+        graph = self.orientation.graph
+        at = np.flatnonzero(mask)
+        tail, head = graph.row_sources()[at], graph.csr()[1][at]
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        order = np.argsort(lo * graph.n + hi)
+        lo, hi = _ids(graph, lo[order], hi[order])
+        edges = zip(lo, hi, strict=True)
+        return dict(zip(edges, self.labels[at[order]].tolist(), strict=True))
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Verification of H-partitions, forests decompositions, and MIS results.
 
 Each check is one numpy pass over ``graph.csr()``, for contiguous and
-non-contiguous ids alike: the result's mappings are read once, per vertex
-(per edge for the forest labels), and compared across every CSR entry.  A
-failing check names its witness from the first failing index; on an input
-with several defects, each docstring says which one is named."""
+non-contiguous ids alike: the result's mappings are read once per vertex
+(the forest labels are already one array over the CSR), and compared
+across every CSR entry.  A failing check names its witness from the first
+failing index; on an input with several defects, each docstring says which
+one is named."""
 
 from __future__ import annotations
 
@@ -59,88 +60,96 @@ def check_hpartition(graph: Graph, hp: HPartition) -> None:
 
 
 def check_forests_decomposition(graph: Graph, fd: ForestsDecomposition) -> None:
-    """Assert every edge has exactly one forest label, on its canonical
-    ``(min, max)`` key, in ``0..num_forests-1``; that the orientation is
-    over ``graph`` and orients every edge; that each vertex has ≤ 1
-    parent per forest; and that each forest is acyclic.
+    """Assert that the decomposition is over ``graph``; that every edge
+    has exactly one forest label, on its canonical ``(min, max)`` key, in
+    ``0..num_forests-1``; that the orientation orients every edge; that
+    each vertex has ≤ 1 parent per forest; and that each forest is
+    acyclic.
 
-    Each edge's label is read once, by its canonical key (so keys compare
-    by ``==``, like :func:`~.coloring.value_codes`' values).  The checks
-    run in the order above, and each names its first witness:
+    Labels are read at their tails' entries, and with them what
+    :meth:`~repro.types.ForestsDecomposition.from_forest_of` could not
+    place (``unplaced``).  The checks run in the order above, and each
+    names its first witness:
 
+    * an orientation over another graph, whose graph the labels are laid
+      out over (:func:`~.orientation.check_orientation_edges_exist`);
     * the first edge (in ``graph.edges`` order) without a label;
-    * the first key (in ``forest_of`` order) that is not a canonical edge
-      (a reversed key is named as non-canonical: it would put its edge in
-      a second forest);
+    * the first unplaced key that is not a canonical edge (a reversed key
+      is named as non-canonical: it would put its edge in a second forest);
     * the lowest out-of-range label;
-    * an orientation over another graph
-      (:func:`~.orientation.check_orientation_edges_exist`);
     * the first unoriented edge (in ``graph.edges`` order);
     * the lowest forest with a vertex of two parents, and its lowest such
       vertex;
     * the lowest forest containing a cycle.
 
+    Each edge is a node keyed (forest, tail), with its parent keyed
+    (forest, head): one table over the keys (recoded densely when few are
+    in use) finds repeated keys, second parents, and parent pointers.
     Once every forest edge is oriented and no vertex has two parents in a
-    forest, a cycle's k edges have k distinct tails among its k vertices,
-    so every cycle is a directed cycle of parent pointers: pointer
+    forest, every cycle is a directed cycle of parent pointers: pointer
     doubling finds it as a chain that reaches no root within m hops."""
+    check_orientation_edges_exist(graph, fd.orientation)
     n = graph.n
     nbr = graph.csr()[1]
     src = graph.row_sources()
-    upper = np.flatnonzero(nbr > src)  # each edge once, in graph.edges order
-    lo, hi = src[upper], nbr[upper]
-    m = len(upper)
-    ids = np.asarray(graph.vertices)
-    lo_ids, hi_ids = ids[lo].tolist(), ids[hi].tolist()
-    forest_of = fd.forest_of
-    codes, code = value_codes(
-        map(forest_of.get, zip(lo_ids, hi_ids, strict=True), repeat(UNSET)), m
-    )
-    if UNSET in code:
-        k = int(np.argmax(codes == code[UNSET]))
-        raise VerificationError(f"edge ({lo_ids[k]}, {hi_ids[k]}) has no forest label")
-    if len(forest_of) != m:  # every edge is labelled: some key is not one
-        edges = set(zip(lo_ids, hi_ids, strict=True))
-        for e in forest_of:
-            if e not in edges:
-                kind = "non-canonical edge" if e[::-1] in edges else "non-edge"
-                raise VerificationError(f"forest label on {kind} {e}")
-    forest, forests = _ranks(codes, code)
-    for f in forests:
-        if not (0 <= f < fd.num_forests):
-            raise VerificationError(f"forest label {f} out of range")
-    check_orientation_edges_exist(graph, fd.orientation)
-    sign = fd.orientation.heads[upper]
-    if not sign.all():
-        k = int(np.argmax(sign == 0))
-        raise VerificationError(f"forest edge ({lo_ids[k]}, {hi_ids[k]}) unoriented")
-    tail = np.where(sign > 0, lo, hi)
-    # one node per (forest, tail) pair, sorted: a repeat is a second parent
-    node = forest * n + tail
-    order = np.argsort(node)
-    node = node[order]
-    twice = node[1:] == node[:-1]
-    if twice.any():
-        c = int(node[int(twice.argmax())])
+    heads = fd.orientation.heads
+    edge = np.flatnonzero(heads > 0)  # each oriented edge, at its tail's entry
+    label = fd.labels[edge]
+    tail, head = src[edge], nbr[edge]
+    unoriented = np.flatnonzero((heads == 0) & (nbr > src))  # graph.edges order
+    unplaced = fd.unplaced
+    bare = label == -1
+    lo, hi = np.minimum(tail[bare], head[bare]), np.maximum(tail[bare], head[bare])
+    keys = np.concatenate((lo * n + hi, src[unoriented] * n + nbr[unoriented]))
+    if len(keys):
+        held = {key for key, _ in unplaced}
+        for k in np.sort(keys)[: len(held) + 1].tolist():
+            e = (graph.vertex_at(k // n), graph.vertex_at(k % n))
+            if e not in held:
+                raise VerificationError(f"edge {e} has no forest label")
+    for (u, v), _ in unplaced:
+        if not (u < v and graph.has_edge(u, v)):
+            kind = "non-canonical edge" if graph.has_edge(v, u) else "non-edge"
+            raise VerificationError(f"forest label on {kind} {(u, v)}")
+    bad = [f for _, f in unplaced if not 0 <= f < fd.num_forests]
+    over = label[(label < -1) | (label >= fd.num_forests)]
+    if len(over):
+        bad.append(int(over.min()))
+    if bad:
+        raise VerificationError(f"forest label {min(bad)} out of range")
+    if len(unoriented):
+        k = unoriented[0]
         raise VerificationError(
-            f"vertex {graph.vertex_at(c % n)} has two parents in forest "
-            f"{forests[c // n]}"
+            f"forest edge ({graph.vertex_at(src[k])}, {graph.vertex_at(nbr[k])}) "
+            "unoriented"
         )
-    parent = (forest * n + (lo + hi - tail))[order]
-    by_parent = np.argsort(parent)
-    at = np.empty(m, dtype=np.int64)
-    at[by_parent] = np.searchsorted(node, parent[by_parent])
-    np.minimum(at, m - 1, out=at)
+    m = len(edge)
+    label = label.astype(np.int64)
+    node, parent = label * n + tail, label * n + head
+    size = (int(label.max(initial=-1)) + 1) * n
+    universe = None
+    if size > 4 * (m + n):
+        universe, codes = np.unique(np.concatenate((node, parent)), return_inverse=True)
+        node, parent, size = codes[:m], codes[m:], len(universe)
+    index = np.arange(m, dtype=np.min_scalar_type(m))
+    slot = np.full(size, m, dtype=index.dtype)
+    slot[node] = index
+    twice = slot[node] != index  # the nodes another with their key overwrote
+    if twice.any():
+        c = int(node[twice].min())
+        c = c if universe is None else int(universe[c])
+        raise VerificationError(
+            f"vertex {graph.vertex_at(c % n)} has two parents in forest {c // n}"
+        )
     # each node's parent node, or m for a root (no parent in its forest)
-    up = np.append(np.where(node[at] == parent, at, m), m)
+    up = np.append(slot[parent], m)
     hops = 1
     while hops < m and not (up == m).all():
         up = up[up]
         hops *= 2
-    cyclic = up < m
+    cyclic = up[:m] < m
     if cyclic.any():
-        f = forests[int(node[int(cyclic.argmax())]) // n]
-        raise VerificationError(f"forest {f} contains a cycle")
+        raise VerificationError(f"forest {int(label[cyclic].min())} contains a cycle")
 
 
 def check_mis(graph: Graph, members: Set[Vertex]) -> None:

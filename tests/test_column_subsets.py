@@ -66,7 +66,7 @@ def _hpartition(graph):
 def _forests(graph):
     pos = _position(graph)
     level_of = {v: 1 + pos[v] % 3 for v in graph.vertices}
-    return lambda: _ForestLabelProgram(level_of)
+    return lambda: _ForestLabelProgram(level_of.__getitem__)
 
 
 def _mis_sweep(graph):

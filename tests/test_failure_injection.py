@@ -133,7 +133,7 @@ class TestForestsCorruption:
             pytest.skip("needs at least two forests")
         # relabel every edge into forest 0: some vertex gets two parents
         corrupted = {e: 0 for e in fd.forest_of}
-        bad = type(fd)(
+        bad = type(fd).from_forest_of(
             forest_of=corrupted,
             orientation=fd.orientation,
             num_forests=fd.num_forests,

@@ -234,7 +234,7 @@ class TestDecompositionCheckers:
             check_hpartition(p4, hp)
 
     def test_forests_rejects_unlabeled_edge(self, p4):
-        fd = ForestsDecomposition(
+        fd = ForestsDecomposition.from_forest_of(
             forest_of={(0, 1): 0},
             orientation=Orientation.from_direction(p4, {(0, 1): 1}),
             num_forests=1,
@@ -244,7 +244,7 @@ class TestDecompositionCheckers:
 
     def test_forests_rejects_two_parents(self):
         g = path(3).graph  # 0-1-2
-        fd = ForestsDecomposition(
+        fd = ForestsDecomposition.from_forest_of(
             forest_of={(0, 1): 0, (1, 2): 0},
             orientation=Orientation.from_direction(g, {(0, 1): 0, (1, 2): 2}),
             num_forests=1,
@@ -255,7 +255,7 @@ class TestDecompositionCheckers:
 
     def test_forests_rejects_cycle(self):
         g = ring(3).graph
-        fd = ForestsDecomposition(
+        fd = ForestsDecomposition.from_forest_of(
             forest_of={(0, 1): 0, (1, 2): 0, (0, 2): 0},
             orientation=Orientation.from_direction(
                 g, {(0, 1): 1, (1, 2): 2, (0, 2): 0}
@@ -267,7 +267,7 @@ class TestDecompositionCheckers:
 
     def test_forests_rejects_reversed_key(self):
         g = path(3).graph  # 0-1-2
-        fd = ForestsDecomposition(
+        fd = ForestsDecomposition.from_forest_of(
             forest_of={(0, 1): 0, (1, 2): 0, (1, 0): 1},
             orientation=Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2}),
             num_forests=2,
@@ -280,7 +280,7 @@ class TestDecompositionCheckers:
             check_forests_decomposition(g, fd)
 
     def test_forests_rejects_non_edge(self, p4):
-        fd = ForestsDecomposition(
+        fd = ForestsDecomposition.from_forest_of(
             forest_of={(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0},
             orientation=Orientation.from_order(p4, [0, 1, 2, 3]),
             num_forests=1,
@@ -289,6 +289,39 @@ class TestDecompositionCheckers:
             VerificationError, match=re.escape("forest label on non-edge (0, 3)")
         ):
             check_forests_decomposition(p4, fd)
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ({(0, 1): 60, (0, 3): 80, (1, 2): 60, (2, 3): 80}, None),
+            (
+                {(0, 1): 60, (0, 3): 60, (1, 2): 80, (2, 3): 80},
+                "vertex 0 has two parents in forest 60",
+            ),
+        ],
+    )
+    def test_forests_sparse_labels(self, labels, message):
+        """Labels far apart use few of the (forest, vertex) keys, which the
+        check recodes densely: same verdicts, same witnesses."""
+        g = ring(4).graph  # 0-1-2-3-0
+        heads = {(0, 1): 1, (0, 3): 3, (1, 2): 2, (2, 3): 3}
+        fd = ForestsDecomposition.from_forest_of(
+            labels, Orientation.from_direction(g, heads), 100
+        )
+        if message is None:
+            check_forests_decomposition(g, fd)
+        else:
+            with pytest.raises(VerificationError, match=message):
+                check_forests_decomposition(g, fd)
+
+    def test_forests_sparse_labels_cycle(self):
+        g = ring(4).graph
+        around = {(0, 1): 1, (1, 2): 2, (2, 3): 3, (0, 3): 0}
+        fd = ForestsDecomposition.from_forest_of(
+            dict.fromkeys(g.edges, 60), Orientation.from_direction(g, around), 100
+        )
+        with pytest.raises(VerificationError, match="forest 60 contains a cycle"):
+            check_forests_decomposition(g, fd)
 
 
 class TestMISChecker:

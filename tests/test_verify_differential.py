@@ -255,7 +255,7 @@ def corrupt_forests(graph, fd, kind, k):
                 forest_of[canonical_edge(x, y)] = num_forests
             orientation = Orientation.from_direction(graph, direction)
             num_forests += 1
-    return ForestsDecomposition(forest_of, orientation, num_forests)
+    return ForestsDecomposition.from_forest_of(forest_of, orientation, num_forests)
 
 
 FOREST_KINDS = [

@@ -288,7 +288,9 @@ def test_telemetry_overhead(benchmark):
     """Telemetry-disabled scheduler within 3% of the pre-telemetry copy.
 
     A/B against ``LegacySynchronousNetwork`` (frozen before the telemetry
-    hooks landed) on the sparse-sweep and dense-flood workloads.  Each of
+    hooks landed) on the sparse-sweep and dense-flood workloads.  Both
+    workloads first run once on the frozen copy's dense mode and on the
+    live dense engine, whose results must be equal.  Each of
     ``TELEMETRY_REPEATS`` repeats runs every workload once per side, the
     sides back to back in an order that flips from one repeat to the next,
     so that both sides of a pair see the same machine state.  The gated
@@ -312,6 +314,13 @@ def test_telemetry_overhead(benchmark):
             SynchronousNetwork(graph, scheduler="event"), RoundTelemetry()
         ),
     }
+    # The dense reference against the frozen copy's, which shares no code
+    # with it; once, outside the timed repeats.
+    for name, workload in workloads.items():
+        legacy = workload(LegacySynchronousNetwork(graph, scheduler="dense"))
+        assert legacy == workload(SynchronousNetwork(graph, scheduler="dense")), (
+            f"{name}: the dense engine diverges from the frozen copy"
+        )
     # seconds[side][workload]: one time per repeat
     seconds = {side: {name: [] for name in workloads} for side in networks}
     for repeat in range(TELEMETRY_REPEATS):

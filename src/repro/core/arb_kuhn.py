@@ -77,7 +77,7 @@ def arb_kuhn_decomposition(
         network,
         conflict_degree=out_bound,
         defect_target=defect,
-        conflict_set_of=orientation.parents_of,
+        orientation=orientation,
         part_of=part,
         algorithm_name="arb-kuhn",
     )

@@ -43,7 +43,7 @@ from ..simulator.column import NodeInput
 from ..simulator.context import NodeContext
 from ..simulator.network import SynchronousNetwork
 from ..simulator.program import NodeProgram
-from ..types import ColorAssignment, NeighborSelector, Vertex
+from ..types import ColorAssignment, Orientation, Vertex
 
 
 @dataclass(frozen=True)
@@ -152,23 +152,22 @@ class RecolorProgram(NodeProgram):
         each node its starting color in ``[0, M₀)``.  The default is the
         node id — the paper's "trivial legal n-coloring that uses each
         vertex Id as its color".
-    conflict_set_of:
-        Optional callable ``(node, visible_neighbors) -> neighbour ids``
-        whose colors count as conflicts (the node's *parents* for
-        Arb-Kuhn, i.e. ``orientation.parents_of``).  Called once per node
-        with ``ctx.neighbors``, the run's visible neighbourhood.  ``None``
-        means all visible neighbours (Linial / Kuhn defective).
+    orientation:
+        Optional :class:`~repro.types.Orientation`: conflicts are counted
+        only against the node's parents, its visible neighbours the
+        orientation points to (Arb-Kuhn).  ``None`` means all visible
+        neighbours (Linial / Kuhn defective).
     """
 
     def __init__(
         self,
         schedule: Sequence[RecolorStep],
         initial_color_of: Optional[NodeInput] = None,
-        conflict_set_of: Optional[NeighborSelector] = None,
+        orientation: Optional[Orientation] = None,
     ):
         self._schedule = schedule
         self._initial_color_of = initial_color_of
-        self._conflict_set_of = conflict_set_of
+        self._orientation = orientation
         self._color: int = 0
         self._step_index = 0
         self._conflicts: Optional[FrozenSet[Vertex]] = None
@@ -179,8 +178,10 @@ class RecolorProgram(NodeProgram):
             self._color = ctx.node
         else:
             self._color = int(self._initial_color_of(ctx.node))
-        if self._conflict_set_of is not None:
-            self._conflicts = frozenset(self._conflict_set_of(ctx.node, ctx.neighbors))
+        if self._orientation is not None:
+            self._conflicts = frozenset(
+                self._orientation.parents_of(ctx.node, ctx.neighbors)
+            )
         if not self._schedule:
             ctx.halt(self._color)
             return
@@ -208,18 +209,21 @@ class RecolorProgram(NodeProgram):
             ctx.halt(self._color)
 
     def column_kernel(self, col):
-        """Vectorized iterated recoloring (Linial / Kuhn defective).
+        """Vectorized iterated recoloring (Linial / Kuhn defective /
+        Arb-Kuhn).
 
-        Only the all-neighbours conflict configuration vectorizes; a
-        restricted ``conflict_set_of`` (Arb-Kuhn's parents) declines the
-        kernel and runs on the event engine, and so do ids too large for
-        int64 columns when they are the initial colours.  Per step: base-q coefficient
-        columns of every node's color, then ascending-α passes — one
-        Horner evaluation over all nodes plus a CSR-segmented agreement
-        count per α — fixing each node at its first point within the
-        defect budget, exactly :func:`_recolor_once`'s scan order.
+        With an orientation, agreements are counted only over the run's
+        parent entries (``col.at_entries(heads) > 0``); an orientation
+        over a graph other than the run's declines the kernel, and so do
+        ids too large for int64 columns when they are the initial colours.
+        Per step: base-q coefficient columns of every node's color, then
+        ascending-α passes — one Horner evaluation over all nodes plus a
+        CSR-segmented agreement count per α — fixing each node at its
+        first point within the defect budget, exactly
+        :func:`_recolor_once`'s scan order.
         """
-        if self._conflict_set_of is not None:
+        orientation = self._orientation
+        if orientation is not None and orientation.graph != col.graph:
             return None
         np = col.np
         schedule = self._schedule
@@ -243,6 +247,9 @@ class RecolorProgram(NodeProgram):
             sizes = col.int_payload_sizes(colors) if col.count_bytes else 0
             col.note_round(0, n, deg, sizes)
             src = col.row_sources()
+            if orientation is not None:
+                is_parent = col.at_entries(orientation.heads) > 0
+                src, nbr = src[is_parent], nbr[is_parent]
             for step_index, step in enumerate(schedule):
                 family = step.family
                 q = family.q
@@ -278,7 +285,7 @@ class RecolorProgram(NodeProgram):
                     raise SimulationError(
                         f"node {ids[v]}: no valid recoloring point exists "
                         f"(family q={q}, degree={family.degree}, defect "
-                        f"budget {step.defect_new}, {int(deg[v])} "
+                        f"budget {step.defect_new}, {np.count_nonzero(src == v)} "
                         "conflicts) — family selection bug"
                     )
                 colors = new_colors
@@ -355,7 +362,7 @@ def run_recoloring(
     defect_target: int,
     initial_colors: Optional[int] = None,
     initial_color_of: Optional[NodeInput] = None,
-    conflict_set_of: Optional[NeighborSelector] = None,
+    orientation: Optional[Orientation] = None,
     participants=None,
     part_of=None,
     budget_policy: str = "equal-split",
@@ -363,7 +370,8 @@ def run_recoloring(
 ) -> ColorAssignment:
     """Run the full iterated recoloring on (a subgraph of) a network.
 
-    ``conflict_set_of(node, visible_neighbors)`` is :class:`RecolorProgram`'s.
+    ``orientation`` is :class:`RecolorProgram`'s: with one, conflicts are
+    counted only against parents.
 
     Returns a :class:`~repro.types.ColorAssignment` whose ``rounds`` is the
     number of communication rounds consumed (O(log* n)).
@@ -377,7 +385,7 @@ def run_recoloring(
         budget_policy=budget_policy,
     )
     result = network.run(
-        lambda: RecolorProgram(schedule, initial_color_of, conflict_set_of),
+        lambda: RecolorProgram(schedule, initial_color_of, orientation),
         participants=participants,
         part_of=part_of,
         global_params={

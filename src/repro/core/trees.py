@@ -106,16 +106,13 @@ def forest_mis(
     forest_edges = {
         v: p for v, p in parent_of.items() if p is not None
     }
-    # Restrict the sweep's visibility to forest edges by running it on the
-    # forest as a labeled subnetwork is unnecessary: the sweep's blocking
-    # rule only fires between same-colored... — colors differ across forest
-    # edges, but NON-forest neighbours could wrongly block. Run the sweep
-    # on a network view of the forest instead.
+    # The sweep runs on the forest alone: a non-forest neighbour that
+    # joined would block a vertex the forest's MIS needs.
     forest_graph = Graph(
         network.graph.vertices,
         [(v, p) for v, p in forest_edges.items()],
     )
-    forest_net = SynchronousNetwork(forest_graph)
+    forest_net = SynchronousNetwork(forest_graph, scheduler=network.scheduler)
     sweep = mis_from_coloring(
         forest_net, coloring, participants=participants, part_of=part_of
     )

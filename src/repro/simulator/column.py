@@ -2,12 +2,12 @@
 
 The dense and event engines dispatch Python per node per round; for the
 paper's structured core programs (H-partition peel, iterated recoloring,
-forest labeling, the MIS color-class sweep, the orientation exchange,
-Simple-Arbdefective, which also runs Lemma 2.2(1)'s greedy coloring, and
-the Kuhn–Wattenhofer greedy color reduction) that per-node dispatch *is*
-the cost — the per-round work is perfectly regular.  Every program of the
-flagship algorithms has a kernel; the Luby baselines, Cole–Vishkin, the
-ruling sets and Arb-Kuhn's conflict-set recolor run on the fallback.
+Arb-Kuhn's included, forest labeling, the MIS color-class sweep, the
+orientation exchange, Simple-Arbdefective, which also runs Lemma 2.2(1)'s
+greedy coloring, and the Kuhn–Wattenhofer greedy color reduction) that
+per-node dispatch *is* the cost — the per-round work is perfectly regular.
+Every program of the flagship algorithms has a kernel; the Luby
+baselines, Cole–Vishkin and the ruling sets run on the fallback.
 The column engine runs whole rounds as numpy array operations over all
 nodes at once: per-node state lives in flat int64/bool columns, and
 neighbourhood interactions are CSR-segmented reductions over the run's

@@ -7,9 +7,10 @@ registered *at that moment*, third-party engines included.
 
 Built-in engines:
 
-* ``"dense"`` (:class:`DenseEngine`) — the reference implementation: every
-  still-running node is activated in every round, in ascending vertex
-  order.  The model definition made literal.
+* ``"dense"`` (:class:`DenseEngine`) — the reference implementation: the
+  event engine's loop over contexts that ignore quiescence declarations,
+  so every still-running node is activated in every round, in ascending
+  vertex order.  The model definition made literal.
 * ``"event"`` (:class:`EventEngine`) — the active-set fast path: nodes that
   declared quiescence are only activated on message delivery or a due
   wakeup, and rounds with no activatable node are fast-forwarded in O(1),
@@ -201,8 +202,11 @@ class EngineRun:
         self.message_bytes = 0
         self.max_message_bytes = 0
 
-    def build_contexts(self) -> Tuple[List[NodeContext], List[NodeProgram]]:
-        """Materialise one context + program instance per participant.
+    def build_contexts(
+        self, context: type
+    ) -> Tuple[List[NodeContext], List[NodeProgram]]:
+        """Materialise one ``context`` (a :class:`NodeContext` class) +
+        program instance per participant.
 
         Each context's ``neighbors`` is the participant's visible
         neighbourhood (:meth:`visible_rows`).  Slot 0 gets
@@ -212,7 +216,7 @@ class EngineRun:
         program_factory = self.program_factory
         order = self.order
         contexts = [
-            NodeContext(v, row, gp) for v, row in zip(order, self.visible_rows())
+            context(v, row, gp) for v, row in zip(order, self.visible_rows())
         ]
         if self.prototype is None:
             programs = [program_factory() for _ in order]
@@ -305,12 +309,27 @@ def gather_rows(
 # ----------------------------------------------------------------------
 # The two per-node-program engines (dense reference + event fast path)
 # ----------------------------------------------------------------------
-def _execute_programs(run: EngineRun, event: bool) -> None:
-    """The shared per-node-program loop: dense when ``event`` is false.
+class _DenseContext(NodeContext):
+    """A context whose quiescence declarations do nothing: every running
+    node stays awake, so the event loop activates it every round."""
 
-    The two engines differ only in scheduling (who is activated when),
-    never in delivery or accounting, which keeps their results
-    byte-identical.
+    __slots__ = ()
+
+    def idle_until_message(self) -> None:
+        pass
+
+    def wake_at(self, round_number: int) -> None:
+        pass
+
+
+def _execute_programs(run: EngineRun, event: bool) -> None:
+    """The per-node-program round loop: dense when ``event`` is false.
+
+    Dense runs the same loop over :class:`_DenseContext`\\ s: no node
+    ever parks, so every running node is activated every round in
+    ascending-id order, the model's definition, and no round is
+    fast-forwarded.  Delivery and accounting are shared, which keeps the
+    two engines' results byte-identical.
     """
     S = run.S
     # All per-node state lives in flat lists indexed by slot — no id-keyed
@@ -324,7 +343,7 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
     )
     round_limit = run.round_limit
     count_bytes = run.count_bytes
-    contexts, programs = run.build_contexts()
+    contexts, programs = run.build_contexts(NodeContext if event else _DenseContext)
 
     running = bytearray(b"\x01") * S
     running_count = S
@@ -392,7 +411,106 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
                     if box is None:
                         box = pending[dslot] = {}
                     box[sender] = payload
-        if event:
+        idle = ctx._idle_requested
+        wake = ctx._wake_round
+        if idle:
+            ctx._idle_requested = False
+        if wake is not None:
+            ctx._wake_round = None
+        if not ctx.halted:
+            if idle:
+                awake.discard(slot)
+            else:
+                awake.add(slot)
+            if wake is not None:
+                wake_round[slot] = wake
+                heappush(wake_heap, (wake, slot))
+        if ctx.halted:
+            running[slot] = 0
+            running_count -= 1
+            awake.discard(slot)
+
+    if tel is not None:
+        # Round 0 activates every participant; nodes that parked in
+        # on_start count as idle transitions.
+        idled0 = running_count - len(awake)
+        tel.on_round(0, S, messages, message_bytes, 0, idled0)
+
+    rounds = 0
+    while running_count:
+        # Pick the next round in which anything can happen.  With a
+        # non-idle node or a message in flight that is the very next
+        # round; otherwise fast-forward to the earliest wakeup.
+        if awake or pending:
+            next_round = rounds + 1
+        else:
+            next_round = None
+            while wake_heap:
+                r, slot = wake_heap[0]
+                if running[slot] and wake_round.get(slot) == r:
+                    next_round = max(r, rounds + 1)
+                    break
+                heapq.heappop(wake_heap)  # stale entry
+            if next_round is None:
+                # Every running node sleeps forever: the dense engine
+                # could only exit this state at the round limit, so
+                # fail the same way — just without the wait.
+                raise RoundLimitExceeded(round_limit, running_count)
+        if next_round > round_limit:
+            raise RoundLimitExceeded(round_limit, running_count)
+        if tel is not None and next_round > rounds + 1:
+            tel.on_fast_forward(rounds, next_round)
+        rounds = next_round
+        current_round = rounds
+        delivery = pending
+        pending = {}
+        # Activatable this round: every awake node, every node with
+        # mail, and every node whose wakeup is due.
+        cand = set(awake)
+        for slot in delivery:
+            if running[slot]:
+                cand.add(slot)
+        while wake_heap and wake_heap[0][0] <= rounds:
+            r, slot = heapq.heappop(wake_heap)
+            if running[slot] and wake_round.get(slot) == r:
+                cand.add(slot)
+        if tel is not None:
+            tel_m0 = messages
+            tel_b0 = message_bytes
+            # Wake transitions: candidates activated from a parked
+            # state (must be counted before the schedule loop mutates
+            # ``awake``).
+            tel_woke = sum(1 for s in cand if s not in awake)
+        # Deterministic ascending-id activation (slot order is id
+        # order) without re-sorting the whole running set: sort the
+        # candidates when they are few, walk the slot range when most
+        # nodes are active.
+        if len(cand) * 4 < S:
+            schedule = sorted(cand)
+        else:
+            schedule = (s for s in range(S) if s in cand)
+        for slot in schedule:
+            ctx = contexts[slot]
+            wake_round.pop(slot, None)  # activation clears the wakeup
+            ctx.inbox = delivery.get(slot, {})
+            ctx.round_number = rounds
+            programs[slot].on_round(ctx)
+            outbox = ctx._outbox
+            if outbox:
+                ctx._outbox = []
+                if slow_path:
+                    dispatch_slow(ctx.node, outbox)
+                else:
+                    messages += len(outbox)
+                    sender = ctx.node
+                    for dest, payload in outbox:
+                        dslot = dest if rank is None else rank[dest]
+                        box = pending.get(dslot)
+                        if box is None:
+                            box = pending[dslot] = {}
+                        box[sender] = payload
+            # inline note_schedule: this is the hottest line pair in
+            # the event engine
             idle = ctx._idle_requested
             wake = ctx._wake_round
             if idle:
@@ -407,182 +525,26 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
                 if wake is not None:
                     wake_round[slot] = wake
                     heappush(wake_heap, (wake, slot))
-        else:
-            ctx._idle_requested = False
-            ctx._wake_round = None
-        if ctx.halted:
-            running[slot] = 0
-            running_count -= 1
-            awake.discard(slot)
-
-    if tel is not None:
-        # Round 0 activates every participant; nodes that parked in
-        # on_start count as idle transitions (event engine only — dense
-        # never parks a node).
-        idled0 = running_count - len(awake) if event else 0
-        tel.on_round(0, S, messages, message_bytes, 0, idled0)
-
-    rounds = 0
-    if not event:
-        while running_count:
-            if rounds >= round_limit:
-                raise RoundLimitExceeded(round_limit, running_count)
-            rounds += 1
-            current_round = rounds
-            if tel is not None:
-                tel_m0 = messages
-                tel_b0 = message_bytes
-                tel_active = running_count
-            delivery = pending
-            pending = {}
-            for slot in range(S):
-                if not running[slot]:
-                    continue
-                ctx = contexts[slot]
-                ctx.inbox = delivery.get(slot, {})
-                ctx.round_number = rounds
-                programs[slot].on_round(ctx)
-                outbox = ctx._outbox
-                if outbox:
-                    ctx._outbox = []
-                    if slow_path:
-                        dispatch_slow(ctx.node, outbox)
-                    else:
-                        messages += len(outbox)
-                        sender = ctx.node
-                        for dest, payload in outbox:
-                            dslot = dest if rank is None else rank[dest]
-                            box = pending.get(dslot)
-                            if box is None:
-                                box = pending[dslot] = {}
-                            box[sender] = payload
-                ctx._idle_requested = False
-                ctx._wake_round = None
-            for slot in range(S):
-                if running[slot] and contexts[slot].halted:
+        for slot in cand:
+            if contexts[slot].halted:
+                if running[slot]:
                     running[slot] = 0
                     running_count -= 1
-            if tel is not None:
-                tel.on_round(
-                    rounds,
-                    tel_active,
-                    messages - tel_m0,
-                    message_bytes - tel_b0,
-                    0,
-                    0,
-                )
-            # Messages addressed to halted nodes are dropped silently.
-    else:
-        while running_count:
-            # Pick the next round in which anything can happen.  With a
-            # non-idle node or a message in flight that is the very next
-            # round; otherwise fast-forward to the earliest wakeup.
-            if awake or pending:
-                next_round = rounds + 1
-            else:
-                next_round = None
-                while wake_heap:
-                    r, slot = wake_heap[0]
-                    if running[slot] and wake_round.get(slot) == r:
-                        next_round = max(r, rounds + 1)
-                        break
-                    heapq.heappop(wake_heap)  # stale entry
-                if next_round is None:
-                    # Every running node sleeps forever: the dense engine
-                    # could only exit this state at the round limit, so
-                    # fail the same way — just without the wait.
-                    raise RoundLimitExceeded(round_limit, running_count)
-            if next_round > round_limit:
-                raise RoundLimitExceeded(round_limit, running_count)
-            if tel is not None and next_round > rounds + 1:
-                tel.on_fast_forward(rounds, next_round)
-            rounds = next_round
-            current_round = rounds
-            delivery = pending
-            pending = {}
-            # Activatable this round: every awake node, every node with
-            # mail, and every node whose wakeup is due.
-            cand = set(awake)
-            for slot in delivery:
-                if running[slot]:
-                    cand.add(slot)
-            while wake_heap and wake_heap[0][0] <= rounds:
-                r, slot = heapq.heappop(wake_heap)
-                if running[slot] and wake_round.get(slot) == r:
-                    cand.add(slot)
-            if tel is not None:
-                tel_m0 = messages
-                tel_b0 = message_bytes
-                # Wake transitions: candidates activated from a parked
-                # state (must be counted before the schedule loop mutates
-                # ``awake``).
-                tel_woke = sum(1 for s in cand if s not in awake)
-            # Deterministic ascending-id activation (slot order is id
-            # order) without re-sorting the whole running set: sort the
-            # candidates when they are few, walk the slot range when most
-            # nodes are active.
-            if len(cand) * 4 < S:
-                schedule = sorted(cand)
-            else:
-                schedule = (s for s in range(S) if s in cand)
-            for slot in schedule:
-                ctx = contexts[slot]
-                wake_round.pop(slot, None)  # activation clears the wakeup
-                ctx.inbox = delivery.get(slot, {})
-                ctx.round_number = rounds
-                programs[slot].on_round(ctx)
-                outbox = ctx._outbox
-                if outbox:
-                    ctx._outbox = []
-                    if slow_path:
-                        dispatch_slow(ctx.node, outbox)
-                    else:
-                        messages += len(outbox)
-                        sender = ctx.node
-                        for dest, payload in outbox:
-                            dslot = dest if rank is None else rank[dest]
-                            box = pending.get(dslot)
-                            if box is None:
-                                box = pending[dslot] = {}
-                            box[sender] = payload
-                # inline note_schedule: this is the hottest line pair in
-                # the event engine
-                idle = ctx._idle_requested
-                wake = ctx._wake_round
-                if idle:
-                    ctx._idle_requested = False
-                if wake is not None:
-                    ctx._wake_round = None
-                if not ctx.halted:
-                    if idle:
-                        awake.discard(slot)
-                    else:
-                        awake.add(slot)
-                    if wake is not None:
-                        wake_round[slot] = wake
-                        heappush(wake_heap, (wake, slot))
-            for slot in cand:
-                if contexts[slot].halted:
-                    if running[slot]:
-                        running[slot] = 0
-                        running_count -= 1
-                    awake.discard(slot)
-                    wake_round.pop(slot, None)
-            if tel is not None:
-                # Idle transitions: activated nodes that are still running
-                # but parked themselves this round.
-                tel_idled = sum(
-                    1 for s in cand if running[s] and s not in awake
-                )
-                tel.on_round(
-                    rounds,
-                    len(cand),
-                    messages - tel_m0,
-                    message_bytes - tel_b0,
-                    tel_woke,
-                    tel_idled,
-                )
-            # Messages addressed to halted nodes are dropped silently.
+                awake.discard(slot)
+                wake_round.pop(slot, None)
+        if tel is not None:
+            # Idle transitions: activated nodes that are still running
+            # but parked themselves this round.
+            tel_idled = sum(1 for s in cand if running[s] and s not in awake)
+            tel.on_round(
+                rounds,
+                len(cand),
+                messages - tel_m0,
+                message_bytes - tel_b0,
+                tel_woke,
+                tel_idled,
+            )
+        # Messages addressed to halted nodes are dropped silently.
 
     run.outputs = {ctx.node: ctx.output for ctx in contexts}
     run.rounds = rounds
@@ -593,7 +555,8 @@ def _execute_programs(run: EngineRun, event: bool) -> None:
 
 @register_engine("dense")
 class DenseEngine(Engine):
-    """The reference engine: every running node activated every round."""
+    """The reference engine: the event loop with quiescence declarations
+    ignored, so every running node is activated every round."""
 
     def execute(self, run: EngineRun) -> None:
         _execute_programs(run, event=False)

@@ -70,8 +70,8 @@ class NodeProgram:
         to the scalar engines — or ``None`` (the default) to fall back to
         the event engine, where the prototype runs as the first
         participant's program.  A program may also return ``None``
-        conditionally when only some configurations vectorize (e.g. a
-        restricted conflict set).
+        conditionally when only some configurations vectorize (e.g. an
+        orientation over another graph).
         """
         return None
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -38,9 +37,6 @@ if TYPE_CHECKING:  # graphs.graph imports this module
 Vertex = int
 Edge = Tuple[Vertex, Vertex]
 Color = int
-#: ``(node, visible_neighbors) -> conflicts``: Arb-Kuhn's conflict sets
-#: (:meth:`Orientation.parents_of`); programs pass ``ctx.neighbors``.
-NeighborSelector = Callable[[Vertex, Sequence[Vertex]], Sequence[Vertex]]
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:

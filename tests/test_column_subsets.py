@@ -101,6 +101,14 @@ def _simple_arbdefective(graph):
     return lambda: _SimpleArbdefectiveProgram(orientation, 3)
 
 
+def _arb_kuhn(graph):
+    # Arb-Kuhn's recolor: conflicts only against the parents
+    orientation = _acyclic_parents(graph)
+    pos = _position(graph)
+    schedule = compute_recolor_schedule(97 * graph.n, graph.max_degree, 2)
+    return lambda: RecolorProgram(schedule, lambda v: 97 * pos[v], orientation)
+
+
 def _orientation_greedy(graph):
     # Lemma 2.2(1): one more colour than any node has parents
     orientation = _acyclic_parents(graph)
@@ -145,6 +153,7 @@ PROGRAMS = {
     "defective_from_ids": _defective_from_ids,
     "linial": _linial,
     "simple_arbdefective": _simple_arbdefective,
+    "arb_kuhn": _arb_kuhn,
     "orientation_greedy": _orientation_greedy,
     "partial_exchange": _exchange(partial=True),
     "complete_exchange": _exchange(partial=False),

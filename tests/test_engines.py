@@ -224,14 +224,14 @@ class TestColumnDispatch:
             "mis_arboricity",
             "oneshot",
             "thm43",
+            "thm52",
+            "thm53",
         ],
     )
     def test_flagship_trials_run_only_on_column(self, algorithm, a, monkeypatch):
         """Every simulator run of a flagship trial executes a column kernel.
 
-        Left out: the Luby baselines, which have no kernel, and
-        ``thm52``/``thm53``, whose Arb-Kuhn recolor counts conflicts only
-        against parents, a configuration the recolor kernel declines.
+        Left out: the Luby baselines, which have no kernel.
         """
         from repro.experiments import registry
         from repro.experiments.spec import TrialSpec
@@ -261,15 +261,24 @@ class TestColumnDispatch:
     @pytest.mark.parametrize("a", [4, 16])
     @pytest.mark.parametrize(
         "algorithm",
-        ["be08", "cor46", "delta_plus_one", "mis_arboricity", "oneshot", "thm43"],
+        [
+            "be08",
+            "cor46",
+            "delta_plus_one",
+            "mis_arboricity",
+            "oneshot",
+            "thm43",
+            "thm52",
+            "thm53",
+        ],
     )
     def test_column_path_reads_no_orientation_per_node(
         self, algorithm, a, monkeypatch
     ):
-        """Simple-Arbdefective's kernel gathers its parents from the
-        orientation's heads: with the per-node readers patched to raise,
-        every run of these trials still takes the column path and the
-        trial still verifies."""
+        """Simple-Arbdefective's and Arb-Kuhn's recolor kernels gather
+        their parents from the orientation's heads: with the per-node
+        readers patched to raise, every run of these trials still takes
+        the column path and the trial still verifies."""
 
         def refuse(*args):
             raise AssertionError("per-node orientation read on the column path")
@@ -285,8 +294,10 @@ class TestColumnDispatch:
     def test_simple_arbdefective_orientation_graph(self, over, engine):
         """An orientation over an equal graph object feeds the kernel; one
         over another graph declines it, and the scalar path reads its
-        parents.  Both runs match dense."""
+        parents.  Both runs match dense, for Simple-Arbdefective and for
+        Arb-Kuhn's recolor."""
         from repro.core.arbdefective import _SimpleArbdefectiveProgram
+        from repro.core.recolor import RecolorProgram, compute_recolor_schedule
 
         graph = forest_union(90, 3, seed=13).graph
         if over == "pickled copy":
@@ -295,16 +306,20 @@ class TestColumnDispatch:
         else:
             base = Graph(graph.vertices, graph.edges[1:])
         orientation = Orientation.from_order(base, base.vertices[::-1])
-        factory = lambda: _SimpleArbdefectiveProgram(orientation, 3)
-        dense = SynchronousNetwork(graph, scheduler="dense").run(
-            factory, count_bytes=True
-        )
-        tel = RoundTelemetry()
-        column = SynchronousNetwork(graph, scheduler="column").run(
-            factory, count_bytes=True, telemetry=tel
-        )
-        assert tel.scheduler == engine
-        assert column == dense
+        schedule = compute_recolor_schedule(97 * graph.n, graph.max_degree, 2)
+        for factory in (
+            lambda: _SimpleArbdefectiveProgram(orientation, 3),
+            lambda: RecolorProgram(schedule, lambda v: 97 * v, orientation),
+        ):
+            dense = SynchronousNetwork(graph, scheduler="dense").run(
+                factory, count_bytes=True
+            )
+            tel = RoundTelemetry()
+            column = SynchronousNetwork(graph, scheduler="column").run(
+                factory, count_bytes=True, telemetry=tel
+            )
+            assert tel.scheduler == engine
+            assert column == dense
 
 
 class TestSchedulerKnob:

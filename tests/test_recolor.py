@@ -134,7 +134,7 @@ class TestRunRecoloring:
             net,
             conflict_degree=hp.degree_bound,
             defect_target=2,
-            conflict_set_of=orientation.parents_of,
+            orientation=orientation,
         )
         for v in g.graph.vertices:
             same_parents = sum(

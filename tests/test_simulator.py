@@ -8,6 +8,7 @@ import pytest
 
 from repro import Graph, NodeProgram, SynchronousNetwork
 from repro.errors import RoundLimitExceeded, SimulationError
+from repro.obs import RoundTelemetry
 from repro.simulator import FunctionProgram, RoundLedger, engine_names, payload_size
 from repro.simulator.message import Envelope
 
@@ -332,6 +333,29 @@ class TestEventScheduler:
             result = SynchronousNetwork(g, scheduler=mode).run(Napper)
             assert result.rounds == 500
             assert set(result.outputs.values()) == {500}
+
+    def test_dense_ignores_declarations(self):
+        """The dense reference activates every running node every round,
+        whatever it declared; that is all that separates it from the event
+        engine."""
+
+        class Declarer(NodeProgram):
+            def on_start(self, ctx):
+                ctx.wake_at(7)
+                ctx.idle_until_message()
+
+            def on_round(self, ctx):
+                ctx.halt(ctx.round_number)
+
+        g = Graph(range(3), [(0, 1), (1, 2)])
+        tel = RoundTelemetry()
+        dense = SynchronousNetwork(g, scheduler="dense").run(Declarer, telemetry=tel)
+        event = SynchronousNetwork(g, scheduler="event").run(Declarer)
+        assert dense.outputs == {0: 1, 1: 1, 2: 1} and dense.rounds == 1
+        assert event.outputs == {0: 7, 1: 7, 2: 7} and event.rounds == 7
+        assert tel.wake_transitions == tel.idle_transitions == 0
+        assert tel.fast_forwarded == 0
+        assert tel.active_node_rounds() == 6
 
     def test_declarations_are_per_activation(self):
         """A woken node that does not re-declare idleness runs every round."""

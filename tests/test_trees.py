@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.errors import InvalidParameterError
 from repro.graphs import binary_tree, disjoint_union, path, random_tree, ring, star
+from repro.obs import RoundTelemetry
 from repro.verify import check_mis
 
 
@@ -99,6 +100,25 @@ class TestForestMIS:
         forest = Graph(g.vertices, forest_edges)
         mis = forest_mis(forest_net, parent)
         check_mis(forest, mis.members)
+
+    @pytest.mark.parametrize("engine", ["dense", "event"])
+    def test_runs_on_the_networks_engine(self, engine, monkeypatch):
+        """Both runs, Cole–Vishkin and the colour-class sweep on the
+        forest's own network, execute on the caller's engine."""
+        engines = []
+        run = SynchronousNetwork.run
+
+        def recording_run(self, program_factory, **kwargs):
+            tel = RoundTelemetry()
+            try:
+                return run(self, program_factory, telemetry=tel, **kwargs)
+            finally:
+                engines.append(tel.scheduler)
+
+        monkeypatch.setattr(SynchronousNetwork, "run", recording_run)
+        g = random_tree(60, seed=7).graph
+        forest_mis(SynchronousNetwork(g, scheduler=engine), root_forest_by_bfs(g))
+        assert engines == [engine, engine]
 
     def test_round_breakdown(self):
         g = random_tree(100, seed=5).graph

@@ -131,6 +131,26 @@ def legacy_check_mis(graph, members) -> None:
             )
 
 
+def drain_outbox(ctx):
+    """Internal: hand queued messages to the simulator and clear them."""
+    out = ctx._outbox
+    ctx._outbox = []
+    return out
+
+
+def consume_schedule(ctx):
+    """Internal: read and clear this activation's quiescence declaration.
+
+    Returns ``(idle_requested, wake_round)``; the scheduler calls this
+    exactly once after each activation (both modes clear the flags so a
+    declaration never outlives one activation).
+    """
+    idle, wake = ctx._idle_requested, ctx._wake_round
+    ctx._idle_requested = False
+    ctx._wake_round = None
+    return idle, wake
+
+
 class LegacySynchronousNetwork:
     """The pre-CSR simulator loop, preserved verbatim as the perf baseline.
 
@@ -207,7 +227,7 @@ class LegacySynchronousNetwork:
 
         def dispatch(sender, ctx):
             nonlocal messages, message_bytes, max_message_bytes
-            for dest, payload in ctx.drain_outbox():
+            for dest, payload in drain_outbox(ctx):
                 messages += 1
                 if count_bytes:
                     size = payload_size(payload)
@@ -224,7 +244,7 @@ class LegacySynchronousNetwork:
         rank = {v: i for i, v in enumerate(order)}
 
         def note_schedule(v, ctx):
-            idle, wake = ctx.consume_schedule()
+            idle, wake = consume_schedule(ctx)
             if ctx.halted:
                 return
             if idle:

@@ -19,7 +19,8 @@ reduction to color a (sub)graph with Δ+1 colors in O(Δ log Δ + log* n)
 rounds.  The paper invokes the O(Δ + log* n) algorithms of [5]/[17] here;
 the extra log factor is immaterial for every claim we reproduce (see
 README, *Substitutions and ablations*) and this pipeline is dramatically
-simpler.
+simpler.  The A2 ablation (``benchmarks/bench_ablation_reduction.py``)
+composes Linial's coloring with :func:`greedy_reduction` instead.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ..simulator.network import (
     SynchronousNetwork,
     column_of,
     partition,
+    read_input,
     refine_parts,
 )
 from ..simulator.program import NodeProgram
@@ -194,10 +196,11 @@ def greedy_reduction(
 ) -> ColorAssignment:
     """Reduce a legal ``num_colors``-coloring to ``target`` colors greedily.
 
-    ``colors``: a ``Mapping`` or a column over graph indices.  ``target``
-    must exceed the maximum degree of the (visible) graph, or a processed
-    vertex may find no free color, which raises a
-    :class:`~repro.errors.SimulationError`.
+    ``colors``: a ``Mapping``, whose vertices take part within
+    ``participants`` and ``part_of``, or a column over graph indices,
+    read at their members.  ``target`` must exceed the maximum degree of
+    the (visible) graph, or a processed vertex may find no free color,
+    which raises a :class:`~repro.errors.SimulationError`.
     Costs ``num_colors − c`` rounds, where ``c`` is the smallest input color
     ``≥ target`` (0 rounds when there is none), so at most
     ``max(0, num_colors − target)``.
@@ -205,8 +208,7 @@ def greedy_reduction(
     if target < 1:
         raise InvalidParameterError("greedy_reduction: target must be >= 1")
     graph = network.graph
-    part = partition(graph, participants, part_of)
-    colors = column_of(graph, part, colors)
+    part, colors = read_input(graph, colors, participants, part_of)
     result = _greedy_run(network, colors, num_colors, target, part)
     return ColorAssignment(
         colors=dict(result.outputs),
@@ -231,18 +233,14 @@ def kuhn_wattenhofer_reduction(
     ``2·(degree_bound+1)``; the blocks induce vertex-disjoint subgraphs, so
     each block's greedy reduction runs in parallel; a sweep halves the
     palette at the cost of ``degree_bound + 1`` rounds.  Total
-    O(Δ log(m/Δ)) rounds.  A ``Mapping`` ``colors`` runs on its vertices
-    among the participants.  The sweeps keep ``block``, ``local`` and
+    O(Δ log(m/Δ)) rounds.  ``colors`` is read as in
+    :func:`greedy_reduction`.  The sweeps keep ``block``, ``local`` and
     ``current`` as int64 columns over graph indices.
     """
     if degree_bound < 0:
         raise InvalidParameterError("kuhn_wattenhofer: degree_bound must be >= 0")
     graph = network.graph
-    if not isinstance(colors, np.ndarray):
-        keep = None if participants is None else set(participants)
-        participants = [v for v in colors if keep is None or v in keep]
-    part = partition(graph, participants, part_of)
-    current = column_of(graph, part, colors)
+    part, current = read_input(graph, colors, participants, part_of)
     rows = members(part, graph.n)
     target = degree_bound + 1
     block_size = 2 * target
@@ -274,29 +272,20 @@ def delta_plus_one_coloring(
     *,
     participants=None,
     part_of=None,
-    reduction: str = "kw",
 ) -> ColorAssignment:
     """Legal (Δ+1)-coloring of a (sub)graph of maximum degree ≤ Δ.
 
-    Pipeline: Linial's O(Δ²)-coloring in O(log* n) rounds, then color
-    reduction to Δ+1 (``reduction="kw"`` for Kuhn–Wattenhofer,
-    ``"greedy"`` for the slower class-by-class reduction — an ablation
-    knob).  This is the library's substitute for the O(Δ + log* n)
-    algorithms of [5]/[17]; see README, *Substitutions and ablations*.
+    Pipeline: Linial's O(Δ²)-coloring in O(log* n) rounds, then the
+    Kuhn–Wattenhofer reduction to Δ+1.  This is the library's substitute
+    for the O(Δ + log* n) algorithms of [5]/[17]; see README,
+    *Substitutions and ablations*.
     """
-    if reduction not in ("kw", "greedy"):
-        raise InvalidParameterError(f"unknown reduction {reduction!r}")
     graph = network.graph
     part = partition(graph, participants, part_of)
     linial = linial_coloring(network, degree_bound, part_of=part)
     m = int(linial.params["final_color_space"])
     colors = column_of(graph, part, linial.colors.values())
-    if reduction == "kw":
-        reduced = kuhn_wattenhofer_reduction(
-            network, colors, m, degree_bound, part_of=part
-        )
-    else:
-        reduced = greedy_reduction(network, colors, m, degree_bound + 1, part_of=part)
+    reduced = kuhn_wattenhofer_reduction(network, colors, m, degree_bound, part_of=part)
     return ColorAssignment(
         colors=reduced.colors,
         rounds=linial.rounds + reduced.rounds,
@@ -305,6 +294,5 @@ def delta_plus_one_coloring(
             "degree_bound": degree_bound,
             "linial_rounds": linial.rounds,
             "reduction_rounds": reduced.rounds,
-            "reduction": reduction,
         },
     )

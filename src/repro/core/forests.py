@@ -29,7 +29,7 @@ from ..simulator.column import NodeInput, VertexColumn
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
-from ..simulator.network import SynchronousNetwork, column_of, partition
+from ..simulator.network import SynchronousNetwork, column_of, partition, read_input
 from ..simulator.program import NodeProgram
 from ..types import ForestsDecomposition, HPartition, Orientation
 from .hpartition import compute_hpartition
@@ -121,10 +121,10 @@ def hpartition_orientation(
     H-partition, over every edge joining two of its vertices (centralized
     assembly of locally-determined directions,
     :func:`~repro.core.orientation.key_heads`)."""
-    part = partition(graph, hpartition.index.keys())
+    part, level = read_input(graph, hpartition.index)
     return Orientation(
         graph,
-        key_heads(graph, part, column_of(graph, part, hpartition.index), None),
+        key_heads(graph, part, level, None),
         algorithm="hpartition-orientation",
         params={"degree_bound": hpartition.degree_bound},
     )
@@ -142,13 +142,16 @@ def forests_decomposition(
     """Decompose (a subgraph of) the network into ≤ ⌊(2+ε)a⌋ oriented forests.
 
     Lemma 2.2(2): O(a) forests in O(log n) rounds.  An existing H-partition
-    may be supplied to avoid recomputing it.
+    may be supplied to avoid recomputing it; its vertices take part, within
+    ``participants`` and ``part_of``.
     """
     graph = network.graph
-    part = partition(graph, participants, part_of)
     if hpartition is None:
+        part = partition(graph, participants, part_of)
         hpartition = compute_hpartition(network, a, epsilon, part_of=part)
-    level = column_of(graph, part, hpartition.index)
+        level = column_of(graph, part, hpartition.index)
+    else:
+        part, level = read_input(graph, hpartition.index, participants, part_of)
     level_input = VertexColumn(graph, level)
     result = network.run(
         lambda: _ForestLabelProgram(level_input),

@@ -37,6 +37,7 @@ from ..simulator.network import (
     SynchronousNetwork,
     column_of,
     partition,
+    read_input,
     refine_parts,
 )
 from ..types import ColorAssignment, Vertex
@@ -66,14 +67,13 @@ def color_parts_legally(
     Every part has arboricity ≤ alpha; each is colored with
     A = ⌊(2+ε)·alpha⌋+1 colors via complete orientation + greedy (Lemma
     2.2(1)), all parts in parallel.  Vertex ``v`` gets the final color
-    ``label(v)·A + ψ(v)``.  ``labels``: a ``Mapping`` (its vertices take
-    part) or a column over graph indices, read at ``part_of``'s members.
+    ``label(v)·A + ψ(v)``.  ``labels``: a ``Mapping``, whose vertices take
+    part within ``part_of``, or a column over graph indices, read at
+    ``part_of``'s members.
     """
     alpha = max(1, alpha)
     graph = network.graph
-    keys = None if isinstance(labels, np.ndarray) else labels.keys()
-    part = partition(graph, keys, part_of)
-    labels = column_of(graph, part, labels)
+    part, labels = read_input(graph, labels, part_of=part_of)
     parts = refine_parts(part, labels)
     orientation = complete_orientation(network, alpha, epsilon, part_of=parts)
     out_bound = int(orientation.params["out_degree_bound"])

@@ -22,7 +22,7 @@ from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
 from ..simulator.column import NodeInput, VertexColumn
-from ..simulator.network import SynchronousNetwork, column_of, partition
+from ..simulator.network import SynchronousNetwork, partition, read_input
 from ..simulator.program import NodeProgram
 from ..types import ColorAssignment, MISResult, Vertex
 from .legal import legal_coloring_theorem43
@@ -135,12 +135,13 @@ def mis_from_coloring(
     """Turn a legal coloring into an MIS, one round per color class.
 
     Linial's classical reduction direction: with C colors the sweep costs
-    C−1 rounds (class 0 joins at round 0 for free).
+    C−1 rounds (class 0 joins at round 0 for free).  The coloring's
+    vertices take part, within ``participants`` and ``part_of``.
     """
     normalized = coloring.normalized()
     graph = network.graph
-    part = partition(graph, participants, part_of)
-    source = VertexColumn(graph, column_of(graph, part, normalized.colors))
+    part, colors = read_input(graph, normalized.colors, participants, part_of)
+    source = VertexColumn(graph, colors)
     result = network.run(
         lambda: _ColorClassMISProgram(source),
         part_of=part,

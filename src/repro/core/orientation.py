@@ -31,6 +31,7 @@ from ..simulator.network import (
     SynchronousNetwork,
     column_of,
     partition,
+    read_input,
     refine_parts,
 )
 from ..simulator.program import NodeProgram
@@ -159,7 +160,8 @@ def _orient_by_levels(
 ) -> Tuple[HPartition, ColorAssignment, np.ndarray, int]:
     """The steps both procedures share, over one partition column: the
     H-partition (computed from ``global_params``' ``a`` and ``epsilon``
-    unless given, when its vertices take part), ``color_levels(bound,
+    unless given, when its vertices take part within ``participants``
+    and ``part_of``), ``color_levels(bound,
     part_of=...)`` on every level in parallel, and the exchange of (level,
     colour) keys.  Returns those two results, the heads the keys orient
     and the rounds of all three steps."""
@@ -168,9 +170,9 @@ def _orient_by_levels(
         part = partition(graph, participants, part_of)
         a, epsilon = global_params["a"], global_params["epsilon"]
         hpartition = compute_hpartition(network, a, epsilon, part_of=part)
+        level = column_of(graph, part, hpartition.index)
     else:
-        part = partition(graph, hpartition.index.keys(), part_of)
-    level = column_of(graph, part, hpartition.index)
+        part, level = read_input(graph, hpartition.index, participants, part_of)
     level_coloring = color_levels(
         hpartition.degree_bound, part_of=refine_parts(part, level)
     )

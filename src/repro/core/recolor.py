@@ -67,7 +67,6 @@ def compute_recolor_schedule(
     defect_target: int,
     *,
     budget_policy: str = "equal-split",
-    max_steps: int = 64,
 ) -> List[RecolorStep]:
     """Plan the iterations of the recoloring engine.
 
@@ -107,7 +106,7 @@ def compute_recolor_schedule(
     steps: List[RecolorStep] = []
     colors = initial_colors
     d_used = 0
-    while len(steps) < max_steps:
+    while len(steps) < 64:  # a cap far above any log* schedule
         remaining = defect_target - d_used
         if remaining <= 0:
             d_new = d_used
@@ -365,7 +364,6 @@ def run_recoloring(
     orientation: Optional[Orientation] = None,
     participants=None,
     part_of=None,
-    budget_policy: str = "equal-split",
     algorithm_name: str = "recolor",
 ) -> ColorAssignment:
     """Run the full iterated recoloring on (a subgraph of) a network.
@@ -378,12 +376,7 @@ def run_recoloring(
     """
     if initial_colors is None:
         initial_colors = max(network.graph.vertices, default=0) + 1
-    schedule = compute_recolor_schedule(
-        initial_colors,
-        conflict_degree,
-        defect_target,
-        budget_policy=budget_policy,
-    )
+    schedule = compute_recolor_schedule(initial_colors, conflict_degree, defect_target)
     result = network.run(
         lambda: RecolorProgram(schedule, initial_color_of, orientation),
         participants=participants,

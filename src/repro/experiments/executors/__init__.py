@@ -57,7 +57,7 @@ def make_executor(name: str, workers: int = 1, **options) -> Executor:
     """
     if name == "serial":
         return SerialExecutor()
-    if name in ("pool", "local"):
+    if name == "pool":
         return LocalPoolExecutor(workers)
     if name == "socket":
         return SocketExecutor(**options)

@@ -234,22 +234,19 @@ def pseudoarboricity(graph: Graph) -> int:
     return lo
 
 
-def arboricity_bounds(graph: Graph, exact_flow: bool = True) -> Tuple[int, int]:
+def arboricity_bounds(graph: Graph) -> Tuple[int, int]:
     """Certified ``(lower, upper)`` bounds on the arboricity of ``graph``.
 
     ``upper`` comes from the degeneracy (Lemma 2.5); ``lower`` from
-    Nash–Williams density witnesses; when ``exact_flow`` is set the
-    pseudoarboricity tightens both sides to within 1.
+    Nash–Williams density witnesses; the pseudoarboricity tightens both
+    sides to within 1.
     """
     if graph.m == 0:
         return 0, 0
     k, order = degeneracy(graph)
-    lower = suffix_density_bound(graph, order)
-    upper = max(1, k)
-    if exact_flow:
-        p = pseudoarboricity(graph)
-        lower = max(lower, p)
-        upper = min(upper, p + 1)
+    p = pseudoarboricity(graph)
+    lower = max(suffix_density_bound(graph, order), p)
+    upper = min(max(1, k), p + 1)
     return lower, min_upper(lower, upper)
 
 

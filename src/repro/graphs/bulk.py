@@ -35,9 +35,8 @@ def forest_union_bulk(
     over it (vertex ``i`` attaches to a uniform earlier vertex), the same
     construction as the scalar :func:`~repro.graphs.generators.forest_union`
     — so the certified bound (arboricity ≤ ``a``) carries over verbatim.
-    ``density`` keeps a fraction of each forest's ``n − 1`` edges, capped at
-    1.0: the scalar generator's oversampling regime exists to exercise
-    duplicate handling, which the bulk path has no need to re-test at scale.
+    ``density`` keeps a fraction, in ``(0, 1]``, of each forest's ``n − 1``
+    edges, as in the scalar generator.
 
     Deterministic given ``seed`` (via ``numpy.random.default_rng``).
     """

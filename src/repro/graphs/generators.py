@@ -173,19 +173,15 @@ def forest_union(n: int, a: int, seed: int = 0, density: float = 1.0) -> Generat
     Parameters
     ----------
     density:
-        Fraction of each forest's possible ``n − 1`` edges to keep, allowing
-        sparser instances with the same certified bound.  Values in
-        ``(1, 2]`` oversample: each forest re-emits some of its edges (also
-        reversed), which exercises the duplicate-edge handling downstream —
-        the resulting simple graph is identical to ``density = 1`` and the
-        collisions are counted in ``graph.duplicate_edges_dropped``.
+        Fraction, in ``(0, 1]``, of each forest's possible ``n − 1`` edges
+        to keep, allowing sparser instances with the same certified bound.
     """
     if n < 2:
         raise InvalidParameterError("forest_union: n must be >= 2")
     if a < 1:
         raise InvalidParameterError("forest_union: a must be >= 1")
-    if not (0.0 < density <= 2.0):
-        raise InvalidParameterError("forest_union: density must be in (0, 2]")
+    if not (0.0 < density <= 1.0):
+        raise InvalidParameterError("forest_union: density must be in (0, 1]")
     rng = random.Random(seed)
     edges: List[Edge] = []
     keep = max(1, int(density * (n - 1)))
@@ -200,8 +196,6 @@ def forest_union(n: int, a: int, seed: int = 0, density: float = 1.0) -> Generat
             tree_edges.append(canonical_edge(perm[i], perm[j]))
         rng.shuffle(tree_edges)
         edges.extend(tree_edges[:keep])
-        for u, v in tree_edges[: max(0, keep - (n - 1))]:
-            edges.append((v, u))  # oversampled: reversed duplicates
     g = Graph.from_edge_count(n, edges)
     return GeneratedGraph(
         g, a, "forest_union", {"n": n, "a": a, "seed": seed, "density": density}

@@ -10,7 +10,7 @@ accounting via :class:`~repro.simulator.ledger.RoundLedger`.
 from .context import NodeContext
 from .engines import Engine, engine_names, get_engine, register_engine
 from .ledger import PhaseRecord, RoundLedger
-from .message import Envelope, payload_size
+from .message import payload_size
 from .network import RunResult, SynchronousNetwork
 from .program import FunctionProgram, NodeProgram
 from .tracing import MessageTrace, TracedMessage
@@ -23,7 +23,6 @@ __all__ = [
     "RunResult",
     "RoundLedger",
     "PhaseRecord",
-    "Envelope",
     "MessageTrace",
     "TracedMessage",
     "payload_size",

@@ -154,22 +154,3 @@ class NodeContext:
     def wake_in(self, rounds: int) -> None:
         """Request a self-wakeup ``rounds`` rounds from the current one."""
         self.wake_at(self.round_number + max(1, int(rounds)))
-
-    # ------------------------------------------------------------------
-    def drain_outbox(self) -> List[Tuple[Vertex, Any]]:
-        """Internal: hand queued messages to the simulator and clear them."""
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    def consume_schedule(self) -> Tuple[bool, Optional[int]]:
-        """Internal: read and clear this activation's quiescence declaration.
-
-        Returns ``(idle_requested, wake_round)``; the scheduler calls this
-        exactly once after each activation (both modes clear the flags so a
-        declaration never outlives one activation).
-        """
-        idle, wake = self._idle_requested, self._wake_round
-        self._idle_requested = False
-        self._wake_round = None
-        return idle, wake

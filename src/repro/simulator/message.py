@@ -1,11 +1,10 @@
-"""Message envelopes and size accounting for the round simulator.
+"""Message size accounting for the round simulator.
 
 The LOCAL model places no bound on message size, but one of the things a
 reproduction should surface is *how much* information the paper's algorithms
 actually move around — most of them are frugal (a color, an H-index, a small
-tuple).  The simulator therefore wraps every payload in an
-:class:`Envelope` recording sender and destination, and estimates payload
-size in bytes with :func:`payload_size`.
+tuple).  A run that counts bytes therefore sizes every payload it delivers
+with :func:`payload_size`.
 
 Payloads must be treated as immutable by receivers: the simulator passes the
 object by reference (copying every message would dominate the runtime of
@@ -16,19 +15,7 @@ which are immutable anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
-
-from ..types import Vertex
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A single point-to-point message in one synchronous round."""
-
-    sender: Vertex
-    dest: Vertex
-    payload: Any
 
 
 def payload_size(payload: Any) -> int:

@@ -46,7 +46,7 @@ like real parallel execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,6 +134,29 @@ def column_of(
     column = np.full(graph.n, -1, dtype=np.int64)
     column[rows] = np.fromiter(values, np.int64, count=len(rows))
     return column
+
+
+def read_input(
+    graph: Graph,
+    values: Union[np.ndarray, Mapping[Vertex, int]],
+    participants: Optional[Iterable[Vertex]] = None,
+    part_of: Union[None, np.ndarray, Mapping[Vertex, Any]] = None,
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """A driver's run over its input ``values``: the partition column
+    (:func:`partition`) and the values as a column (:func:`column_of`).
+    A ``Mapping``'s vertices take part, within ``participants`` and
+    ``part_of``; a column covers the partition.  An input that covers
+    the partition costs one read."""
+    part = partition(graph, participants, part_of)
+    try:
+        return part, column_of(graph, part, values)
+    except KeyError:  # a member the Mapping does not cover leaves the run
+        rows = members(part, graph.n)
+        ids = ids_at(graph, rows)
+        covered = np.fromiter(map(values.__contains__, ids), bool, count=len(rows))
+        part = np.zeros(graph.n, np.int8) if part is None else part.copy()
+        part[rows[~covered]] = -1
+        return part, column_of(graph, part, values)
 
 
 def refine_parts(part: Optional[np.ndarray], labels: np.ndarray) -> np.ndarray:

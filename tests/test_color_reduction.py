@@ -7,9 +7,12 @@ from repro.core import (
     delta_plus_one_coloring,
     greedy_reduction,
     kuhn_wattenhofer_reduction,
+    linial_coloring,
 )
 from repro.errors import InvalidParameterError, SimulationError
-from repro.graphs import grid, random_regular, random_tree
+from repro.graphs import forest_union, grid, random_regular, random_tree
+from repro.simulator import engine_names
+from repro.simulator.network import partition
 from repro.verify import check_legal_coloring
 
 
@@ -67,6 +70,21 @@ class TestGreedyReduction:
         with pytest.raises(InvalidParameterError):
             greedy_reduction(net, {v: v for v in g.graph.vertices}, 9, target=0)
 
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_subset_colors_run_on_their_vertices(self, engine):
+        """A colouring of the even vertices runs as if they were passed
+        as participants."""
+        graph = forest_union(40, 3, seed=1).graph
+        net = SynchronousNetwork(graph, scheduler=engine)
+        even = [v for v in graph.vertices if v % 2 == 0]
+        colors = {v: v for v in even}
+        target = graph.max_degree + 1
+        reduced = greedy_reduction(net, colors, graph.n, target)
+        assert reduced == greedy_reduction(
+            net, colors, graph.n, target, participants=even
+        )
+        assert sorted(reduced.colors) == even
+
 
 class TestKuhnWattenhofer:
     def test_reduces_to_delta_plus_one(self):
@@ -109,6 +127,22 @@ class TestKuhnWattenhofer:
             if parts[u] == parts[v]:
                 assert reduced.colors[u] != reduced.colors[v]
 
+    def test_subset_colors_within_a_part_column(self):
+        """A colouring of the even vertices with a ``part_of`` column runs
+        as if they were passed with the labels the column encodes."""
+        g = random_regular(80, 4, seed=7)
+        net = SynchronousNetwork(g.graph)
+        parts = {v: v % 3 for v in g.graph.vertices}
+        even = [v for v in g.graph.vertices if v % 2 == 0]
+        colors = {v: v for v in even}
+        delta = g.graph.max_degree
+        reduced = kuhn_wattenhofer_reduction(
+            net, colors, g.graph.n, delta, part_of=partition(g.graph, None, parts)
+        )
+        assert reduced == kuhn_wattenhofer_reduction(
+            net, colors, g.graph.n, delta, participants=even, part_of=parts
+        )
+
 
 class TestDeltaPlusOne:
     def test_on_families(self, family_graph):
@@ -119,16 +153,16 @@ class TestDeltaPlusOne:
         assert result.num_colors <= delta + 1
 
     def test_greedy_reduction_variant(self):
+        """The A2 ablation's pipeline: Linial, then the greedy reduction."""
         g = random_tree(100, seed=8)
         net = SynchronousNetwork(g.graph)
         delta = g.graph.max_degree
-        result = delta_plus_one_coloring(net, delta, reduction="greedy")
+        linial = linial_coloring(net, delta)
+        m = linial.params["final_color_space"]
+        result = greedy_reduction(net, linial.colors, m, delta + 1)
         check_legal_coloring(g.graph, result.colors)
         assert result.num_colors <= delta + 1
-
-    def test_invalid_reduction(self, forest_net):
-        with pytest.raises(InvalidParameterError):
-            delta_plus_one_coloring(forest_net, 5, reduction="bogus")
+        assert result.rounds <= m - (delta + 1)
 
     def test_composition_rounds(self):
         g = random_regular(120, 5, seed=9)

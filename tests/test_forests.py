@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Graph, SynchronousNetwork
 from repro.core import compute_hpartition, forests_decomposition, hpartition_orientation
+from repro.core.forests import _ForestLabelProgram
 from repro.errors import VerificationError
 from repro.experiments.registry import ALGORITHMS, AlgorithmSpec, execute_trial
 from repro.experiments.spec import TrialSpec
@@ -162,11 +163,31 @@ def labelled_instance(draw):
 def test_labels_match_per_edge_reference_on_every_engine(instance):
     graph, a, subset = instance
     members = set(graph.vertices if subset is None else subset)
+    src = graph.row_sources()
     results = []
     for engine in engine_names():
-        net = SynchronousNetwork(graph, scheduler=engine)
+        labelling = {}
+
+        class Recording(SynchronousNetwork):
+            def run(self, program_factory, **kw):
+                result = super().run(program_factory, **kw)
+                if isinstance(program_factory(), _ForestLabelProgram):
+                    labelling.update(result.outputs)
+                return result
+
+        net = Recording(graph, scheduler=engine)
         hp = compute_hpartition(net, a, participants=subset)
         fd = forests_decomposition(net, a, participants=subset, hpartition=hp)
+        # Lemma 2.2(2)'s views agree: each member outputs its H-index and
+        # its count of labelled out-edges, and the (level, id) heads are
+        # hpartition_orientation's
+        out_degree = np.bincount(src[fd.labels >= 0], minlength=graph.n)
+        assert labelling == {
+            v: (hp.index[v], int(out_degree[graph.index_of(v)])) for v in members
+        }
+        assert np.array_equal(
+            fd.orientation.heads, hpartition_orientation(graph, hp).heads
+        )
         reference = reference_forest_of(graph, hp.index, members)
         assert fd.forest_of == reference
         assert np.array_equal(
@@ -184,11 +205,24 @@ def test_labels_match_per_edge_reference_on_every_engine(instance):
     # labels sit at the tails' entries; edges outside the run carry none
     assert np.array_equal(fd.labels >= 0, fd.orientation.heads > 0)
     nbr = graph.csr()[1]
-    src = graph.row_sources()
     inside = np.isin(np.asarray(graph.vertices), list(members))
     assert (fd.labels[~(inside[src] & inside[nbr])] == -1).all()
     run_graph = graph if subset is None else graph.induced_subgraph(subset)
     assert set(fd.forest_of) == set(run_graph.edges)
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_subset_hpartition_runs_on_its_vertices(engine):
+    """An H-partition of the even vertices runs as if they were passed as
+    participants."""
+    gen = forest_union(60, 3, seed=1)
+    graph, a = gen.graph, gen.arboricity_bound
+    net = SynchronousNetwork(graph, scheduler=engine)
+    even = [v for v in graph.vertices if v % 2 == 0]
+    hp = compute_hpartition(net, a, participants=even)
+    fd = forests_decomposition(net, a, hpartition=hp)
+    assert fd == forests_decomposition(net, a, participants=even, hpartition=hp)
+    assert set(fd.forest_of) == set(graph.induced_subgraph(even).edges)
 
 
 def test_from_forest_of_returns_its_dict(forest_graph, forest_net):

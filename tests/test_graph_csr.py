@@ -147,20 +147,11 @@ class TestDuplicateAccounting:
     def test_no_duplicates(self):
         assert star(8).graph.duplicate_edges_dropped == 0
 
-    def test_forest_union_oversampled_density(self):
-        base = forest_union(40, 3, seed=9, density=1.0)
-        over = forest_union(40, 3, seed=9, density=1.5)
-        # oversampling emits reversed duplicates: same simple graph, with
-        # the collisions counted rather than silently swallowed
-        assert over.graph == base.graph
-        assert over.graph.duplicate_edges_dropped > base.graph.duplicate_edges_dropped
-        assert over.graph.duplicate_edges_dropped >= 39  # ≥ keep - (n-1) per forest
-
     def test_forest_union_density_validation(self):
         with pytest.raises(InvalidParameterError):
             forest_union(10, 2, density=0.0)
         with pytest.raises(InvalidParameterError):
-            forest_union(10, 2, density=2.5)
+            forest_union(10, 2, density=1.5)
 
 
 class TestNetworkxRoundTrip:

@@ -4,13 +4,11 @@ Covers the corners the composite algorithms rely on: nested payload size
 estimation, zero-round protocols (halt-at-start costs 0 rounds and 0
 messages), and ledger composition/breakdown semantics."""
 
-import dataclasses
-
 import pytest
 
 from repro import Graph, SynchronousNetwork
 from repro.simulator.ledger import PhaseRecord, RoundLedger
-from repro.simulator.message import Envelope, payload_size
+from repro.simulator.message import payload_size
 from repro.simulator.network import RunResult
 from repro.simulator.program import FunctionProgram
 
@@ -86,11 +84,6 @@ class TestPayloadSize:
                 return "<blob>"
 
         assert payload_size(Blob()) == len("<blob>")
-
-    def test_envelope_is_frozen(self):
-        env = Envelope(sender=0, dest=1, payload=(1, 2))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            env.payload = None
 
 
 class TestZeroRoundProtocols:

@@ -1,5 +1,6 @@
 """MIS: the §1.2 deterministic algorithm, the class sweep, Luby's baseline."""
 
+import pytest
 
 from repro import SynchronousNetwork
 from repro.core import (
@@ -10,6 +11,7 @@ from repro.core import (
     sequential_greedy_coloring,
 )
 from repro.graphs import forest_union, path, ring, star
+from repro.simulator import engine_names
 from repro.verify import check_mis
 
 
@@ -39,6 +41,19 @@ class TestMISFromColoring:
         mis = mis_from_coloring(net, coloring)
         check_mis(g.graph, mis.members)
         assert mis.size >= 4  # an MIS of P10 has 4 or 5 vertices
+
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_subset_coloring_runs_on_its_vertices(self, engine):
+        """A colouring of the even vertices runs as if they were passed
+        as participants."""
+        graph = forest_union(60, 3, seed=1).graph
+        net = SynchronousNetwork(graph, scheduler=engine)
+        even = [v for v in graph.vertices if v % 2 == 0]
+        coloring = sequential_greedy_coloring(graph.induced_subgraph(even))
+        mis = mis_from_coloring(net, coloring)
+        assert mis == mis_from_coloring(net, coloring, participants=even)
+        check_mis(graph.induced_subgraph(even), mis.members)
 
 
 class TestMISArboricity:

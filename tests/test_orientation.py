@@ -237,6 +237,21 @@ class TestHeadsArray:
     Complete-Orientation and Partial-Orientation from the keys they hand
     the exchange program."""
 
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    def test_given_hpartition_honours_participants(self, producer):
+        """Given an H-partition of every vertex, only the edges between
+        participants are oriented."""
+        gen = forest_union(60, 3, seed=1)
+        graph, a = gen.graph, gen.arboricity_bound
+        net = SynchronousNetwork(graph)
+        hp = compute_hpartition(net, a)
+        even = [v for v in graph.vertices if v % 2 == 0]
+        o = PRODUCERS[producer](net, a, participants=even, hpartition=hp)
+        inside = (graph.row_sources() % 2 == 0) & (graph.csr()[1] % 2 == 0)
+        assert not o.heads[~inside].any()
+        if producer == "complete":
+            assert o.heads[inside].all()
+
     @pytest.mark.parametrize("kind", ["full", "participants", "part_of", "both"])
     @pytest.mark.parametrize("instance", sorted(INSTANCES))
     @pytest.mark.parametrize("producer", sorted(PRODUCERS))

@@ -10,7 +10,6 @@ from repro import Graph, NodeProgram, SynchronousNetwork
 from repro.errors import RoundLimitExceeded, SimulationError
 from repro.obs import RoundTelemetry
 from repro.simulator import FunctionProgram, RoundLedger, engine_names, payload_size
-from repro.simulator.message import Envelope
 
 
 class EchoIdProgram(NodeProgram):
@@ -250,10 +249,6 @@ class TestAccounting:
         assert payload_size((1, 2)) == 3
         assert payload_size("abc") == 3
         assert payload_size({1: 2}) >= 2
-
-    def test_envelope(self):
-        e = Envelope(sender=1, dest=2, payload="x")
-        assert e.sender == 1 and e.dest == 2
 
 
 class TestLedger:

@@ -19,7 +19,8 @@ Two scenarios:
 * ``test_socket_loopback_speedup`` — the ablation sweep again, through a
   :class:`~repro.experiments.SocketExecutor` coordinator with two
   loopback ``repro worker`` processes: the wire protocol's overhead must
-  not eat the parallelism (floor gated as ``parallelism_dependent``).
+  not eat the parallelism (floor gated as ``parallelism_dependent``, on
+  the median of alternating serial/socket pairs).
 
 ``REPRO_PERF_HANDICAP`` (a fraction, e.g. ``0.25``) synthetically inflates
 the socket path's time so the regression gate can be watched tripping.
@@ -28,6 +29,7 @@ the socket path's time so the regression gate can be watched tripping.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import perf_record
@@ -112,6 +114,8 @@ def test_shared_graphstore_accounting(benchmark):
 # -- the socket executor on loopback: wire overhead must not eat the win ---
 
 SOCKET_WORKERS = 2
+#: serial/socket pairs behind the gate
+SOCKET_REPEATS = 5
 
 
 def test_socket_loopback_speedup(benchmark):
@@ -120,21 +124,30 @@ def test_socket_loopback_speedup(benchmark):
     wire protocol's pickle+base64 overhead and the coordinator's
     dispatch threads do not eat the parallelism they exist to buy.
     Records must be byte-identical, with the shared graphs pickled onto
-    the wire (remote workers can never attach the coordinator's shm)."""
+    the wire (remote workers can never attach the coordinator's shm).
+
+    The workers are spawned once.  Each of ``SOCKET_REPEATS`` repeats
+    runs the serial and the socket sweep back to back, in an order that
+    flips from one repeat to the next, so that both sides of a pair see
+    the same machine state; the gated speedup is the median over repeats
+    of serial time over socket time."""
     from repro.experiments import SocketExecutor, spawn_local_workers
 
     cores = os.cpu_count() or 1
-    serial, serial_s = _timed_sweep()
-
     ex = SocketExecutor(min_workers=SOCKET_WORKERS)
     procs = spawn_local_workers(ex.host, ex.port, SOCKET_WORKERS)
+    sides = {"serial": {}, "socket": {"executor": ex}}
+    seconds = {side: [] for side in sides}
+    records = {}
     try:
         ex.wait_for_workers(SOCKET_WORKERS, timeout=120)
-        t0 = time.perf_counter()
+        for repeat in range(SOCKET_REPEATS):
+            for side in list(sides)[:: 1 if repeat % 2 == 0 else -1]:
+                records[side], wall_s = _timed_sweep(**sides[side])
+                seconds[side].append(wall_s)
         remote = benchmark.pedantic(
             lambda: run_sweep(_spec(), executor=ex), iterations=1, rounds=1
         )
-        socket_s = (time.perf_counter() - t0) * (1.0 + _HANDICAP)
     finally:
         ex.close()
         for p in procs:
@@ -145,6 +158,7 @@ def test_socket_loopback_speedup(benchmark):
             except Exception:
                 p.kill()
 
+    serial = records["serial"]
     assert [(t.key, t.metrics) for t in remote] == [
         (t.key, t.metrics) for t in serial
     ]
@@ -152,7 +166,12 @@ def test_socket_loopback_speedup(benchmark):
     assert remote.graph_builds == len(SEEDS)
     assert remote.graph_reuses == remote.num_trials - len(SEEDS)
 
-    speedup = serial_s / socket_s
+    socket = [wall_s * (1.0 + _HANDICAP) for wall_s in seconds["socket"]]
+    speedup = statistics.median(
+        a / b for a, b in zip(seconds["serial"], socket, strict=True)
+    )
+    serial_s = statistics.median(seconds["serial"])
+    socket_s = statistics.median(socket)
     trials = serial.num_trials
     rows = [
         ["serial (in-process)", trials, f"{serial_s:.2f}", "1.0x"],
@@ -166,7 +185,9 @@ def test_socket_loopback_speedup(benchmark):
             rows,
             note=f"erdos_renyi(n={N}) x {len(EPSILONS)} forests-ε cells x "
             f"{len(SEEDS)} seeds; coordinator + {SOCKET_WORKERS} "
-            f"`repro worker` processes; records byte-identical by assertion",
+            f"`repro worker` processes; medians of {SOCKET_REPEATS} alternating "
+            "repeats, speedup = median of per-repeat serial/socket wall time; "
+            "records byte-identical by assertion",
         ),
         "s6c_sweep_socket.txt",
     )

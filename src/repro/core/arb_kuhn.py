@@ -83,7 +83,7 @@ def arb_kuhn_decomposition(
     )
     total_rounds = hp.rounds + _LEVEL_EXCHANGE_ROUNDS + recolored.rounds
     return Decomposition(
-        label=dict(recolored.colors),
+        label=recolored.colors,
         arboricity_bound=defect,
         rounds=total_rounds,
         params={

@@ -186,7 +186,7 @@ def simple_arbdefective(
     )
     bound = deficit_bound + out_degree_bound // k
     return Decomposition(
-        label=dict(result.outputs),
+        label=result.outputs,
         arboricity_bound=bound,
         rounds=result.rounds,
         params={
@@ -223,7 +223,7 @@ def orientation_greedy_coloring(
         global_params={"palette": palette},
     )
     return ColorAssignment(
-        colors=dict(result.outputs),
+        colors=result.outputs,
         rounds=result.rounds,
         algorithm="orientation-greedy",
         params={"out_degree_bound": out_degree_bound},

@@ -128,7 +128,7 @@ def luby_coloring(
         global_params={"palette": palette, "seed": seed},
     )
     return ColorAssignment(
-        colors=dict(result.outputs),
+        colors=result.outputs,
         rounds=result.rounds,
         algorithm="luby-coloring",
         params={"palette": palette, "seed": seed},

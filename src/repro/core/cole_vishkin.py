@@ -168,7 +168,7 @@ def cole_vishkin_forest(
         global_params={"iterations": iterations},
     )
     return ColorAssignment(
-        colors=dict(result.outputs),
+        colors=result.outputs,
         rounds=result.rounds,
         algorithm="cole-vishkin",
         params={"iterations": iterations},

@@ -211,7 +211,7 @@ def greedy_reduction(
     part, colors = read_input(graph, colors, participants, part_of)
     result = _greedy_run(network, colors, num_colors, target, part)
     return ColorAssignment(
-        colors=dict(result.outputs),
+        colors=result.outputs,
         rounds=result.rounds,
         algorithm="greedy-reduction",
         params={"m": num_colors, "target": target},
@@ -259,7 +259,7 @@ def kuhn_wattenhofer_reduction(
     final = _greedy_run(network, current, m, target, part)
     total_rounds += final.rounds
     return ColorAssignment(
-        colors=dict(final.outputs),
+        colors=final.outputs,
         rounds=total_rounds,
         algorithm="kuhn-wattenhofer-reduction",
         params={"m": num_colors, "degree_bound": degree_bound},

@@ -61,9 +61,8 @@ def try_hpartition(
         )
     except RoundLimitExceeded:
         return None, budget
-    index = {v: int(level) for v, level in result.outputs.items()}
     hp = HPartition(
-        index=index,
+        index=result.outputs,
         degree_bound=threshold,
         rounds=result.rounds,
         params={"a": candidate, "epsilon": epsilon, "estimated": True},

@@ -42,15 +42,12 @@ class _ForestLabelProgram(NodeProgram):
     Round 1: learn neighbours' levels, label out-edges ``0, 1, ...`` in
     ascending neighbour order, tell each head its label.  Round 2: receive
     the labels of in-edges (so *both* endpoints know the forest of every
-    incident edge, as the paper requires) and halt.
-
-    Output per node: ``(level, out_degree)``; its labels are
-    ``0..out_degree-1``.
+    incident edge, as the paper requires) and halt with no output: the
+    driver reads the labels off the orientation's heads.
     """
 
     def __init__(self, level: NodeInput):
         self._level = level
-        self._out_degree = 0
 
     def on_start(self, ctx: NodeContext) -> None:
         ctx.broadcast(self._level(ctx.node))
@@ -63,9 +60,8 @@ class _ForestLabelProgram(NodeProgram):
             )
             for f, u in enumerate(out_neighbors):
                 ctx.send(u, ("forest", f))
-            self._out_degree = len(out_neighbors)
             return
-        ctx.halt((self._level(ctx.node), self._out_degree))
+        ctx.halt()
 
     def column_kernel(self, col):
         """Vectorized orientation + labeling: two array passes, no rounds loop.
@@ -73,7 +69,8 @@ class _ForestLabelProgram(NodeProgram):
         The (level, id)-lexicographic orientation is one comparison over
         the CSR-expanded edge list (slot order is id order); forest labels
         are each out-edge's rank within its row (rows are sorted ascending,
-        matching the scalar program's ``sorted`` + ``enumerate``).
+        matching the scalar program's ``sorted`` + ``enumerate``).  They
+        count and size round 1's messages; every node outputs ``None``.
         """
         np = col.np
 
@@ -87,7 +84,7 @@ class _ForestLabelProgram(NodeProgram):
             src = col.row_sources()
             lv_n, lv_s = levels[nbr], levels[src]
             out = (lv_n > lv_s) | ((lv_n == lv_s) & (nbr > src))
-            labels, out_degree = _out_ranks(out, col.offsets)
+            labels, _ = _out_ranks(out, col.offsets)
             # one ("forest", f) per out-edge: the tag adds a fixed overhead
             # to the label's int size
             label_sizes = 0
@@ -96,8 +93,7 @@ class _ForestLabelProgram(NodeProgram):
                 label_sizes = col.int_payload_sizes(labels) + tag_overhead
             col.note_round(1, n, np.ones_like(labels), label_sizes)
             col.note_round(2, n)
-            outputs = zip(levels.tolist(), out_degree.tolist(), strict=True)
-            col.outputs = dict(zip(col.ids, outputs, strict=True))
+            col.outputs = dict.fromkeys(col.ids)
             col.rounds = 2
 
         return run
@@ -149,7 +145,7 @@ def forests_decomposition(
     if hpartition is None:
         part = partition(graph, participants, part_of)
         hpartition = compute_hpartition(network, a, epsilon, part_of=part)
-        level = column_of(graph, part, hpartition.index)
+        level = column_of(graph, part, hpartition.index.values())
     else:
         part, level = read_input(graph, hpartition.index, participants, part_of)
     level_input = VertexColumn(graph, level)

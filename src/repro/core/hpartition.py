@@ -163,7 +163,7 @@ def compute_hpartition(
             f"arboricity bound a={a} is probably below the true arboricity"
         ) from exc
     return HPartition(
-        index=dict(result.outputs),
+        index=result.outputs,
         degree_bound=threshold,
         rounds=result.rounds,
         params={"a": a, "epsilon": epsilon},

@@ -170,7 +170,7 @@ def _orient_by_levels(
         part = partition(graph, participants, part_of)
         a, epsilon = global_params["a"], global_params["epsilon"]
         hpartition = compute_hpartition(network, a, epsilon, part_of=part)
-        level = column_of(graph, part, hpartition.index)
+        level = column_of(graph, part, hpartition.index.values())
     else:
         part, level = read_input(graph, hpartition.index, participants, part_of)
     level_coloring = color_levels(

@@ -387,7 +387,7 @@ def run_recoloring(
         },
     )
     return ColorAssignment(
-        colors=dict(result.outputs),
+        colors=result.outputs,
         rounds=result.rounds,
         algorithm=algorithm_name,
         params={

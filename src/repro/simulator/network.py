@@ -179,10 +179,9 @@ def refine_parts(part: Optional[np.ndarray], labels: np.ndarray) -> np.ndarray:
 class SynchronousNetwork:
     """A network of processors, one per vertex of an undirected graph.
 
-    ``scheduler`` names the default engine of every :meth:`run` on this
-    network (overridable per run): ``"column"`` (the default), ``"event"``,
-    ``"dense"`` or any engine registered via
-    :func:`~repro.simulator.engines.register_engine`.
+    ``scheduler`` names the engine of every :meth:`run` on this network:
+    ``"column"`` (the default), ``"event"``, ``"dense"`` or any engine
+    registered via :func:`~repro.simulator.engines.register_engine`.
     """
 
     def __init__(self, graph: Graph, scheduler: str = "column"):
@@ -201,7 +200,6 @@ class SynchronousNetwork:
         round_limit: Optional[int] = None,
         count_bytes: bool = False,
         telemetry: Optional["Telemetry"] = None,
-        scheduler: Optional[str] = None,
     ) -> RunResult:
         """Execute one node program to completion on (a subgraph of) the net.
 
@@ -246,13 +244,8 @@ class SynchronousNetwork:
             message via ``on_message`` — pass a
             :class:`~repro.simulator.tracing.MessageTrace` to record every
             message (round, endpoints, payload, size).
-        scheduler:
-            A registered engine name (``"event"``, ``"dense"``,
-            ``"column"``, ...); defaults to the network's scheduler.  All
-            engines produce byte-identical results (see module docstring).
         """
-        mode = scheduler if scheduler is not None else self.scheduler
-        engine = get_engine(mode)
+        engine = get_engine(self.scheduler)
         graph = self.graph
         part = partition(graph, participants, part_of)
         if round_limit is None:

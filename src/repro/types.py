@@ -357,7 +357,8 @@ class ForestsDecomposition(_ByInitFields):
     ``csr()``, laid out like :attr:`Orientation.heads`: an edge's forest,
     in ``0..num_forests-1``, sits at its tail's (``+1``) entry, and every
     other entry holds ``-1``.  A vertex's parent in forest ``f`` is the
-    neighbour at its row's entry labelled ``f``.  :meth:`from_forest_of`
+    neighbour at its row's entry labelled ``f``
+    (:func:`~repro.core.trees.forest_parent_map`).  :meth:`from_forest_of`
     builds one from a ``{(u, v): forest}`` dict, and :attr:`forest_of` is
     that dict, derived on first use.
     """
@@ -371,10 +372,6 @@ class ForestsDecomposition(_ByInitFields):
     #: (a :class:`~repro.simulator.ledger.RoundLedger`; typed loosely to
     #: avoid a types ↔ simulator import cycle).
     ledger: Optional[object] = None
-    #: What ``labels`` cannot hold of a :meth:`from_forest_of` dict, as its
-    #: ``(key, label)`` items in dict order: a key that is not an edge in
-    #: ``(min, max)`` form, an unoriented edge, a negative label.
-    unplaced: Tuple[Tuple[Edge, int], ...] = ()
     _forest_of: Optional[Mapping[Edge, int]] = field(
         default=None, init=False, repr=False
     )
@@ -396,27 +393,27 @@ class ForestsDecomposition(_ByInitFields):
         num_forests: int,
         **meta: object,
     ) -> "ForestsDecomposition":
-        """The decomposition labelling each edge ``(u, v)`` (``u < v``) of
+        """The decomposition labelling each edge ``(u, v)`` of
         ``forest_of`` at its tail's entry under ``orientation``; ``meta``
-        fills ``rounds``, ``params`` and ``ledger``.  The rest of the dict
-        goes to :attr:`unplaced`, so a corrupted dict still reaches the
-        check, and :attr:`forest_of` is a read-only copy of the dict."""
+        fills ``rounds``, ``params`` and ``ledger``.  Raises
+        :class:`~repro.errors.InvalidParameterError` for a key that is not
+        an oriented edge in ``(min, max)`` form, or a negative label."""
         graph = orientation.graph
         heads = orientation.heads
         labels = np.full(len(heads), -1, dtype=np.int64)
-        unplaced = []
         for (u, v), f in forest_of.items():
-            f = operator.index(f)
             uv = _entry(graph, u, v) if u < v else None
             sign = 0 if uv is None else heads[uv]
-            if sign == 0 or f < 0:
-                unplaced.append(((u, v), f))
-            else:
-                labels[uv if sign > 0 else _entry(graph, v, u)] = f
+            if sign == 0:
+                raise InvalidParameterError(
+                    f"({u}, {v}) is not an oriented edge in (min, max) form"
+                )
+            f = operator.index(f)
+            if f < 0:
+                raise InvalidParameterError(f"({u}, {v}) has negative forest label {f}")
+            labels[uv if sign > 0 else _entry(graph, v, u)] = f
         labels = labels.astype(np.min_scalar_type(-1 - int(labels.max(initial=0))))
-        fd = cls(labels, orientation, num_forests, unplaced=tuple(unplaced), **meta)
-        fd._forest_of = MappingProxyType(dict(forest_of))
-        return fd
+        return cls(labels, orientation, num_forests, **meta)
 
     @property
     def forest_of(self) -> Mapping[Edge, int]:
@@ -425,20 +422,6 @@ class ForestsDecomposition(_ByInitFields):
         if self._forest_of is None:
             self._forest_of = MappingProxyType(self._view(self.labels != -1))
         return self._forest_of
-
-    def parent_in_forest(
-        self, v: Vertex, forest: int, neighbors: Iterable[Vertex]
-    ) -> Optional[Vertex]:
-        """The parent of ``v`` in the given forest among ``neighbors``, or
-        ``None`` for a root: one slice of ``labels``."""
-        graph = self.orientation.graph
-        i = graph.index_of(v)
-        offsets = graph.csr()[0]
-        row = self.labels[offsets[i] : offsets[i + 1]].tolist()
-        parents = {
-            u for u, f in zip(graph.neighbors(v), row, strict=True) if f == forest >= 0
-        }
-        return next((u for u in neighbors if u in parents), None)
 
     def forest_edges(self, forest: int) -> List[Edge]:
         """All edges of the given forest, in the graph's edge order."""

@@ -61,23 +61,19 @@ def check_hpartition(graph: Graph, hp: HPartition) -> None:
 
 def check_forests_decomposition(graph: Graph, fd: ForestsDecomposition) -> None:
     """Assert that the decomposition is over ``graph``; that every edge
-    has exactly one forest label, on its canonical ``(min, max)`` key, in
-    ``0..num_forests-1``; that the orientation orients every edge; that
-    each vertex has ≤ 1 parent per forest; and that each forest is
-    acyclic.
+    has a forest label at its tail's entry, in ``0..num_forests-1``, and
+    no other entry holds one; that each vertex has ≤ 1 parent per forest;
+    and that each forest is acyclic.
 
-    Labels are read at their tails' entries, and with them what
-    :meth:`~repro.types.ForestsDecomposition.from_forest_of` could not
-    place (``unplaced``).  The checks run in the order above, and each
-    names its first witness:
+    The checks run in the order above, and each names its first witness:
 
     * an orientation over another graph, whose graph the labels are laid
       out over (:func:`~.orientation.check_orientation_edges_exist`);
-    * the first edge (in ``graph.edges`` order) without a label;
-    * the first unplaced key that is not a canonical edge (a reversed key
-      is named as non-canonical: it would put its edge in a second forest);
+    * the first edge (in ``graph.edges`` order) without a label (an
+      unoriented edge has no tail to hold one);
+    * the first entry (in ``graph.csr()`` order) that holds a label but is
+      not an out-edge's;
     * the lowest out-of-range label;
-    * the first unoriented edge (in ``graph.edges`` order);
     * the lowest forest with a vertex of two parents, and its lowest such
       vertex;
     * the lowest forest containing a cycle.
@@ -85,7 +81,7 @@ def check_forests_decomposition(graph: Graph, fd: ForestsDecomposition) -> None:
     Each edge is a node keyed (forest, tail), with its parent keyed
     (forest, head): one table over the keys (recoded densely when few are
     in use) finds repeated keys, second parents, and parent pointers.
-    Once every forest edge is oriented and no vertex has two parents in a
+    Once every edge is oriented and no vertex has two parents in a
     forest, every cycle is a directed cycle of parent pointers: pointer
     doubling finds it as a chain that reaches no root within m hops."""
     check_orientation_edges_exist(graph, fd.orientation)
@@ -93,36 +89,29 @@ def check_forests_decomposition(graph: Graph, fd: ForestsDecomposition) -> None:
     nbr = graph.csr()[1]
     src = graph.row_sources()
     heads = fd.orientation.heads
-    edge = np.flatnonzero(heads > 0)  # each oriented edge, at its tail's entry
+    out = heads > 0
+    edge = np.flatnonzero(out)  # each oriented edge, at its tail's entry
     label = fd.labels[edge]
     tail, head = src[edge], nbr[edge]
-    unoriented = np.flatnonzero((heads == 0) & (nbr > src))  # graph.edges order
-    unplaced = fd.unplaced
     bare = label == -1
-    lo, hi = np.minimum(tail[bare], head[bare]), np.maximum(tail[bare], head[bare])
-    keys = np.concatenate((lo * n + hi, src[unoriented] * n + nbr[unoriented]))
-    if len(keys):
-        held = {key for key, _ in unplaced}
-        for k in np.sort(keys)[: len(held) + 1].tolist():
-            e = (graph.vertex_at(k // n), graph.vertex_at(k % n))
-            if e not in held:
-                raise VerificationError(f"edge {e} has no forest label")
-    for (u, v), _ in unplaced:
-        if not (u < v and graph.has_edge(u, v)):
-            kind = "non-canonical edge" if graph.has_edge(v, u) else "non-edge"
-            raise VerificationError(f"forest label on {kind} {(u, v)}")
-    bad = [f for _, f in unplaced if not 0 <= f < fd.num_forests]
-    over = label[(label < -1) | (label >= fd.num_forests)]
-    if len(over):
-        bad.append(int(over.min()))
-    if bad:
-        raise VerificationError(f"forest label {min(bad)} out of range")
-    if len(unoriented):
-        k = unoriented[0]
+    unoriented = (heads == 0) & (nbr > src)
+    if bare.any() or unoriented.any():
+        lo, hi = np.minimum(tail[bare], head[bare]), np.maximum(tail[bare], head[bare])
+        keys = np.concatenate((lo * n + hi, src[unoriented] * n + nbr[unoriented]))
+        k = int(keys.min())  # graph.edges order
+        e = (graph.vertex_at(k // n), graph.vertex_at(k % n))
+        raise VerificationError(f"edge {e} has no forest label")
+    stray = ~out & (fd.labels != -1)
+    if stray.any():
+        k = int(stray.argmax())
+        u, v = graph.vertex_at(src[k]), graph.vertex_at(nbr[k])
         raise VerificationError(
-            f"forest edge ({graph.vertex_at(src[k])}, {graph.vertex_at(nbr[k])}) "
-            "unoriented"
+            f"forest label {int(fd.labels[k])} at vertex {u}'s entry for {v}, "
+            "which is not an out-edge"
         )
+    over = label[(label < 0) | (label >= fd.num_forests)]
+    if len(over):
+        raise VerificationError(f"forest label {int(over.min())} out of range")
     m = len(edge)
     label = label.astype(np.int64)
     node, parent = label * n + tail, label * n + head

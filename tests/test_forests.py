@@ -5,7 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Graph, SynchronousNetwork
-from repro.core import compute_hpartition, forests_decomposition, hpartition_orientation
+from repro.core import (
+    compute_hpartition,
+    forest_parent_map,
+    forests_decomposition,
+    hpartition_orientation,
+)
 from repro.core.forests import _ForestLabelProgram
 from repro.errors import VerificationError
 from repro.experiments.registry import ALGORITHMS, AlgorithmSpec, execute_trial
@@ -16,7 +21,7 @@ from repro.graphs import (
     is_forest,
     planar_triangulation,
 )
-from repro.simulator import engine_names
+from repro.simulator import MessageTrace, engine_names
 from repro.types import ForestsDecomposition, canonical_edge
 from repro.verify import (
     check_forests_decomposition,
@@ -67,14 +72,8 @@ class TestForestsDecomposition:
         net = SynchronousNetwork(small_tree)
         fd = forests_decomposition(net, 1)
         g = small_tree
-        roots = 0
-        for v in g.vertices:
-            parents = [
-                fd.parent_in_forest(v, f, g.neighbors(v))
-                for f in range(fd.num_forests)
-            ]
-            if all(p is None for p in parents):
-                roots += 1
+        parents = [forest_parent_map(g, fd, f) for f in range(fd.num_forests)]
+        roots = sum(all(p[v] is None for p in parents) for v in g.vertices)
         assert roots >= 1  # a forest has at least one root
 
     def test_precomputed_hpartition_reused(self, forest_graph, forest_net):
@@ -164,27 +163,41 @@ def test_labels_match_per_edge_reference_on_every_engine(instance):
     graph, a, subset = instance
     members = set(graph.vertices if subset is None else subset)
     src = graph.row_sources()
+    nbr = graph.csr()[1]
+    ids = np.asarray(graph.vertices)
     results = []
     for engine in engine_names():
-        labelling = {}
+        labelling = []
 
         class Recording(SynchronousNetwork):
             def run(self, program_factory, **kw):
+                labels = isinstance(program_factory(), _ForestLabelProgram)
+                # a trace would send the column engine to its event fallback
+                if labels and engine in ("dense", "event"):
+                    kw["telemetry"] = MessageTrace()
                 result = super().run(program_factory, **kw)
-                if isinstance(program_factory(), _ForestLabelProgram):
-                    labelling.update(result.outputs)
+                if labels:
+                    labelling.append((result.outputs, kw.get("telemetry")))
                 return result
 
         net = Recording(graph, scheduler=engine)
         hp = compute_hpartition(net, a, participants=subset)
         fd = forests_decomposition(net, a, participants=subset, hpartition=hp)
-        # Lemma 2.2(2)'s views agree: each member outputs its H-index and
-        # its count of labelled out-edges, and the (level, id) heads are
-        # hpartition_orientation's
-        out_degree = np.bincount(src[fd.labels >= 0], minlength=graph.n)
-        assert labelling == {
-            v: (hp.index[v], int(out_degree[graph.index_of(v)])) for v in members
-        }
+        ((outputs, trace),) = labelling
+        assert outputs == dict.fromkeys(members)
+        if trace is not None:
+            # Lemma 2.2(2)'s views agree: the label each tail sends its
+            # head in round 1 is the one fd.labels holds at its entry
+            sent = [
+                (m.sender, m.dest, m.payload)
+                for m in trace.messages
+                if m.round_number == 1
+            ]
+            at = np.flatnonzero(fd.labels >= 0)
+            tails, heads = ids[src[at]].tolist(), ids[nbr[at]].tolist()
+            held = zip(tails, heads, [("forest", f) for f in fd.labels[at].tolist()])
+            assert sorted(sent) == sorted(held)
+        # and the (level, id) heads are hpartition_orientation's
         assert np.array_equal(
             fd.orientation.heads, hpartition_orientation(graph, hp).heads
         )
@@ -204,8 +217,7 @@ def test_labels_match_per_edge_reference_on_every_engine(instance):
     fd = results[0]
     # labels sit at the tails' entries; edges outside the run carry none
     assert np.array_equal(fd.labels >= 0, fd.orientation.heads > 0)
-    nbr = graph.csr()[1]
-    inside = np.isin(np.asarray(graph.vertices), list(members))
+    inside = np.isin(ids, list(members))
     assert (fd.labels[~(inside[src] & inside[nbr])] == -1).all()
     run_graph = graph if subset is None else graph.induced_subgraph(subset)
     assert set(fd.forest_of) == set(run_graph.edges)
@@ -233,7 +245,6 @@ def test_from_forest_of_returns_its_dict(forest_graph, forest_net):
     )
     assert rebuilt.forest_of == forest_of
     assert np.array_equal(rebuilt.labels, fd.labels)
-    assert rebuilt.unplaced == ()
     check_forests_decomposition(forest_graph.graph, rebuilt)
 
 

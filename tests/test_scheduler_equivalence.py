@@ -237,8 +237,8 @@ class TestMessageTraceEquivalence:
 
 
 def test_per_run_scheduler_override():
-    """run(scheduler=...) overrides the network default, and an invalid
-    name is rejected."""
+    """The network's scheduler runs every run, and an invalid name is
+    rejected."""
     from repro.errors import SimulationError
 
     gen = forest_union(60, 2, seed=7)
@@ -247,7 +247,5 @@ def test_per_run_scheduler_override():
     a = ruling_set(net)
     dense = SynchronousNetwork(gen.graph, scheduler="dense")
     assert ruling_set(dense) == a
-    with pytest.raises(SimulationError):
-        net.run(lambda: None, scheduler="bogus")
     with pytest.raises(SimulationError):
         SynchronousNetwork(gen.graph, scheduler="bogus")

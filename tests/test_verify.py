@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError, VerificationError
@@ -267,28 +268,45 @@ class TestDecompositionCheckers:
 
     def test_forests_rejects_reversed_key(self):
         g = path(3).graph  # 0-1-2
-        fd = ForestsDecomposition.from_forest_of(
-            forest_of={(0, 1): 0, (1, 2): 0, (1, 0): 1},
-            orientation=Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2}),
-            num_forests=2,
-        )
         # (1, 0) would put edge (0, 1) in a second forest
         with pytest.raises(
-            VerificationError,
-            match=re.escape("forest label on non-canonical edge (1, 0)"),
+            InvalidParameterError,
+            match=re.escape("(1, 0) is not an oriented edge in (min, max) form"),
         ):
-            check_forests_decomposition(g, fd)
+            ForestsDecomposition.from_forest_of(
+                forest_of={(0, 1): 0, (1, 2): 0, (1, 0): 1},
+                orientation=Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2}),
+                num_forests=2,
+            )
 
     def test_forests_rejects_non_edge(self, p4):
+        with pytest.raises(
+            InvalidParameterError,
+            match=re.escape("(0, 3) is not an oriented edge in (min, max) form"),
+        ):
+            ForestsDecomposition.from_forest_of(
+                forest_of={(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0},
+                orientation=Orientation.from_order(p4, [0, 1, 2, 3]),
+                num_forests=1,
+            )
+
+    def test_forests_rejects_stray_label(self):
+        """A label off its edge's tail would give the edge a second label."""
+        g = path(3).graph  # 0-1-2
         fd = ForestsDecomposition.from_forest_of(
-            forest_of={(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0},
-            orientation=Orientation.from_order(p4, [0, 1, 2, 3]),
+            forest_of={(0, 1): 0, (1, 2): 0},
+            orientation=Orientation.from_direction(g, {(0, 1): 1, (1, 2): 2}),
             num_forests=1,
         )
+        check_forests_decomposition(g, fd)
+        labels = fd.labels.copy()
+        labels[np.flatnonzero(fd.orientation.heads < 0)[0]] = 7  # 1's entry for 0
+        stray = ForestsDecomposition(labels, fd.orientation, fd.num_forests)
         with pytest.raises(
-            VerificationError, match=re.escape("forest label on non-edge (0, 3)")
+            VerificationError,
+            match=re.escape("forest label 7 at vertex 1's entry for 0"),
         ):
-            check_forests_decomposition(p4, fd)
+            check_forests_decomposition(g, stray)
 
     @pytest.mark.parametrize(
         "labels,message",

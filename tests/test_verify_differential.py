@@ -5,7 +5,9 @@ contiguous ids or the same graph relabelled to scattered ids, plus at most
 one corruption of a given class.  Every check must accept or reject
 exactly as the reference kept here does, naming the same witness.  The
 references are plain loops over ``graph.edges`` and ``graph.vertices``
-that follow the witness rules the checks document.
+that follow the witness rules the checks document.  A forests corruption
+whose dict ``ForestsDecomposition.from_forest_of`` cannot place must
+instead be rejected there, at the key the reference names.
 
 The orientation checks and measurements get random orientations instead
 (every edge towards either end or unoriented, half the cases with a
@@ -16,6 +18,7 @@ forced directed cycle); their references are dict loops over
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -27,7 +30,7 @@ from repro.core import (
     sequential_greedy_coloring,
 )
 from repro.core.mis import greedy_mis_sequential
-from repro.errors import SimulationError, VerificationError
+from repro.errors import InvalidParameterError, SimulationError, VerificationError
 from repro.graphs import (
     degeneracy,
     erdos_renyi,
@@ -138,33 +141,55 @@ def reference_hpartition(graph, hp):
 
 
 def reference_forests(graph, fd):
-    edges = set(graph.edges)
+    offsets = graph.csr()[0]
+
+    def label(u, v):
+        """The label at u's entry for v."""
+        row = graph.neighbors(u)
+        return int(fd.labels[offsets[graph.index_of(u)] + row.index(v)])
+
+    forest_of = {}  # each edge's (label, tail), read at the tail's entry
     for u, v in graph.edges:
-        if (u, v) not in fd.forest_of:
+        head = fd.orientation.head(u, v)
+        tail = u if head == v else v
+        f = -1 if head is None else label(tail, head)
+        if f == -1:
             return f"edge ({u}, {v}) has no forest label"
-    for e in fd.forest_of:
-        if e not in edges:
-            kind = "non-canonical edge" if e[::-1] in edges else "non-edge"
-            return f"forest label on {kind} {e}"
-    forests = sorted(set(fd.forest_of.values()))
+        forest_of[(u, v)] = (f, tail)
+    for u in graph.vertices:
+        for v in graph.neighbors(u):
+            if fd.orientation.head(u, v) != v and label(u, v) != -1:
+                return (
+                    f"forest label {label(u, v)} at vertex {u}'s entry for {v}, "
+                    "which is not an out-edge"
+                )
+    forests = sorted({f for f, _ in forest_of.values()})
     for f in forests:
         if not 0 <= f < fd.num_forests:
             return f"forest label {f} out of range"
-    for u, v in graph.edges:
-        if fd.orientation.head(u, v) is None:
-            return f"forest edge ({u}, {v}) unoriented"
     for f in forests:
         parents = {}
-        for (u, v), g in fd.forest_of.items():
+        for g, tail in forest_of.values():
             if g == f:
-                tail = u if fd.orientation.head(u, v) == v else v
                 parents[tail] = parents.get(tail, 0) + 1
         for v in sorted(parents):
             if parents[v] > 1:
                 return f"vertex {v} has two parents in forest {f}"
     for f in forests:
-        if _has_cycle([e for e, g in fd.forest_of.items() if g == f]):
+        if _has_cycle([e for e, (g, _) in forest_of.items() if g == f]):
             return f"forest {f} contains a cycle"
+    return None
+
+
+def reference_unplaceable(forest_of, orientation):
+    """What ``from_forest_of`` names: the first key in dict order that is
+    not an oriented edge in (min, max) form or has a negative label."""
+    for (u, v), f in forest_of.items():
+        edge = u < v and orientation.graph.has_edge(u, v)
+        if not edge or orientation.head(u, v) is None:
+            return f"({u}, {v}) is not an oriented edge in (min, max) form"
+        if f < 0:
+            return f"({u}, {v}) has negative forest label {f}"
     return None
 
 
@@ -212,6 +237,9 @@ def _cycle(graph):
 
 
 def corrupt_forests(graph, fd, kind, k):
+    """The corrupted decomposition, or None where ``from_forest_of``
+    rejects the corrupted dict (exactly as :func:`reference_unplaceable`
+    names it)."""
     forest_of = dict(fd.forest_of)
     orientation = fd.orientation
     num_forests = fd.num_forests
@@ -234,9 +262,19 @@ def corrupt_forests(graph, fd, kind, k):
     elif kind == "out-of-range" and keys:
         forest_of[keys[k % len(keys)]] = num_forests if k % 2 else -1
     elif kind == "unoriented" and keys:
+        key = keys[k % len(keys)]
         direction = dict(orientation.direction)
-        del direction[keys[k % len(keys)]]
+        del direction[key]
+        if k % 2:  # and unlabelled: it has no tail to hold a label
+            del forest_of[key]
         orientation = Orientation.from_direction(graph, direction)
+    elif kind == "stray":
+        # a label at an entry that is not an out-edge's
+        off_tail = np.flatnonzero(orientation.heads <= 0)
+        if len(off_tail):
+            labels = fd.labels.copy()
+            labels[off_tail[k % len(off_tail)]] = k % max(num_forests, 1)
+            return ForestsDecomposition(labels, orientation, num_forests)
     elif kind == "second-parent":
         out = {}
         for u, v in forest_of:
@@ -255,7 +293,13 @@ def corrupt_forests(graph, fd, kind, k):
                 forest_of[canonical_edge(x, y)] = num_forests
             orientation = Orientation.from_direction(graph, direction)
             num_forests += 1
-    return ForestsDecomposition.from_forest_of(forest_of, orientation, num_forests)
+    expected = reference_unplaceable(forest_of, orientation)
+    if expected is None:
+        return ForestsDecomposition.from_forest_of(forest_of, orientation, num_forests)
+    with pytest.raises(InvalidParameterError) as info:
+        ForestsDecomposition.from_forest_of(forest_of, orientation, num_forests)
+    assert str(info.value) == expected
+    return None
 
 
 FOREST_KINDS = [
@@ -265,6 +309,7 @@ FOREST_KINDS = [
     "reversed",
     "out-of-range",
     "unoriented",
+    "stray",
     "second-parent",
     "cycle",
 ]
@@ -277,7 +322,8 @@ def test_forests_check_matches_reference(kind, graph, k):
     a = max(1, degeneracy(graph)[0])
     fd = forests_decomposition(SynchronousNetwork(graph), a)
     bad = corrupt_forests(graph, fd, kind, k)
-    _agree(check_forests_decomposition, reference_forests, graph, bad)
+    if bad is not None:
+        _agree(check_forests_decomposition, reference_forests, graph, bad)
 
 
 @PROFILE

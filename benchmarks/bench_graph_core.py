@@ -5,21 +5,28 @@ read-only int64 numpy offset/neighbour arrays, O(1) degree, index-based
 rows, vectorized batched-neighbour passes) with a bulk
 :meth:`Graph.from_edge_count` constructor, and threaded index-based fast
 paths through the simulator and the centralized helpers.  This bench pins
-the two headline claims against the preserved seed implementation
-(``legacy_graph``: the exact pre-CSR graph *and* simulator loop):
+three claims against preserved implementations (``legacy_graph``: the
+exact pre-CSR graph *and* simulator loop, and the ``Random``-call
+generator):
 
 * *build* — constructing a forest-union instance from a raw edge list is
   ≥3× faster than the legacy per-edge set-mutation build, with the public
   id-based API (vertices / edges / neighbors / degree) byte-identical;
 * *sparse sweep* — one end-to-end sweep trial (build → H-partition →
   verify → per-level induced subgraphs → greedy MIS → verify) is ≥2×
-  faster, with identical outputs at every step.
+  faster, with identical outputs at every step;
+* *generator* — ``forest_union(32000, 16, seed=1)``, which draws from
+  ``getrandbits`` and builds from endpoint arrays, is ≥2× faster than
+  ``legacy_forest_union`` (one ``Random.shuffle`` / ``randrange`` call per
+  draw, edge tuples, ``from_edge_count``), with identical CSR arrays
+  (``forest_union_build_speedup``).
 
 ``REPRO_PERF_HANDICAP`` (a fraction, e.g. ``0.25``) synthetically inflates
-the measured CSR wall times; it exists so the CI regression gate
-(``check_perf_regression.py``) can be shown to trip on a 25% slowdown
-without hurting the real library.  The in-test speedup assertions are
-skipped while a handicap is active — tripping the gate is then the point.
+the library's measured wall times (CSR builds, sweep trial, generator); it
+exists so the CI regression gate (``check_perf_regression.py``) can be
+shown to trip on a 25% slowdown without hurting the real library.  The
+in-test speedup assertions are skipped while a handicap is active —
+tripping the gate is then the point.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import os
 import random
 import time
 
+import numpy as np
 import perf_record
 from conftest import run_once
 from legacy_graph import (
@@ -35,11 +43,13 @@ from legacy_graph import (
     LegacySynchronousNetwork,
     legacy_check_hpartition,
     legacy_check_mis,
+    legacy_forest_union,
 )
 from repro import SynchronousNetwork
 from repro.analysis import emit, render_table
 from repro.core import compute_hpartition
 from repro.core.mis import greedy_mis_sequential
+from repro.graphs import forest_union
 from repro.graphs.graph import Graph
 from repro.types import canonical_edge
 from repro.verify.decomposition import check_hpartition, check_mis
@@ -50,8 +60,11 @@ _HANDICAP = float(os.environ.get("REPRO_PERF_HANDICAP", "0") or 0.0)
 
 
 def _forest_edges(n, a, seed):
-    """The raw edge list of a forest union, exactly as the generator emits it
-    (duplicates included) — both builds consume the identical input."""
+    """The raw edge list (duplicates included) of a union of ``a`` random
+    recursive trees, ``forest_union``'s family.  It skips the generator's
+    per-forest edge shuffle, so from the second forest on it draws a
+    different instance of that family than ``forest_union(n, a, seed)``.
+    Both builds consume this one list, which is all the ratio needs."""
     rng = random.Random(seed)
     edges = []
     for _ in range(a):
@@ -209,3 +222,42 @@ def test_graph_core_construction_and_sweep(benchmark):
 
     edges = _forest_edges(20_000, A, seed=1)
     run_once(benchmark, lambda: Graph.from_edge_count(20_000, edges))
+
+
+def test_forest_union_build_speedup():
+    """The generator against its frozen ``Random``-call build, best of 3
+    each, the two sides alternating, on the same instance."""
+    n, a = 32_000, 16
+    t_leg = t_lib = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        want = legacy_forest_union(n, a, seed=1).graph
+        t_leg = min(t_leg, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        got = forest_union(n, a, seed=1).graph
+        t_lib = min(t_lib, time.perf_counter() - t0)
+    t_lib *= 1.0 + _HANDICAP
+    assert all(map(np.array_equal, got.csr(), want.csr()))
+    assert got.duplicate_edges_dropped == want.duplicate_edges_dropped
+    speedup = t_leg / t_lib
+    emit(
+        render_table(
+            "S5 — forest_union build: Random calls vs. getrandbits draws",
+            ["workload", "n", "m", "Random calls", "getrandbits", "speedup"],
+            [
+                [
+                    f"forest_union (a={a})",
+                    n,
+                    got.m,
+                    f"{t_leg * 1e3:.0f} ms",
+                    f"{t_lib * 1e3:.0f} ms",
+                    f"{speedup:.1f}x",
+                ]
+            ],
+            note="best of 3 each, alternating; identical CSR arrays asserted",
+        ),
+        "s5_graph_core.txt",
+    )
+    perf_record.add_metrics("graph_core", forest_union_build_speedup=round(speedup, 3))
+    if _HANDICAP == 0.0:
+        assert speedup >= 2.0, f"forest_union build speedup {speedup:.2f}x < 2x"

@@ -10,13 +10,18 @@ the old code rather than importing anything from ``repro.graphs`` — the
 baseline must not accelerate when the library does.  The same holds for the
 seed-era id-based verifiers below (``legacy_check_hpartition`` and
 ``legacy_check_mis``), the checks the legacy graph has always run.
+``legacy_forest_union`` is the ``forest_union`` generator as it was built
+through ``Random.shuffle`` / ``randrange`` and canonical edge tuples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+import random
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import InvalidParameterError, VerificationError
+from repro.graphs.generators import GeneratedGraph
+from repro.graphs.graph import Graph
 from repro.types import Edge, Vertex, canonical_edge
 
 
@@ -129,6 +134,40 @@ def legacy_check_mis(graph, members) -> None:
                 f"vertex {v} is outside the MIS but has no MIS neighbour "
                 "(not maximal)"
             )
+
+
+def legacy_forest_union(
+    n: int, a: int, seed: int = 0, density: float = 1.0
+) -> GeneratedGraph:
+    """``forest_union`` before it drew from ``getrandbits`` itself: one
+    ``Random.shuffle`` / ``randrange`` call per draw, a canonical edge tuple
+    per edge and ``Graph.from_edge_count`` over the ``a·keep`` tuples.  It
+    builds the same graphs; the constructor is the library's, so a faster
+    ``from_edge_count`` can only lower the generator's measured speedup."""
+    if n < 2:
+        raise InvalidParameterError("forest_union: n must be >= 2")
+    if a < 1:
+        raise InvalidParameterError("forest_union: a must be >= 1")
+    if not (0.0 < density <= 1.0):
+        raise InvalidParameterError("forest_union: density must be in (0, 1]")
+    rng = random.Random(seed)
+    edges: List[Edge] = []
+    keep = max(1, int(density * (n - 1)))
+    for _f in range(a):
+        # random recursive tree over a random permutation of the ids, so the
+        # forests are structurally independent
+        perm = list(range(n))
+        rng.shuffle(perm)
+        tree_edges = []
+        for i in range(1, n):
+            j = rng.randrange(i)
+            tree_edges.append(canonical_edge(perm[i], perm[j]))
+        rng.shuffle(tree_edges)
+        edges.extend(tree_edges[:keep])
+    g = Graph.from_edge_count(n, edges)
+    return GeneratedGraph(
+        g, a, "forest_union", {"n": n, "a": a, "seed": seed, "density": density}
+    )
 
 
 def drain_outbox(ctx):

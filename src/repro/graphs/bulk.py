@@ -1,13 +1,14 @@
 """Numpy-native bulk graph generation for million-node workloads.
 
-The generators in :mod:`repro.graphs.generators` build edges one Python
-object at a time, which is fine up to ~10^5 vertices but dominates the wall
-clock long before the column engine does any work at 10^6–10^7.  This module
-provides the vectorised counterpart for the canonical arboricity-``a``
-workload: :func:`forest_union_bulk` draws each forest as a random recursive
-tree over a random permutation entirely inside numpy and hands the endpoint
-arrays straight to :meth:`Graph.from_arrays` — no Python edge list ever
-exists.
+The generators in :mod:`repro.graphs.generators` draw from
+:class:`random.Random` in Python loops.  :func:`~repro.graphs.generators.forest_union`
+makes one ``getrandbits`` call per draw and builds from endpoint arrays,
+but its draws alone dominate the wall clock long before the column engine
+does any work at 10^6–10^7.  This module provides the vectorised
+counterpart for the canonical arboricity-``a`` workload:
+:func:`forest_union_bulk` draws each forest as a random recursive tree over
+a random permutation entirely inside numpy and hands the endpoint arrays
+straight to :meth:`Graph.from_arrays`.
 
 The construction certifies arboricity ≤ ``a`` exactly like
 :func:`~repro.graphs.generators.forest_union` (a union of ``a`` forests);

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..errors import InvalidParameterError
-from ..types import Edge, Vertex, canonical_edge
+from ..types import Edge, Vertex
 from .graph import Graph
 
 
@@ -162,6 +164,45 @@ def random_tree(n: int, seed: int = 0) -> GeneratedGraph:
     return GeneratedGraph(g, 1, "random_tree", {"n": n, "seed": seed})
 
 
+def _bit_bands(lo: int, hi: int):
+    """Split the bounds ``lo..hi`` into runs of equal bit length, lowest
+    first: ``(k, first, last)`` with every bound in ``first..last`` of bit
+    length ``k``."""
+    for k in range(lo.bit_length(), hi.bit_length() + 1):
+        yield k, max(lo, 1 << (k - 1)), min(hi, (1 << k) - 1)
+
+
+def _shuffle(getrandbits, x: Optional[List[int]], size: int) -> None:
+    """Shuffle ``x`` in place as ``Random.shuffle`` would a list of
+    ``size``: draw below ``i + 1`` for ``i = size − 1, …, 1`` and swap
+    ``x[i]`` with the draw.  ``x=None`` consumes the draws only."""
+    for k, first, last in reversed(list(_bit_bands(2, size))):
+        if x is None:
+            for b in range(last, first - 1, -1):
+                while getrandbits(k) >= b:
+                    pass
+            continue
+        for i in range(last - 1, first - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+
+def _randrange_each(getrandbits, n: int) -> List[int]:
+    """``[Random.randrange(i) for i in range(1, n)]``, drawn in that order
+    (``randrange(1)`` draws too)."""
+    out: List[int] = []
+    append = out.append
+    for k, first, last in _bit_bands(1, n - 1):
+        for b in range(first, last + 1):
+            j = getrandbits(k)
+            while j >= b:
+                j = getrandbits(k)
+            append(j)
+    return out
+
+
 def forest_union(n: int, a: int, seed: int = 0, density: float = 1.0) -> GeneratedGraph:
     """A union of ``a`` random spanning forests: arboricity ≤ ``a`` certified.
 
@@ -169,6 +210,20 @@ def forest_union(n: int, a: int, seed: int = 0, density: float = 1.0) -> Generat
     enough that the Nash–Williams lower bound is close to ``a`` (for
     ``density = 1`` the graph has ≈ ``a·(n−1)`` edges minus collisions), with
     no degree concentration.
+
+    Each forest is a random recursive tree over a random permutation of the
+    ids, so the forests are structurally independent: the ids are shuffled
+    (``Random.shuffle``), vertex ``perm[i]`` attaches to ``perm[randrange(i)]``
+    for ``i = 1 … n−1``, and the tree's edge list is shuffled and cut to its
+    first ``keep`` edges.  The loop draws exactly what those ``Random``
+    calls would, by calling ``getrandbits`` itself with the rule of
+    ``Random._randbelow_with_getrandbits`` (``k = bound.bit_length()`` bits,
+    drawn again while the value is ≥ the bound), and it hands the endpoint
+    arrays to :meth:`Graph.from_arrays`.  At ``density = 1`` the edge
+    shuffle's draws are consumed and its swaps skipped.  ``tests/
+    test_generators.py`` pins every graph against the ``Random.shuffle`` /
+    ``randrange`` construction on each Python of the tier-1 matrix (3.10 to
+    3.12), which is what guards the reliance on that rule.
 
     Parameters
     ----------
@@ -182,21 +237,26 @@ def forest_union(n: int, a: int, seed: int = 0, density: float = 1.0) -> Generat
         raise InvalidParameterError("forest_union: a must be >= 1")
     if not (0.0 < density <= 1.0):
         raise InvalidParameterError("forest_union: density must be in (0, 1]")
-    rng = random.Random(seed)
-    edges: List[Edge] = []
+    getrandbits = random.Random(seed).getrandbits
     keep = max(1, int(density * (n - 1)))
-    for _f in range(a):
-        # random recursive tree over a random permutation of the ids, so the
-        # forests are structurally independent
+    us = np.empty((a, keep), dtype=np.int64)
+    vs = np.empty((a, keep), dtype=np.int64)
+    for f in range(a):
         perm = list(range(n))
-        rng.shuffle(perm)
-        tree_edges = []
-        for i in range(1, n):
-            j = rng.randrange(i)
-            tree_edges.append(canonical_edge(perm[i], perm[j]))
-        rng.shuffle(tree_edges)
-        edges.extend(tree_edges[:keep])
-    g = Graph.from_edge_count(n, edges)
+        _shuffle(getrandbits, perm, n)
+        parents = _randrange_each(getrandbits, n)
+        order = list(range(n - 1)) if keep < n - 1 else None
+        _shuffle(getrandbits, order, n - 1)
+        ids = np.fromiter(perm, np.int64, count=n)
+        u = ids[1:]
+        v = ids[np.fromiter(parents, np.int64, count=n - 1)]
+        if order is not None:
+            pick = order[:keep]
+            u = u[pick]
+            v = v[pick]
+        us[f] = u
+        vs[f] = v
+    g = Graph.from_arrays(n, us, vs)
     return GeneratedGraph(
         g, a, "forest_union", {"n": n, "a": a, "seed": seed, "density": density}
     )

@@ -172,6 +172,11 @@ class Orientation(_ByInitFields):
                 f"heads must be int8 of shape ({entries},), got "
                 f"{self.heads.dtype} of shape {self.heads.shape}"
             )
+        if entries and (self.heads.min() < -1 or self.heads.max() > 1):
+            k = int(np.flatnonzero((self.heads < -1) | (self.heads > 1))[0])
+            raise InvalidParameterError(
+                f"heads must hold -1, 0 or +1; entry {k} holds {self.heads[k]}"
+            )
         self.heads.flags.writeable = False
 
     @classmethod

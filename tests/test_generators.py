@@ -1,5 +1,8 @@
 """Generators: shapes, certified arboricity bounds, determinism."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
@@ -9,6 +12,7 @@ from repro.graphs import (
     disjoint_union,
     erdos_renyi,
     forest_union,
+    generators,
     grid,
     hypercube,
     low_arboricity_high_degree,
@@ -25,6 +29,8 @@ from repro.graphs import (
     degeneracy,
     is_forest,
 )
+from repro.graphs.graph import Graph
+from repro.types import canonical_edge
 
 
 def certified_bound_holds(gen):
@@ -240,3 +246,67 @@ class TestGeneratedGraphMetadata:
         g = forest_union(40, 2, seed=5)
         assert g.params["seed"] == 5
         assert g.params["a"] == 2
+
+
+def reference_forest_union(n, a, seed=0, density=1.0):
+    """``forest_union`` as it was built before it drew from ``getrandbits``
+    itself: ``Random.shuffle``, ``randrange``, canonical edge tuples and
+    ``Graph.from_edge_count``.  Kept verbatim as the identity reference."""
+    rng = random.Random(seed)
+    edges = []
+    keep = max(1, int(density * (n - 1)))
+    for _f in range(a):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        tree_edges = []
+        for i in range(1, n):
+            j = rng.randrange(i)
+            tree_edges.append(canonical_edge(perm[i], perm[j]))
+        rng.shuffle(tree_edges)
+        edges.extend(tree_edges[:keep])
+    g = Graph.from_edge_count(n, edges)
+    return generators.GeneratedGraph(
+        g, a, "forest_union", {"n": n, "a": a, "seed": seed, "density": density}
+    )
+
+
+def same_generated(got, want):
+    """Equal CSR arrays, duplicate count and certificate metadata."""
+    g, w = got.graph, want.graph
+    return (
+        all(map(np.array_equal, g.csr(), w.csr()))
+        and g.duplicate_edges_dropped == w.duplicate_edges_dropped
+        and got.arboricity_bound == want.arboricity_bound
+        and got.name == want.name
+        and got.params == want.params
+    )
+
+
+class TestForestUnionIdentity:
+    """``forest_union`` draws from ``getrandbits`` with the rule of
+    ``Random._randbelow_with_getrandbits``; every Python of the tier-1
+    matrix must build the graphs the ``Random.shuffle`` / ``randrange``
+    construction builds.  The n cover both sides of powers of two, where
+    the draws' bit length changes, and n = 2, where the edge shuffle draws
+    nothing and ``randrange(1)`` still draws."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 75, 128, 129, 300, 1025])
+    def test_same_graphs_as_random_calls(self, n):
+        differ = [
+            (n, a, density, seed)
+            for a in (1, 2, 4, 16)
+            for density in (1.0, 0.5, 0.01)
+            for seed in (0, 1, 1009)
+            if not same_generated(
+                forest_union(n, a, seed=seed, density=density),
+                reference_forest_union(n, a, seed=seed, density=density),
+            )
+        ]
+        assert differ == [], f"(n, a, density, seed) that differ: {differ}"
+
+    @pytest.mark.parametrize("n, a, hubs, seed", [(300, 3, 3, 9), (129, 4, 2, 1)])
+    def test_low_arboricity_high_degree_unchanged(self, monkeypatch, n, a, hubs, seed):
+        got = low_arboricity_high_degree(n, a, num_hubs=hubs, seed=seed)
+        monkeypatch.setattr(generators, "forest_union", reference_forest_union)
+        want = low_arboricity_high_degree(n, a, num_hubs=hubs, seed=seed)
+        assert same_generated(got, want)

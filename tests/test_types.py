@@ -1,6 +1,10 @@
 """Result types: ColorAssignment, Orientation, decompositions."""
 
+import numpy as np
+import pytest
+
 from repro import Graph
+from repro.errors import InvalidParameterError
 from repro.types import (
     ColorAssignment,
     Decomposition,
@@ -84,6 +88,15 @@ class TestOrientation:
         assert Orientation.from_direction(g, {}).lengths().tolist() == [0] * 5
         empty = Graph([], [])
         assert Orientation.from_direction(empty, {}).lengths().tolist() == []
+
+    @pytest.mark.parametrize("heads", [[2, -2], [1, -128], [0, 127]])
+    def test_rejects_heads_outside_signs(self, heads):
+        # out-degrees count +1 entries and the forests check tests > 0, so
+        # a 2 would read as no out-edge there and as an out-edge here
+        g = Graph(range(2), [(0, 1)])
+        bad = next(k for k, h in enumerate(heads) if h not in (-1, 0, 1))
+        with pytest.raises(InvalidParameterError, match=f"entry {bad} holds"):
+            Orientation(g, np.array(heads, dtype=np.int8))
 
 
 class TestHPartition:
